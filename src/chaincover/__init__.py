@@ -4,10 +4,10 @@ The package is organized around one immutable carrier type
 (:class:`~chaincover.core.Poset`, a transitively closed strict order held as
 bitmask rows) and pure functions over it:
 
-* :mod:`~chaincover.core`: construction, duality, induced subposets, regions,
-  purity;
-* :mod:`~chaincover.cover`: exact minimum chain covers with antichain
-  certificates;
+* :mod:`~chaincover.core`: construction, duality, induced subposets,
+  purity; subsets are bitmasks over a poset's own indices;
+* :mod:`~chaincover.cover`: exact minimum chain covers, of a poset or of the
+  subposet on a bitmask, with antichain certificates;
 * :mod:`~chaincover.incgraph`: incomparability components, the lexicographic
   sum decomposition, the incomparability metric;
 * :mod:`~chaincover.generators`: half-grids, chains, sums, seeded random
@@ -21,10 +21,9 @@ bitmask rows) and pure functions over it:
 """
 
 from .core import (CycleError, EmptyPoset, InternalInconsistency, Poset,
-                   PreconditionError, Region, dual, from_relations, from_text,
-                   induced, is_pure, region)
-from .cover import (ChainCover, DilworthReport, max_antichain,
-                    max_antichain_bruteforce, min_chain_cover, verify_dilworth)
+                   PreconditionError, dual, from_relations, from_text,
+                   induced, is_pure)
+from .cover import ChainCover, max_antichain, min_chain_cover
 from .generators import (GridLabel, SizeError, antichain, canonical_ideal_chain,
                          chain, grid_index, grid_labels, grid_upper, lex_sum,
                          random_poset)

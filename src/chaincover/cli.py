@@ -161,10 +161,13 @@ def _cmd_ideal_embed(args) -> int:
     except OSError as exc:
         raise _InputError(str(exc)) from exc
     ideals = []
-    for raw in lines:
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            ideals.append(frozenset(int(tok) for tok in line.split()))
+            try:
+                ideals.append(frozenset(int(tok) for tok in line.split()))
+            except ValueError as exc:
+                raise _InputError(f"{args.ideals}:{lineno}: {exc}") from exc
     chain = ideal_embed.IdealChain(p, tuple(ideals))
     try:
         result = ideal_embed.embed_from_ideal_chain(chain)

@@ -1,10 +1,13 @@
-"""Finite strict partial orders and the region primitives built on them.
+"""Finite strict partial orders held as bitmask rows.
 
 A poset is stored as its full reachability relation, one bitmask row per
-element: bit ``y`` of ``up[x]`` is set iff ``x < y``.  Construction takes the
-transitive closure (bit-parallel Warshall) and rejects anything that is not a
-strict order.  Values are immutable after construction; every operation here
-is a pure function, so concurrent use needs no coordination.
+element: bit ``y`` of ``up[x]`` is set iff ``x < y``.  Construction takes
+the transitive closure (bit-parallel Warshall) and rejects anything that is
+not a strict order.  A subset (an up-set, a down-set, an interval, an
+incomparability set) is a bitmask over the same indices; ``induced`` copies
+one out only where a caller needs it as a poset of its own.  Values are
+immutable after construction; every operation here is a pure function, so
+concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -73,9 +76,6 @@ class Poset:
     def lt(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
 
-    def leq(self, x: int, y: int) -> bool:
-        return x == y or self.lt(x, y)
-
     def comparable(self, x: int, y: int) -> bool:
         return x == y or self.lt(x, y) or self.lt(y, x)
 
@@ -98,13 +98,6 @@ class Poset:
                 row ^= low
         return tuple(rows)
 
-    def up_mask(self, x: int) -> int:
-        """Strict up-set of x as a bitmask (x excluded)."""
-        return self.up[x]
-
-    def down_mask(self, x: int) -> int:
-        return self.down[x]
-
     def inc_mask(self, x: int) -> int:
         """Elements incomparable to x, as a bitmask."""
         return self.full_mask & ~(self.up[x] | self.down[x] | (1 << x))
@@ -117,10 +110,6 @@ class Poset:
     @cached_property
     def maximal_mask(self) -> int:
         return mask_of(x for x in range(self.n) if not self.up[x])
-
-    @cached_property
-    def minimal_mask(self) -> int:
-        return mask_of(x for x in range(self.n) if not self.down[x])
 
     def greatest(self) -> int | None:
         """The greatest element, or None if there is none."""
@@ -267,87 +256,15 @@ def induced(p: Poset, subset: Iterable[int]) -> tuple[Poset, tuple[int, ...]]:
     return Poset(len(chosen), tuple(rows), labels), tuple(chosen)
 
 
-REGION_KINDS = ("up", "down", "interval", "inc")
-
-
-@dataclass(frozen=True)
-class Region:
-    """A distinguished subset of a poset: ↑A, ↓A, [a,b] or Inc_A."""
-
-    members: frozenset[int]
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in REGION_KINDS:
-            raise ValueError(f"unknown region kind {self.kind!r}")
-
-
-def region(p: Poset, kind: str, arg) -> Region:
-    """Compute one of the four region kinds.
-
-    ``up``/``down``/``inc`` take an iterable of elements A; ``interval``
-    takes a pair ``(a, b)`` with a <= b.  Up and down regions include A;
-    Inc_A excludes it (nothing is incomparable to itself).  Inc of the empty
-    set is the whole poset, the vacuous-truth reading; flagged here because
-    callers sometimes expect the empty set instead.
-    """
-    if kind == "interval":
-        a, b = arg
-        for x in (a, b):
-            if not 0 <= x < p.n:
-                raise IndexError(f"element {x} out of range")
-        if not p.leq(a, b):
-            raise PreconditionError(f"interval requires {a} <= {b}")
-        mask = (p.up[a] | (1 << a)) & (p.down[b] | (1 << b))
-        return Region(frozenset(iter_bits(mask)), kind)
-    elements = list(arg)
-    for x in elements:
-        if not 0 <= x < p.n:
-            raise IndexError(f"element {x} out of range")
-    if kind == "up":
-        mask = 0
-        for x in elements:
-            mask |= p.up[x] | (1 << x)
-    elif kind == "down":
-        mask = 0
-        for x in elements:
-            mask |= p.down[x] | (1 << x)
-    elif kind == "inc":
-        mask = p.full_mask
-        for x in elements:
-            mask &= p.inc_mask(x)
-    else:
-        raise ValueError(f"unknown region kind {kind!r}")
-    return Region(frozenset(iter_bits(mask)), kind)
-
-
-def _is_downset(p: Poset, mask: int) -> bool:
-    for x in iter_bits(mask):
-        if p.down[x] & ~mask:
-            return False
-    return True
-
-
-def is_pure(p: Poset, exhaustive: bool = False) -> bool:
+def is_pure(p: Poset) -> bool:
     """Whether every proper initial segment is strictly bounded above.
 
-    The fast route checks only the maximal proper initial segments, i.e. the
+    Only the maximal proper initial segments are checked, i.e. the
     complements of the minimal nonempty up-sets, which in a finite poset are
     exactly P minus one maximal element.  Strict boundedness is antitone in
-    the segment, so this suffices.  ``exhaustive=True`` enumerates every
-    proper downward-closed subset instead (cross-check oracle, n <= 20).
+    the segment, so this suffices.
     """
     if p.n == 0:
         raise EmptyPoset("purity is undefined on the empty poset")
-    if exhaustive:
-        if p.n > 20:
-            raise ValueError("exhaustive purity check limited to n <= 20")
-        for mask in range(p.full_mask):  # all proper subsets
-            if not _is_downset(p, mask):
-                continue
-            outside = p.full_mask & ~mask
-            if not any(p.down[x] & mask == mask for x in iter_bits(outside)):
-                return False
-        return True
     return all(p.down[m] | (1 << m) == p.full_mask
                for m in iter_bits(p.maximal_mask))

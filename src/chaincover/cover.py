@@ -5,6 +5,8 @@ split bipartite graph whose edge (u_left, v_right) means u < v; because the
 relation is transitively closed, a path cover there is a chain cover here.
 The matching also yields a maximum antichain through the minimum-vertex-cover
 complement, so every result ships with a certificate pair whose sizes agree.
+Everything runs on the up-rows restricted to a bitmask, so the subposet on
+any subset is covered in its parent's indices, without an induced copy.
 """
 
 from __future__ import annotations
@@ -27,29 +29,23 @@ class ChainCover:
         return len(self.chains)
 
 
-@dataclass(frozen=True)
-class DilworthReport:
-    width: int
-    chains: tuple[tuple[int, ...], ...]
-    antichain: frozenset[int]
-    consistent: bool
+def _max_matching(rows: list[int], mask: int) -> tuple[list[int], list[int]]:
+    """Hopcroft-Karp on the split graph of ``mask``; lowest index first.
 
-
-def _max_matching(p: Poset) -> tuple[list[int], list[int]]:
-    """Hopcroft-Karp on the split graph; deterministic lowest-index order.
-
-    Returns (match_l, match_r): match_l[u] = v iff u is immediately followed
-    by v in some chain; -1 where unmatched.
+    ``rows[u]`` is the up-row of u already restricted to ``mask``.  Returns
+    (match_l, match_r): match_l[u] = v iff u is immediately followed by v in
+    some chain; -1 where unmatched or outside the mask.
     """
-    n = p.n
+    n = len(rows)
     inf = n + 1
     match_l = [-1] * n
     match_r = [-1] * n
     dist = [0] * n
+    left = list(iter_bits(mask))
 
     def bfs() -> bool:
         queue = deque()
-        for u in range(n):
+        for u in left:
             if match_l[u] < 0:
                 dist[u] = 0
                 queue.append(u)
@@ -58,7 +54,7 @@ def _max_matching(p: Poset) -> tuple[list[int], list[int]]:
         found = False
         while queue:
             u = queue.popleft()
-            for v in iter_bits(p.up[u]):
+            for v in iter_bits(rows[u]):
                 w = match_r[v]
                 if w < 0:
                     found = True
@@ -68,7 +64,7 @@ def _max_matching(p: Poset) -> tuple[list[int], list[int]]:
         return found
 
     def dfs(u: int) -> bool:
-        for v in iter_bits(p.up[u]):
+        for v in iter_bits(rows[u]):
             w = match_r[v]
             if w < 0 or (dist[w] == dist[u] + 1 and dfs(w)):
                 match_l[u] = v
@@ -78,16 +74,16 @@ def _max_matching(p: Poset) -> tuple[list[int], list[int]]:
         return False
 
     while bfs():
-        for u in range(n):
+        for u in left:
             if match_l[u] < 0:
                 dfs(u)
     return match_l, match_r
 
 
-def _chains_from_matching(p: Poset, match_l: list[int], match_r: list[int]
+def _chains_from_matching(mask: int, match_l: list[int], match_r: list[int]
                           ) -> tuple[tuple[int, ...], ...]:
     chains = []
-    for head in range(p.n):
+    for head in iter_bits(mask):
         if match_r[head] >= 0:
             continue
         chain = [head]
@@ -97,17 +93,17 @@ def _chains_from_matching(p: Poset, match_l: list[int], match_r: list[int]
     return tuple(chains)
 
 
-def _antichain_from_matching(p: Poset, match_l: list[int], match_r: list[int]
-                             ) -> frozenset[int]:
+def _antichain_from_matching(rows: list[int], mask: int, match_l: list[int],
+                             match_r: list[int]) -> int:
     # König: alternate from unmatched left vertices, take the cover complement.
     z_left = 0
     z_right = 0
-    stack = [u for u in range(p.n) if match_l[u] < 0]
+    stack = [u for u in iter_bits(mask) if match_l[u] < 0]
     for u in stack:
         z_left |= 1 << u
     while stack:
         u = stack.pop()
-        row = p.up[u]
+        row = rows[u]
         if match_l[u] >= 0:
             row &= ~(1 << match_l[u])
         fresh = row & ~z_right
@@ -117,20 +113,27 @@ def _antichain_from_matching(p: Poset, match_l: list[int], match_r: list[int]
             if w >= 0 and not z_left >> w & 1:
                 z_left |= 1 << w
                 stack.append(w)
-    picked = z_left & ~z_right
-    return frozenset(iter_bits(picked))
+    return z_left & ~z_right
 
 
-def min_chain_cover(p: Poset) -> ChainCover:
-    """Minimum chain cover with a Dilworth witness pair.
+def min_chain_cover(p: Poset, mask: int | None = None) -> ChainCover:
+    """Minimum chain cover of the subposet on ``mask``, with a Dilworth witness.
 
-    The result is deterministic: adjacency is explored lowest index first.
+    ``mask`` is a bitmask of p's elements (default: all of them); chains and
+    certificate use p's own indices, so no induced copy is made.  A bit at or
+    beyond ``p.n`` raises IndexError.  The result is deterministic: vertices
+    and adjacency are explored lowest index first.
     """
-    match_l, match_r = _max_matching(p)
-    chains = _chains_from_matching(p, match_l, match_r)
-    certificate = _antichain_from_matching(p, match_l, match_r)
-    _check_witnesses(p, chains, certificate)
-    return ChainCover(chains, certificate)
+    if mask is None:
+        mask = p.full_mask
+    elif mask & ~p.full_mask:
+        raise IndexError(f"mask has elements outside 0..{p.n - 1}")
+    rows = [row & mask for row in p.up]
+    match_l, match_r = _max_matching(rows, mask)
+    chains = _chains_from_matching(mask, match_l, match_r)
+    cert_mask = _antichain_from_matching(rows, mask, match_l, match_r)
+    _check_witnesses(p, mask, chains, cert_mask)
+    return ChainCover(chains, frozenset(iter_bits(cert_mask)))
 
 
 def max_antichain(p: Poset) -> frozenset[int]:
@@ -138,7 +141,7 @@ def max_antichain(p: Poset) -> frozenset[int]:
     return min_chain_cover(p).certificate
 
 
-def _check_witnesses(p: Poset, chains, certificate) -> None:
+def _check_witnesses(p: Poset, mask: int, chains, cert_mask: int) -> None:
     seen = 0
     for chain in chains:
         for i, x in enumerate(chain):
@@ -147,53 +150,15 @@ def _check_witnesses(p: Poset, chains, certificate) -> None:
             seen |= 1 << x
             if i and not p.lt(chain[i - 1], x):
                 raise InternalInconsistency(f"chain breaks at {chain[i-1]},{x}")
-    if seen != p.full_mask:
+    if seen != mask:
         raise InternalInconsistency("chains do not cover every element")
-    members = sorted(certificate)
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            if p.comparable(x, y):
-                raise InternalInconsistency(f"certificate not an antichain: {x},{y}")
-    if len(certificate) != len(chains):
+    if cert_mask & ~mask:
+        raise InternalInconsistency("certificate leaves the subposet")
+    # every comparable pair shows in the up-row of its lower element
+    for x in iter_bits(cert_mask):
+        if p.up[x] & cert_mask:
+            raise InternalInconsistency(f"certificate not an antichain at {x}")
+    size = cert_mask.bit_count()
+    if size != len(chains):
         raise InternalInconsistency(
-            f"width {len(chains)} != antichain size {len(certificate)}")
-
-
-def verify_dilworth(p: Poset) -> DilworthReport:
-    """Recompute cover and antichain and assert the Dilworth equality.
-
-    For n <= 14 the antichain side is additionally recomputed by the
-    exponential enumeration, independently of the matching.  A failure is an
-    InternalInconsistency: it can only mean a bug here, never a mathematical
-    one.
-    """
-    cc = min_chain_cover(p)
-    if p.n <= 14 and len(max_antichain_bruteforce(p)) != cc.width:
-        raise InternalInconsistency("enumeration disagrees with the matching route")
-    return DilworthReport(cc.width, cc.chains, cc.certificate, True)
-
-
-def max_antichain_bruteforce(p: Poset) -> frozenset[int]:
-    """Exponential enumeration oracle for cross-validation (n <= 32).
-
-    Branch and bound over elements in index order, include branch first,
-    independent of the matching route.
-    """
-    if p.n > 32:
-        raise ValueError("bruteforce antichain limited to n <= 32")
-    comp = [p.up[x] | p.down[x] for x in range(p.n)]
-    best = [0, 0]  # count, mask
-
-    def rec(cand: int, count: int, chosen: int) -> None:
-        if count > best[0]:
-            best[0] = count
-            best[1] = chosen
-        if not cand or count + bin(cand).count("1") <= best[0]:
-            return
-        low = cand & -cand
-        x = low.bit_length() - 1
-        rec(cand & ~(low | comp[x]), count + 1, chosen | low)
-        rec(cand ^ low, count, chosen)
-
-    rec(p.full_mask, 0, 0)
-    return frozenset(iter_bits(best[1]))
+            f"width {len(chains)} != antichain size {size}")

@@ -148,6 +148,18 @@ def inc_distance_path(p: Poset, x: int, y: int) -> tuple[int, list[int]] | None:
     return dist[x], path
 
 
+def interval_cover(p: Poset, path) -> tuple[int, int]:
+    """The interval [path[0], path[-1]] as a bitmask, and the part of it
+    incomparable to no interior vertex of ``path`` (0 when the interior's
+    incomparability sets cover the interval)."""
+    x, y = path[0], path[-1]
+    interval = (p.up[x] | (1 << x)) & (p.down[y] | (1 << y))
+    union = 0
+    for v in path[1:-1]:
+        union |= p.inc_mask(v)
+    return interval, interval & ~union
+
+
 @dataclass(frozen=True)
 class MetricReport:
     """Checked consequences of the incomparability metric for one pair x < y."""
@@ -188,11 +200,7 @@ def check_metric_lemma(p: Poset, x: int, y: int) -> MetricReport:
             if not p.lt(path[i], path[j]):
                 violations.append(f"path[{i}]={path[i]} not below path[{j}]={path[j]}")
     item1_ok = not violations
-    interval = (p.up[x] | (1 << x)) & (p.down[y] | (1 << y))
-    union = 0
-    for v in path[1:-1]:
-        union |= p.inc_mask(v)
-    uncovered = interval & ~union
+    _, uncovered = interval_cover(p, path)
     item2_ok = uncovered == 0
     for z in iter_bits(uncovered):
         violations.append(f"interval element {z} not incomparable to any interior vertex")

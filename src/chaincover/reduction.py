@@ -19,23 +19,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (InternalInconsistency, Poset, PreconditionError, induced,
-                   iter_bits, region)
+                   iter_bits)
 from .cover import min_chain_cover
-from .incgraph import inc_components, inc_distance_path
-
-
-def _cov(p: Poset) -> int:
-    return min_chain_cover(p).width
-
-
-def _cov_of(p: Poset, members) -> int:
-    """Covering number of the subposet induced on ``members``."""
-    sub, _ = induced(p, members)
-    return _cov(sub)
-
-
-def _cov_of_mask(p: Poset, mask: int) -> int:
-    return _cov_of(p, iter_bits(mask))
+from .incgraph import inc_components, inc_distance_path, interval_cover
 
 
 class Claim1Result(NamedTuple):
@@ -56,34 +42,30 @@ def claim1_reduce(p: Poset, t: int) -> Claim1Result:
     """
     if t < 1:
         raise PreconditionError("threshold must be at least 1")
-    if _cov(p) < t:
+    if min_chain_cover(p).width < t:
         raise PreconditionError(f"Cov(P) < {t}")
-    inc_cov = {}
-    for x in range(p.n):
-        inc_cov[x] = _cov_of_mask(p, p.inc_mask(x))
-    seeds = [x for x in range(p.n) if inc_cov[x] >= t]
+    seeds = [x for x in range(p.n)
+             if min_chain_cover(p, p.inc_mask(x)).width >= t]
     if not seeds:
         return Claim1Result(p, tuple(range(p.n)), frozenset())
     chosen = [seeds[0]]
-    chosen_mask = 1 << seeds[0]
     inc_l = p.inc_mask(seeds[0])
     while True:
         extended = False
         for y in iter_bits(inc_l):
             tightened = inc_l & p.inc_mask(y)
-            if _cov_of_mask(p, tightened) >= t:
+            if min_chain_cover(p, tightened).width >= t:
                 chosen.append(y)
-                chosen_mask |= 1 << y
                 inc_l = tightened
                 extended = True
                 break
         if not extended:
             break
     q, q_map = induced(p, iter_bits(inc_l))
-    if _cov(q) < t:
+    if min_chain_cover(q).width < t:
         raise InternalInconsistency("antichain restriction lost the threshold")
     for x in range(q.n):
-        if _cov_of_mask(q, q.inc_mask(x)) >= t:
+        if min_chain_cover(q, q.inc_mask(x)).width >= t:
             raise InternalInconsistency(
                 "restriction left an element violating the antichain maximality")
     return Claim1Result(q, q_map, frozenset(chosen))
@@ -124,16 +106,13 @@ def cover_bound_report(p: Poset, x0: int, y: int) -> Claim2Report:
         raise PreconditionError(
             f"{x0} and {y} lie in different incomparability components")
     _, path = hop
-    interval_mask = (p.up[x0] | (1 << x0)) & (p.down[y] | (1 << y))
-    union = 0
-    for v in path[1:-1]:
-        union |= p.inc_mask(v)
-    inclusion1_ok = interval_mask & ~union == 0
+    interval_mask, uncovered = interval_cover(p, path)
+    inclusion1_ok = uncovered == 0
     rest = (p.up[x0] | (1 << x0)) & ~(p.up[y] | (1 << y))
     inclusion2_ok = rest & ~(interval_mask | p.inc_mask(y)) == 0
-    cov_rest = _cov_of_mask(p, rest)
-    bound = sum(_cov_of_mask(p, p.inc_mask(v)) for v in path[1:-1])
-    bound += _cov_of_mask(p, p.inc_mask(y))
+    cov_rest = min_chain_cover(p, rest).width
+    # the interior vertices of the path, then y itself
+    bound = sum(min_chain_cover(p, p.inc_mask(v)).width for v in path[1:])
     return Claim2Report(x0, y, tuple(path),
                         frozenset(iter_bits(interval_mask)),
                         inclusion1_ok, inclusion2_ok, cov_rest, bound)
@@ -174,9 +153,11 @@ def _profile_map(p: Poset, back: tuple[int, ...]) -> dict[int, ElementProfile]:
     out = {}
     for x in range(p.n):
         out[back[x]] = ElementProfile(
-            cov_inc=_cov_of_mask(p, p.inc_mask(x)),
-            cov_minus_up=_cov_of_mask(p, p.full_mask & ~(p.up[x] | (1 << x))),
-            cov_minus_down=_cov_of_mask(p, p.full_mask & ~(p.down[x] | (1 << x))),
+            cov_inc=min_chain_cover(p, p.inc_mask(x)).width,
+            cov_minus_up=min_chain_cover(
+                p, p.full_mask & ~(p.up[x] | (1 << x))).width,
+            cov_minus_down=min_chain_cover(
+                p, p.full_mask & ~(p.down[x] | (1 << x))).width,
         )
     return out
 
@@ -198,7 +179,8 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     q, q_map, antichain = claim1_reduce(p, t)
     decomposition = inc_components(q)
     comp_members = tuple(tuple(q_map[i] for i in part) for part in decomposition.parts)
-    comp_covs = tuple(_cov(sub) for sub in decomposition.part_posets)
+    comp_covs = tuple(min_chain_cover(sub).width
+                      for sub in decomposition.part_posets)
     profiles = _profile_map(q, q_map)
     base = dict(case="case2", threshold=t, antichain=antichain, q=q, q_map=q_map,
                 profiles=profiles, component_members=comp_members,
@@ -208,9 +190,11 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
         return ReductionOutcome(**base)
     part = decomposition.parts[target]
     sub = decomposition.part_posets[target]
-    up_cov = [_cov_of_mask(sub, sub.up[x] | (1 << x)) for x in range(sub.n)]
-    down_cov = [_cov_of_mask(sub, sub.down[x] | (1 << x)) for x in range(sub.n)]
-    inc_cov = [_cov_of_mask(sub, sub.inc_mask(x)) for x in range(sub.n)]
+    up_cov = [min_chain_cover(sub, sub.up[x] | (1 << x)).width
+              for x in range(sub.n)]
+    down_cov = [min_chain_cover(sub, sub.down[x] | (1 << x)).width
+                for x in range(sub.n)]
+    inc_cov = [min_chain_cover(sub, sub.inc_mask(x)).width for x in range(sub.n)]
     need = [max(0, (t - inc_cov[x] + 1) // 2) for x in range(sub.n)]
     best_up = max((up_cov[x] for x in range(sub.n) if up_cov[x] >= need[x]),
                   default=-1)
@@ -230,7 +214,7 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
         case = "case1_dual"
     selected, sel_local_map = induced(sub, iter_bits(side_mask))
     to_original = tuple(q_map[part[i]] for i in sel_local_map)
-    if _cov(selected) < t:
+    if min_chain_cover(selected).width < t:
         case = "unreduced"
     return ReductionOutcome(
         **{**base, "case": case},
@@ -243,9 +227,9 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
 
 def set_identity_holds(p: Poset, x: int) -> bool:
     """The partition identity P = ↓x ∪ ↑x ∪ Inc_x, checked exactly."""
-    up = region(p, "up", [x]).members
-    down = region(p, "down", [x]).members
-    inc = region(p, "inc", [x]).members
-    return (up | down | inc == set(range(p.n))
-            and up & down == {x}
+    up = p.up[x] | (1 << x)
+    down = p.down[x] | (1 << x)
+    inc = p.inc_mask(x)
+    return (up | down | inc == p.full_mask
+            and up & down == 1 << x
             and not inc & (up | down))

@@ -22,6 +22,8 @@ Term grammar (no whitespace required, spaces tolerated):
 
 Exponents are simple towers: neither sums nor coefficients may appear inside
 an exponent in text form (build OrdinalCNF values directly for those).
+Nesting is bounded by ``MAX_DEPTH``: every ``term`` and every exponent level
+counts one, and deeper input is a ParseError.
 ``aleph(succ_n)`` names the family aleph(n+1); the ``succ_fund`` form names
 aleph(l[n]+1) along the canonical fundamental sequence of a limit ordinal l.
 """
@@ -330,10 +332,23 @@ def term_to_text(t: PosetTerm) -> str:
 # parsing
 
 
+MAX_DEPTH = 200
+"""Deepest nesting of terms plus exponent levels that the parser accepts.
+
+It keeps the parser, and the recursive evaluation of what it returns, far
+below the interpreter's recursion limit."""
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
+
+    def descend(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", self.pos)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -365,11 +380,15 @@ class _Parser:
 
     def exponent(self) -> OrdinalCNF:
         # the ordinal VALUE of a tower expression: "w^exp" | "w" | nat
-        if self.try_eat("w"):
-            if self.try_eat("^"):
-                return OrdinalCNF(((self.exponent(), 1),))
-            return OMEGA
-        return OrdinalCNF.from_nat(self.nat())
+        self.descend()
+        try:
+            if self.try_eat("w"):
+                if self.try_eat("^"):
+                    return OrdinalCNF(((self.exponent(), 1),))
+                return OMEGA
+            return OrdinalCNF.from_nat(self.nat())
+        finally:
+            self.depth -= 1
 
     def cnfterm(self) -> OrdinalCNF:
         if self.try_eat("w"):
@@ -406,6 +425,7 @@ class _Parser:
         raise ParseError("expected a family spec", self.pos)
 
     def term(self) -> PosetTerm:
+        self.descend()
         self.skip_ws()
         start = self.pos
         try:
@@ -449,6 +469,8 @@ class _Parser:
             if isinstance(exc, ParseError):
                 raise
             raise ParseError(str(exc), start) from exc
+        finally:
+            self.depth -= 1
         raise ParseError("expected a term", self.pos)
 
 

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here deliberately avoids the algorithms under test: antichains by
-subset scan, chain partitions by direct set-partition search, embeddings by
+subset scan or branch and bound, chain partitions by direct set-partition search, embeddings by
 injection enumeration, purity by downset enumeration.  Sizes are small; the
 point is independence, not speed.
 """
@@ -28,6 +28,31 @@ def brute_max_antichain_size(p: Poset) -> int:
             if is_antichain(p, members):
                 return size
     return best
+
+
+def brute_max_antichain(p: Poset) -> frozenset[int]:
+    """A largest antichain by branch and bound (n <= 32), for sizes past the
+    subset scan.
+
+    Elements in index order, include branch first; no matching involved.
+    """
+    assert p.n <= 32, "branch and bound limited to n <= 32"
+    comp = [p.up[x] | p.down[x] for x in range(p.n)]
+    best = [0, 0]  # count, mask
+
+    def rec(cand: int, count: int, chosen: int) -> None:
+        if count > best[0]:
+            best[0] = count
+            best[1] = chosen
+        if not cand or count + bin(cand).count("1") <= best[0]:
+            return
+        low = cand & -cand
+        x = low.bit_length() - 1
+        rec(cand & ~(low | comp[x]), count + 1, chosen | low)
+        rec(cand ^ low, count, chosen)
+
+    rec((1 << p.n) - 1, 0, 0)
+    return frozenset(iter_bits(best[1]))
 
 
 def brute_min_chain_partition(p: Poset) -> int:

@@ -62,9 +62,8 @@ def test_criterion_2_grid_formula():
     ok = ok and all(
         oracles.brute_max_antichain_size(grid_upper(n)) == n // 2
         for n in range(2, 7))
-    from chaincover.cover import max_antichain_bruteforce
     ok = ok and all(
-        len(max_antichain_bruteforce(grid_upper(n))) == n // 2
+        len(oracles.brute_max_antichain(grid_upper(n))) == n // 2
         for n in range(7, 9))
     ok = ok and all(cov(grid_upper(n)) == n // 2 for n in range(9, 41))
     record(2, "Cov(grid_upper(n)) = floor(n/2) for n = 2..40", ok)
@@ -242,8 +241,6 @@ def test_criterion_12_finite_purity(instances):
     for i in range(200):
         small = random_poset(1 + i % 16, (0.15, 0.4)[i % 2], 80_000 + i)
         if is_pure(small) != oracles.brute_is_pure(small):
-            ok = False
-        if is_pure(small) != is_pure(small, exhaustive=True):
             ok = False
     record(12, "is_pure(P) iff P has a greatest element", ok)
     assert ok

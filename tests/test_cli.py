@@ -145,6 +145,17 @@ class TestIdealEmbed:
         ifile.write_text("1\n0 1 2\n")  # (0,2) without (0,1): not downward closed
         assert run(["ideal-embed", str(pfile), "--ideals", str(ifile)]) == 2
 
+    def test_non_integer_token_exit2(self, tmp_path, capsys):
+        poset, _ = canonical_ideal_chain(6, 2)
+        pfile = tmp_path / "grid.poset"
+        pfile.write_text(poset.to_text())
+        ifile = tmp_path / "ideals.txt"
+        ifile.write_text("# header\n0 x\n")
+        assert run(["ideal-embed", str(pfile), "--ideals", str(ifile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ifile}:2: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestSymbolicVerbs:
     def test_sym_cov(self, capsys):
@@ -157,6 +168,12 @@ class TestSymbolicVerbs:
 
     def test_sym_cov_parse_error(self, capsys):
         assert run(["sym-cov", "grid(("]) == 2
+
+    def test_sym_cov_deep_nesting_exit2(self, capsys):
+        assert run(["sym-cov", "dual(" * 3000 + "grid(5)" + ")" * 3000]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: nesting deeper than")
+        assert len(err.splitlines()) == 1
 
     def test_obstructions(self, capsys):
         assert run(["obstructions", "aleph(1)"]) == 0

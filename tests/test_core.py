@@ -1,10 +1,10 @@
 import pytest
 
 from chaincover import core
-from chaincover.core import (CycleError, EmptyPoset, PreconditionError, dual,
-                             from_relations, from_text, induced, is_pure,
-                             iter_bits, region)
+from chaincover.core import (CycleError, EmptyPoset, dual, from_relations,
+                             from_text, induced, is_pure, iter_bits)
 from chaincover.generators import antichain, chain, grid_index, grid_upper, random_poset
+from chaincover.incgraph import interval_cover
 
 import oracles
 
@@ -114,66 +114,54 @@ class TestInduced:
 
 
 class TestRegion:
+    """The subsets ↑x, ↓x, Inc_x and [a, b] as bitmasks over p's indices."""
+
     def test_inc_on_grid(self):
         g = grid_upper(4)
-        r = region(g, "inc", [grid_index(4, 0, 3)])
-        assert r.members == {grid_index(4, 1, 2)}
+        assert set(iter_bits(g.inc_mask(grid_index(4, 0, 3)))) == {
+            grid_index(4, 1, 2)}
 
     def test_interval_on_grid(self):
         g = grid_upper(4)
-        r = region(g, "interval", (grid_index(4, 0, 1), grid_index(4, 1, 3)))
-        labels = {g.label(x) for x in r.members}
+        interval, _ = interval_cover(g, (grid_index(4, 0, 1), grid_index(4, 1, 3)))
+        labels = {g.label(x) for x in iter_bits(interval)}
         assert labels == {"(0,1)", "(0,2)", "(0,3)", "(1,2)", "(1,3)"}
 
     def test_up_includes_argument(self):
-        r = region(antichain(3), "up", [0])
-        assert r.members == {0}
+        p = antichain(3)
+        assert (p.up[0] | 1 << 0) == 0b001
 
     def test_up_down_meet_in_singleton(self):
         for seed in range(8):
             p = random_poset(9, 0.3, seed)
             for x in range(p.n):
-                up = region(p, "up", [x]).members
-                down = region(p, "down", [x]).members
-                assert up & down == {x}
+                assert (p.up[x] | 1 << x) & (p.down[x] | 1 << x) == 1 << x
 
     def test_partition_identity(self):
         for seed in range(8):
             p = random_poset(9, 0.3, seed)
             for x in range(p.n):
-                up = region(p, "up", [x]).members
-                down = region(p, "down", [x]).members
-                inc = region(p, "inc", [x]).members
-                assert up | down | inc == set(range(p.n))
+                up = p.up[x] | 1 << x
+                down = p.down[x] | 1 << x
+                inc = p.inc_mask(x)
+                assert up | down | inc == p.full_mask
                 assert not inc & (up | down)
-
-    def test_interval_precondition(self):
-        with pytest.raises(PreconditionError):
-            region(antichain(2), "interval", (0, 1))
-
-    def test_inc_of_empty_set_is_everything(self):
-        p = chain(4)
-        assert region(p, "inc", []).members == set(range(4))
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            region(chain(2), "sideways", [0])
 
 
 class TestPurity:
     def test_chain_is_pure(self):
         assert is_pure(chain(3))
-        assert is_pure(chain(3), exhaustive=True)
+        assert oracles.brute_is_pure(chain(3))
 
     def test_antichain_not_pure(self):
         assert not is_pure(antichain(2))
-        assert not is_pure(antichain(2), exhaustive=True)
+        assert not oracles.brute_is_pure(antichain(2))
 
     def test_grid_has_greatest_hence_pure(self):
         # (n-2, n-1) dominates every grid point, so the enumerator agrees
         g = grid_upper(4)
         assert g.greatest() == grid_index(4, 2, 3)
-        assert is_pure(g, exhaustive=True)
+        assert oracles.brute_is_pure(g)
         assert is_pure(g)
 
     def test_empty_rejected(self):
@@ -185,7 +173,6 @@ class TestPurity:
             p = random_poset(8, 0.3, seed)
             fast = is_pure(p)
             assert fast == (p.greatest() is not None)
-            assert fast == is_pure(p, exhaustive=True)
             assert fast == oracles.brute_is_pure(p)
 
 

@@ -1,8 +1,10 @@
+import random
+
+import networkx as nx
 import pytest
 
-from chaincover.core import InternalInconsistency, dual, induced
-from chaincover.cover import (max_antichain, max_antichain_bruteforce,
-                              min_chain_cover, verify_dilworth)
+from chaincover.core import InternalInconsistency, dual, induced, iter_bits
+from chaincover.cover import max_antichain, min_chain_cover
 from chaincover.generators import (antichain, chain, grid_upper, lex_sum,
                                    random_poset)
 
@@ -59,7 +61,7 @@ class TestMaxAntichain:
         got = max_antichain(grid_upper(6))
         assert len(got) == 3
         assert oracles.is_antichain(grid_upper(6), got)
-        assert got == max_antichain_bruteforce(grid_upper(6))
+        assert got == oracles.brute_max_antichain(grid_upper(6))
 
     def test_lexsum_antichain_sits_in_widest_part(self):
         p = lex_sum([antichain(2), antichain(3)])
@@ -76,21 +78,79 @@ class TestDilworth:
     def test_grid_formula_small(self):
         for n in range(2, 9):
             g = grid_upper(n)
-            rep = verify_dilworth(g)
-            assert rep.width == n // 2
-            assert len(max_antichain_bruteforce(g)) == n // 2
+            cc = min_chain_cover(g)
+            assert cc.width == n // 2
+            assert len(oracles.brute_max_antichain(g)) == n // 2
 
     def test_chain(self):
-        rep = verify_dilworth(chain(4))
-        assert rep.width == 1 == len(rep.antichain)
+        cc = min_chain_cover(chain(4))
+        assert cc.width == 1 == len(cc.certificate)
 
     def test_random_equality(self):
         for seed in range(60):
             p = random_poset(14, (0.1, 0.3, 0.6)[seed % 3], seed)
-            rep = verify_dilworth(p)
-            assert rep.consistent
-            assert rep.width == len(rep.antichain)
-            assert rep.width == oracles.brute_max_antichain_size(p)
+            cc = min_chain_cover(p)
+            assert cc.width == len(cc.certificate)
+            assert cc.width == oracles.brute_max_antichain_size(p)
+            assert cc.width == len(oracles.brute_max_antichain(p))
+
+
+def random_masks(n: int, rng: random.Random, count: int) -> list[int]:
+    full = (1 << n) - 1
+    return [0, full] + [rng.getrandbits(n) & full for _ in range(count)]
+
+
+def split_graph_width(p, mask: int) -> int:
+    """Width by networkx Hopcroft-Karp on the split graph of the mask."""
+    g = nx.Graph()
+    left = [("l", u) for u in iter_bits(mask)]
+    g.add_nodes_from(left)
+    g.add_nodes_from(("r", v) for v in iter_bits(mask))
+    g.add_edges_from((("l", u), ("r", v))
+                     for u in iter_bits(mask) for v in iter_bits(p.up[u] & mask))
+    matching = nx.bipartite.hopcroft_karp_matching(g, top_nodes=left)
+    return mask.bit_count() - len(matching) // 2
+
+
+class TestMaskKernel:
+    """min_chain_cover(p, mask) against induced copies and networkx."""
+
+    def test_matches_induced_copy(self):
+        rng = random.Random(5)
+        for seed in range(30):
+            n = rng.randint(0, 60)
+            p = random_poset(n, (0.05, 0.1, 0.3)[seed % 3], seed)
+            for mask in random_masks(n, rng, 4):
+                cc = min_chain_cover(p, mask)
+                sub, _ = induced(p, iter_bits(mask))
+                assert cc.width == min_chain_cover(sub).width
+                seen = 0
+                for c in cc.chains:
+                    for i, x in enumerate(c):
+                        assert not seen >> x & 1
+                        seen |= 1 << x
+                        if i:
+                            assert p.lt(c[i - 1], x)
+                assert seen == mask
+                assert len(cc.certificate) == cc.width
+                assert all(mask >> x & 1 for x in cc.certificate)
+                assert oracles.is_antichain(p, cc.certificate)
+
+    def test_full_mask_is_default(self):
+        p = random_poset(40, 0.1, 3)
+        assert min_chain_cover(p, p.full_mask) == min_chain_cover(p)
+
+    def test_matches_networkx_at_n200(self):
+        p = random_poset(200, 0.05, 11)
+        for mask in random_masks(p.n, random.Random(2), 3):
+            assert min_chain_cover(p, mask).width == split_graph_width(p, mask)
+
+    def test_bit_out_of_range(self):
+        p = chain(4)
+        with pytest.raises(IndexError):
+            min_chain_cover(p, 1 << 4)
+        with pytest.raises(IndexError):
+            induced(p, [4])
 
 
 class TestCovLaws:
@@ -117,11 +177,6 @@ class TestCovLaws:
                     sub, _ = induced(p, (i for i in range(p.n) if mask >> i & 1))
                     total += min_chain_cover(sub).width
                 assert w <= total
-
-
-def test_bruteforce_guard():
-    with pytest.raises(ValueError):
-        max_antichain_bruteforce(antichain(40))
 
 
 def test_internal_inconsistency_is_runtime_error():

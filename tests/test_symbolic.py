@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chaincover.cover import min_chain_cover
-from chaincover.symbolic import (ALEPH0, OMEGA, ONE, ZERO, Antichain, BadFamily,
-                                 CapMissing, Cardinal, Chain, DomainError, Dual,
-                                 FiniteCardinal, Grid, LexSum, LexSumFam,
-                                 OrdinalCNF, ParseError, cofinality,
+from chaincover.symbolic import (ALEPH0, MAX_DEPTH, OMEGA, ONE, ZERO, Antichain,
+                                 BadFamily, CapMissing, Cardinal, Chain,
+                                 DomainError, Dual, FiniteCardinal, Grid, LexSum,
+                                 LexSumFam, OrdinalCNF, ParseError, cofinality,
                                  cov_symbolic, join, obstruction_list,
                                  parse_cardinal, parse_term, realize,
                                  term_to_text)
@@ -150,6 +150,24 @@ class TestParse:
     def test_noncanonical_sums_normalize(self):
         assert parse_cardinal("aleph(w+w)") == parse_cardinal("aleph(w*2)")
         assert parse_cardinal("aleph(1+w)") == parse_cardinal("aleph(w)")
+
+    def test_nesting_at_the_limit(self):
+        # every term and every exponent level counts one
+        deep = "dual(" * (MAX_DEPTH - 1) + "grid(5)" + ")" * (MAX_DEPTH - 1)
+        assert cov_symbolic(parse_term(deep)) == Cardinal.finite(2)
+        tower = "grid(aleph(" + "w^" * (MAX_DEPTH - 1) + "w))"
+        assert term_to_text(parse_term(tower)) == tower
+        assert parse_cardinal("aleph(" + "w^" * MAX_DEPTH + "w)").index.is_limit
+
+    def test_nesting_past_the_limit(self):
+        with pytest.raises(ParseError):
+            parse_term("dual(" * MAX_DEPTH + "grid(5)" + ")" * MAX_DEPTH)
+        with pytest.raises(ParseError):
+            parse_term("grid(aleph(" + "w^" * MAX_DEPTH + "w))")
+        with pytest.raises(ParseError):
+            parse_cardinal("aleph(" + "w^" * (MAX_DEPTH + 1) + "w)")
+        with pytest.raises(ParseError):
+            parse_term("dual(" * 3000 + "grid(5)" + ")" * 3000)
 
 
 # -- covering rules ----------------------------------------------------------
