@@ -202,12 +202,18 @@ def from_relations(n: int, pairs: Iterable[tuple[int, int]],
     return Poset(n, tuple(rows), labels)
 
 
+# Largest ``n <count>`` header from_text accepts: the closure on load is O(n^2)
+# row operations in Python.  grid_upper(200), 19,900 elements, still loads.
+MAX_TEXT_ELEMENTS = 20_000
+
+
 def from_text(text: str) -> Poset:
     """Parse the poset text format.
 
-    Line 1 is ``n <count>``; each later non-comment line is ``<u> <v>``
-    asserting u < v.  ``#`` starts a comment.  The closure is applied on
-    load; a cycle raises CycleError with the cycle in the message.
+    Line 1 is ``n <count>``, count <= MAX_TEXT_ELEMENTS; each later
+    non-comment line is ``<u> <v>`` asserting u < v.  ``#`` starts a comment.
+    The closure is applied on load; a cycle raises CycleError with the cycle
+    in the message.
     """
     n = None
     pairs = []
@@ -220,6 +226,8 @@ def from_text(text: str) -> Poset:
             if len(fields) != 2 or fields[0] != "n":
                 raise ValueError(f"line {lineno}: expected 'n <count>' header")
             n = int(fields[1])
+            if n > MAX_TEXT_ELEMENTS:
+                raise ValueError(f"line {lineno}: more than {MAX_TEXT_ELEMENTS} elements")
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected '<u> <v>'")

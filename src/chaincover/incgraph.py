@@ -57,13 +57,13 @@ def _components(p: Poset) -> list[int]:
     return comps
 
 
-def inc_components(p: Poset, verify: bool = True) -> LexDecomposition:
+def inc_components(p: Poset) -> LexDecomposition:
     """Decompose into incomparability components ordered as a chain.
 
-    The order on parts is fixed by comparing one representative pair; with
-    ``verify`` (the default) the uniform cross-part comparability is then
-    rechecked exhaustively, and a failure raises InternalInconsistency since
-    it can only mean a bug in the relation.
+    The order on parts is fixed by comparing one representative pair; the
+    uniform cross-part comparability is then rechecked exhaustively, and a
+    failure raises InternalInconsistency since it can only mean a bug in the
+    relation.
     """
     comps = _components(p)
 
@@ -73,14 +73,13 @@ def inc_components(p: Poset, verify: bool = True) -> LexDecomposition:
         return -1 if p.lt(x, y) else 1
 
     comps.sort(key=cmp_to_key(cmp))
-    if verify:
-        for i, low in enumerate(comps):
-            for high in comps[i + 1:]:
-                for x in iter_bits(low):
-                    if p.up[x] & high != high:
-                        raise InternalInconsistency(
-                            "component order is not uniform; the relation is "
-                            "not transitively closed")
+    for i, low in enumerate(comps):
+        for high in comps[i + 1:]:
+            for x in iter_bits(low):
+                if p.up[x] & high != high:
+                    raise InternalInconsistency(
+                        "component order is not uniform; the relation is "
+                        "not transitively closed")
     parts = tuple(tuple(iter_bits(c)) for c in comps)
     part_posets = tuple(induced(p, part)[0] for part in parts)
     return LexDecomposition(p.n, parts, part_posets)

@@ -142,13 +142,14 @@ def embeds_grid(p: Poset, k: int, want_dual: bool = False,
     search runs; they hold equally for the dual since all three are self-dual
     quantities.
     """
-    grid = generators.grid_upper(k)
-    size = grid.n
-    if size > p.n:
+    # the grid has k(k-1)/2 elements: compare before building it (k < 2
+    # falls through to grid_upper, which rejects it)
+    if k >= 2 and k * (k - 1) // 2 > p.n:
         return None
     if _height(p) < 2 * k - 3:
         return None
     if cover.min_chain_cover(p).width < k // 2:
         return None
+    grid = generators.grid_upper(k)
     pattern = dual(grid) if want_dual else grid
     return embeds(p, pattern, budget)

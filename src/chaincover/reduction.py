@@ -15,11 +15,11 @@ outcome whose selected subposet lost the threshold is labeled ``unreduced``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .core import (InternalInconsistency, Poset, PreconditionError, induced,
-                   iter_bits)
+                   iter_bits, mask_of)
 from .cover import min_chain_cover
 from .incgraph import inc_components, inc_distance_path, interval_cover
 
@@ -28,6 +28,7 @@ class Claim1Result(NamedTuple):
     q: Poset
     q_map: tuple[int, ...]
     antichain: frozenset[int]
+    inc_covs: tuple[int, ...]
 
 
 def claim1_reduce(p: Poset, t: int) -> Claim1Result:
@@ -35,40 +36,44 @@ def claim1_reduce(p: Poset, t: int) -> Claim1Result:
 
     If no single element x has Cov(Inc_x) >= t the poset is returned whole
     with an empty antichain.  Otherwise a greedy inclusion-maximal antichain
-    L with Cov(Inc_L) >= t is grown (lowest index first) and the poset
-    induced on Inc_L is returned.  Both postconditions, Cov(Q) >= t and
-    Cov(Inc_x(Q)) < t for every x in Q, are exact finite theorems here, so
-    they are asserted; maximality of L forbids extending it by any x in Q.
+    L with Cov(Inc_L) >= t is grown (lowest index first, from the first x
+    that qualifies) and the poset induced on Inc_L is returned.  Both
+    postconditions, Cov(Q) >= t and Cov(Inc_x(Q)) < t for every x in Q, are
+    exact finite theorems here, so they are asserted; maximality of L
+    forbids extending it by any x in Q.  ``inc_covs[x]`` is Cov(Inc_x(Q)),
+    the certificate of the second postcondition.
     """
     if t < 1:
         raise PreconditionError("threshold must be at least 1")
     if min_chain_cover(p).width < t:
         raise PreconditionError(f"Cov(P) < {t}")
-    seeds = [x for x in range(p.n)
-             if min_chain_cover(p, p.inc_mask(x)).width >= t]
-    if not seeds:
-        return Claim1Result(p, tuple(range(p.n)), frozenset())
-    chosen = [seeds[0]]
-    inc_l = p.inc_mask(seeds[0])
+    inc_covs = []
+    for seed in range(p.n):
+        inc_l = p.inc_mask(seed)
+        width = min_chain_cover(p, inc_l).width
+        if width >= t:
+            break
+        inc_covs.append(width)
+    else:
+        return Claim1Result(p, tuple(range(p.n)), frozenset(), tuple(inc_covs))
+    chosen = [seed]
     while True:
-        extended = False
         for y in iter_bits(inc_l):
             tightened = inc_l & p.inc_mask(y)
             if min_chain_cover(p, tightened).width >= t:
                 chosen.append(y)
                 inc_l = tightened
-                extended = True
                 break
-        if not extended:
+        else:
             break
     q, q_map = induced(p, iter_bits(inc_l))
     if min_chain_cover(q).width < t:
         raise InternalInconsistency("antichain restriction lost the threshold")
-    for x in range(q.n):
-        if min_chain_cover(q, q.inc_mask(x)).width >= t:
-            raise InternalInconsistency(
-                "restriction left an element violating the antichain maximality")
-    return Claim1Result(q, q_map, frozenset(chosen))
+    inc_covs = tuple(min_chain_cover(q, q.inc_mask(x)).width for x in range(q.n))
+    if max(inc_covs) >= t:
+        raise InternalInconsistency(
+            "restriction left an element violating the antichain maximality")
+    return Claim1Result(q, q_map, frozenset(chosen), inc_covs)
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,8 @@ class ReductionOutcome:
     ``profiles`` measures every element of q.  For the up/down cases,
     ``selected`` is the chosen subposet (mapped by ``selected_map``) with its
     own per-element profile, and ``x0`` is the pivot in original indices.
+    Both profiles are keyed by original indices; a selected element's
+    profile is measured inside ``selected``.
     """
 
     case: str
@@ -149,15 +156,18 @@ class ReductionOutcome:
     selected_profiles: dict[int, ElementProfile] | None = None
 
 
-def _profile_map(p: Poset, back: tuple[int, ...]) -> dict[int, ElementProfile]:
+def _profile_map(q: Poset, mask: int, back: tuple[int, ...],
+                 inc=None) -> dict[int, ElementProfile]:
+    """Profile each x in ``mask`` inside the subposet of q on ``mask``, keyed
+    by ``back[x]``; ``inc[x]``, when given, is the already known Cov(Inc_x)."""
     out = {}
-    for x in range(p.n):
+    for x in iter_bits(mask):
+        rest = mask & ~(1 << x)
         out[back[x]] = ElementProfile(
-            cov_inc=min_chain_cover(p, p.inc_mask(x)).width,
-            cov_minus_up=min_chain_cover(
-                p, p.full_mask & ~(p.up[x] | (1 << x))).width,
-            cov_minus_down=min_chain_cover(
-                p, p.full_mask & ~(p.down[x] | (1 << x))).width,
+            cov_inc=(inc[x] if inc is not None
+                     else min_chain_cover(q, rest & q.inc_mask(x)).width),
+            cov_minus_up=min_chain_cover(q, rest & ~q.up[x]).width,
+            cov_minus_down=min_chain_cover(q, rest & ~q.down[x]).width,
         )
     return out
 
@@ -170,59 +180,39 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     maximum over components and the restriction step keeps it at or above t)
     but it is kept because the infinite analog reaches it whenever the
     supremum is not attained.  Otherwise a pivot x0 is chosen inside the
-    first component still at or above the threshold: among elements whose
-    up-set cover reaches ceil((t - Cov(Inc_x)) / 2) the one maximizing
-    Cov(↑x0) wins (case1); if the down side dominates the dual selection is
-    made (case1_dual).  When the selected subposet itself drops below t the
-    case is ``unreduced``.
+    first component C still at or above the threshold: among elements whose
+    up-set cover Cov(↑x ∩ C) reaches ceil((t - Cov(Inc_x)) / 2) the one
+    maximizing it wins (case1); if the down side dominates strictly the dual
+    selection is made (case1_dual).  Ties go to the up side, then to the
+    lowest index.  When the selected subposet itself drops below t the case
+    is ``unreduced``.  Every subset is a mask over q's indices, and
+    Cov(Inc_x) comes from the restriction's certificate.
     """
-    q, q_map, antichain = claim1_reduce(p, t)
-    decomposition = inc_components(q)
-    comp_members = tuple(tuple(q_map[i] for i in part) for part in decomposition.parts)
-    comp_covs = tuple(min_chain_cover(sub).width
-                      for sub in decomposition.part_posets)
-    profiles = _profile_map(q, q_map)
-    base = dict(case="case2", threshold=t, antichain=antichain, q=q, q_map=q_map,
-                profiles=profiles, component_members=comp_members,
-                component_covs=comp_covs)
-    target = next((i for i, c in enumerate(comp_covs) if c >= t), None)
-    if target is None:
-        return ReductionOutcome(**base)
-    part = decomposition.parts[target]
-    sub = decomposition.part_posets[target]
-    up_cov = [min_chain_cover(sub, sub.up[x] | (1 << x)).width
-              for x in range(sub.n)]
-    down_cov = [min_chain_cover(sub, sub.down[x] | (1 << x)).width
-                for x in range(sub.n)]
-    inc_cov = [min_chain_cover(sub, sub.inc_mask(x)).width for x in range(sub.n)]
-    need = [max(0, (t - inc_cov[x] + 1) // 2) for x in range(sub.n)]
-    best_up = max((up_cov[x] for x in range(sub.n) if up_cov[x] >= need[x]),
-                  default=-1)
-    best_down = max((down_cov[x] for x in range(sub.n) if down_cov[x] >= need[x]),
-                    default=-1)
-    if best_up < 0 and best_down < 0:
+    q, q_map, antichain, inc_covs = claim1_reduce(p, t)
+    parts = inc_components(q).parts
+    comp_covs = tuple(min_chain_cover(q, mask_of(part)).width for part in parts)
+    out = ReductionOutcome("case2", t, antichain, q, q_map,
+                           _profile_map(q, q.full_mask, q_map, inc_covs),
+                           tuple(tuple(q_map[i] for i in part) for part in parts),
+                           comp_covs)
+    comp = next((mask_of(part) for part, c in zip(parts, comp_covs) if c >= t), 0)
+    if not comp:
+        return out
+    best = None
+    for case, rows in (("case1", q.up), ("case1_dual", q.down)):
+        for x in iter_bits(comp):
+            side = (rows[x] | 1 << x) & comp
+            width = min_chain_cover(q, side).width
+            if (width >= (t - inc_covs[x] + 1) // 2
+                    and (best is None or width > best[0])):
+                best = (width, case, x, side)
+    if best is None:
         raise InternalInconsistency("subadditivity guarantees a qualifying pivot")
-    if best_up >= best_down:
-        x_local = next(x for x in range(sub.n)
-                       if up_cov[x] >= need[x] and up_cov[x] == best_up)
-        side_mask = sub.up[x_local] | (1 << x_local)
-        case = "case1"
-    else:
-        x_local = next(x for x in range(sub.n)
-                       if down_cov[x] >= need[x] and down_cov[x] == best_down)
-        side_mask = sub.down[x_local] | (1 << x_local)
-        case = "case1_dual"
-    selected, sel_local_map = induced(sub, iter_bits(side_mask))
-    to_original = tuple(q_map[part[i]] for i in sel_local_map)
-    if min_chain_cover(selected).width < t:
-        case = "unreduced"
-    return ReductionOutcome(
-        **{**base, "case": case},
-        x0=q_map[part[x_local]],
-        selected=selected,
-        selected_map=to_original,
-        selected_profiles=_profile_map(selected, to_original),
-    )
+    width, case, x0, side = best
+    selected, back = induced(q, iter_bits(side))
+    return replace(out, case=case if width >= t else "unreduced", x0=q_map[x0],
+                   selected=selected, selected_map=tuple(q_map[i] for i in back),
+                   selected_profiles=_profile_map(q, side, q_map))
 
 
 def set_identity_holds(p: Poset, x: int) -> bool:

@@ -120,12 +120,13 @@ def test_criterion_6_claim1_reduction(instances):
     ok = True
     for p in instances:
         t = cov(p)
-        q, _, _ = claim1_reduce(p, t)
+        q, _, _, inc_covs = claim1_reduce(p, t)
         if cov(q) < t:
             ok = False
         for x in range(q.n):
             inc_sub, _ = induced(q, iter_bits(q.inc_mask(x)))
-            if cov(inc_sub) >= t:
+            width = cov(inc_sub)
+            if width >= t or inc_covs[x] != width:
                 ok = False
     record(6, "claim-1 postconditions at t = Cov(P) on all instances", ok)
     assert ok

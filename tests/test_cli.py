@@ -54,6 +54,16 @@ class TestCov:
         assert run(["cov", str(path)]) == 2
         assert "cycle" in capsys.readouterr().err
 
+    def test_header_over_limit(self, tmp_path, capsys):
+        from chaincover.core import MAX_TEXT_ELEMENTS
+        path = tmp_path / "huge.poset"
+        for count in (MAX_TEXT_ELEMENTS + 1, 99999999999):
+            path.write_text(f"n {count}\n")
+            assert run(["cov", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: line 1: ")
+            assert len(err.splitlines()) == 1
+
 
 class TestAntichainDecompose:
     def test_antichain(self, grid6_file, capsys):
@@ -110,6 +120,13 @@ class TestFindGrid:
 
     def test_dual_flag(self, grid6_file):
         assert run(["find-grid", grid6_file, "-k", "4", "--dual"]) in (0, 1)
+
+    def test_huge_k_on_small_poset(self, tmp_path, capsys):
+        # the size bound answers before a grid of ~5e9 elements is built
+        path = tmp_path / "small.poset"
+        path.write_text("n 3\n0 1\n")
+        assert run(["find-grid", str(path), "-k", "100000"]) == 1
+        assert capsys.readouterr().out.strip() == "not found"
 
 
 class TestReduceVerb:
@@ -233,6 +250,17 @@ class TestRoundTripIdentity:
 def test_selftest_quick(capsys):
     assert run(["selftest", "--rounds", "4"]) == 0
     assert "0 failed" in capsys.readouterr().out
+
+
+def test_selftest_fail_names_instance(capsys, monkeypatch):
+    from chaincover import selftest
+    monkeypatch.setattr(selftest, "_axioms_hold", lambda p: False)
+    assert run(["selftest", "--seed", "7", "--rounds", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # round i draws random_poset(6 + (7i + seed) % 19, (.05, .1, .3)[i % 3], seed + i)
+    assert out[0] == "FAIL order axioms: seed=7 n=13 p=0.05"
+    assert out[-2] == "FAIL order axioms: seed=8 n=20 p=0.1"
+    assert out[-1].endswith(" 2 failed")
 
 
 def test_unknown_verb_usage_error(capsys):

@@ -3,8 +3,8 @@ import pytest
 from chaincover.core import PreconditionError, induced, iter_bits
 from chaincover.cover import min_chain_cover
 from chaincover.generators import antichain, chain, grid_upper, lex_sum, random_poset
-from chaincover.reduction import (claim1_reduce, cover_bound_report, reduce,
-                                  set_identity_holds)
+from chaincover.reduction import (ElementProfile, claim1_reduce,
+                                  cover_bound_report, reduce, set_identity_holds)
 
 
 def cov(p) -> int:
@@ -15,6 +15,18 @@ def cov_of(p, members) -> int:
     return cov(induced(p, members)[0])
 
 
+def profiles_by_copies(p, back) -> dict:
+    """Every element's profile, each width measured on an induced copy."""
+    out = {}
+    for x in range(p.n):
+        inc = iter_bits(p.inc_mask(x))
+        above = iter_bits(p.full_mask & ~(p.up[x] | 1 << x))
+        below = iter_bits(p.full_mask & ~(p.down[x] | 1 << x))
+        out[back[x]] = ElementProfile(cov_of(p, inc), cov_of(p, above),
+                                      cov_of(p, below))
+    return out
+
+
 def three_chain_with_bridge():
     from chaincover.core import from_relations
     return from_relations(4, [(0, 1), (1, 2)])
@@ -22,20 +34,24 @@ def three_chain_with_bridge():
 
 class TestClaim1:
     def test_antichain3_threshold2(self):
-        q, q_map, label = claim1_reduce(antichain(3), 2)
+        q, q_map, label, inc_covs = claim1_reduce(antichain(3), 2)
         assert sorted(label) == [0]
         assert q == antichain(2) and q_map == (1, 2)
         assert cov(q) == 2
         assert cov_of(q, iter_bits(q.inc_mask(0))) == 1
+        assert inc_covs == (1, 1)
 
     def test_grid6_threshold3_untouched(self):
         g = grid_upper(6)
-        q, q_map, label = claim1_reduce(g, 3)
+        q, q_map, label, inc_covs = claim1_reduce(g, 3)
         assert label == frozenset() and q == g and q_map == tuple(range(g.n))
+        # the early return's seed scan visited every element
+        assert len(inc_covs) == g.n and max(inc_covs) < 3
 
     def test_chain_trivial(self):
-        q, _, label = claim1_reduce(chain(4), 1)
+        q, _, label, inc_covs = claim1_reduce(chain(4), 1)
         assert q == chain(4) and label == frozenset()
+        assert inc_covs == (0, 0, 0, 0)
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
@@ -47,20 +63,22 @@ class TestClaim1:
         for seed in range(30):
             p = random_poset(12, (0.1, 0.3)[seed % 2], seed)
             t = cov(p)
-            q, _, _ = claim1_reduce(p, t)
+            q, _, _, inc_covs = claim1_reduce(p, t)
             assert cov(q) >= t
             for x in range(q.n):
                 assert cov_of(q, iter_bits(q.inc_mask(x))) < t
+            assert max(inc_covs) < t
 
     def test_postconditions_below_threshold(self):
         # thresholds below Cov exercise the greedy antichain branch
         for seed in range(20):
             p = random_poset(10, 0.15, seed)
             for t in range(1, cov(p) + 1):
-                q, _, label = claim1_reduce(p, t)
+                q, _, label, inc_covs = claim1_reduce(p, t)
                 assert cov(q) >= t
                 for x in range(q.n):
                     assert cov_of(q, iter_bits(q.inc_mask(x))) < t
+                assert max(inc_covs) < t
                 members = sorted(label)
                 for i, x in enumerate(members):
                     for y in members[i + 1:]:
@@ -166,6 +184,33 @@ class TestReduce:
                 assert set(out.selected_profiles) == set(out.selected_map)
             if out.case in ("case1", "case1_dual"):
                 assert cov(out.selected) >= t
+
+    def test_target_component_after_others(self):
+        # the target component is the fourth; its pivot's up-set must stay
+        # inside it, not run on into the chain stacked above
+        out = reduce(lex_sum([antichain(2), grid_upper(6), chain(2)]), 3)
+        assert out.case == "case1"
+        assert out.component_covs == (2, 1, 1, 3, 1, 1, 1, 1)
+        assert out.x0 == 4
+        assert out.selected_map == (4, 5, 6, 8, 9, 10, 11, 12, 13, 14)
+
+    def test_profiles_match_induced_copies(self):
+        instances = [random_poset(4 + seed % 9, (0.1, 0.25)[seed % 2], seed)
+                     for seed in range(30)]
+        instances += [lex_sum([antichain(1 + seed % 3), random_poset(6, 0.2, seed),
+                               chain(1 + seed % 2), random_poset(5, 0.1, seed + 1)])
+                      for seed in range(10)]
+        for p in instances:
+            for t in range(1, cov(p) + 1):
+                out = reduce(p, t)
+                _, _, _, inc_covs = claim1_reduce(p, t)
+                q, back = out.q, out.q_map
+                assert inc_covs == tuple(cov_of(q, iter_bits(q.inc_mask(x)))
+                                         for x in range(q.n))
+                assert profiles_by_copies(q, back) == out.profiles
+                if out.selected is not None:
+                    assert (profiles_by_copies(out.selected, out.selected_map)
+                            == out.selected_profiles)
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
