@@ -214,6 +214,16 @@ def _cmd_obstructions(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    parts = [_read_poset(f) for f in args.parts] if args.what == "lexsum" else []
+    if args.what == "lexsum":
+        count = sum(part.n for part in parts)
+    elif args.what == "grid":
+        count = args.n * (args.n - 1) // 2 if args.n >= 2 else 0
+    else:
+        count = args.n
+    if count > core.MAX_TEXT_ELEMENTS:
+        raise _InputError(f"gen {args.what}: {count} elements, more than "
+                          f"{core.MAX_TEXT_ELEMENTS}")
     try:
         if args.what == "grid":
             p = generators.grid_upper(args.n)
@@ -224,9 +234,9 @@ def _cmd_gen(args) -> int:
         elif args.what == "random":
             p = generators.random_poset(args.n, args.p, args.seed)
         else:  # lexsum
-            if not args.parts:
+            if not parts:
                 raise _InputError("lexsum needs at least one part file")
-            p = generators.lex_sum([_read_poset(f) for f in args.parts])
+            p = generators.lex_sum(parts)
     except (generators.SizeError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
     sys.stdout.write(p.to_text())

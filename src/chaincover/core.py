@@ -2,12 +2,13 @@
 
 A poset is stored as its full reachability relation, one bitmask row per
 element: bit ``y`` of ``up[x]`` is set iff ``x < y``.  Construction takes
-the transitive closure (bit-parallel Warshall) and rejects anything that is
-not a strict order.  A subset (an up-set, a down-set, an interval, an
-incomparability set) is a bitmask over the same indices; ``induced`` copies
-one out only where a caller needs it as a poset of its own.  Values are
-immutable after construction; every operation here is a pure function, so
-concurrent use needs no coordination.
+the transitive closure (rows ORed together in reverse topological order) and
+rejects anything that is not a strict order.  A subset (an up-set, a
+down-set, an interval, an incomparability set) is a bitmask over the same
+indices; ``induced`` copies one out only where a caller needs it as a poset
+of its own.  ``down``, the transpose of ``up``, is built tile by tile on
+first use.  Values are immutable after construction; every operation here
+is a pure function, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -88,15 +89,12 @@ class Poset:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        """Transpose of ``up``: bit y of down[x] is set iff y < x."""
-        rows = [0] * self.n
-        for x in range(self.n):
-            row = self.up[x]
-            while row:
-                low = row & -row
-                rows[low.bit_length() - 1] |= 1 << x
-                row ^= low
-        return tuple(rows)
+        """Transpose of ``up``: bit y of down[x] is set iff y < x.
+
+        Built tile by tile (see ``_transpose``), so the only temporaries
+        beside the result are O(TILE * n) bits.
+        """
+        return _transpose(self.up, self.n)
 
     def inc_mask(self, x: int) -> int:
         """Elements incomparable to x, as a bitmask."""
@@ -149,15 +147,53 @@ class Poset:
         return f"Poset(n={self.n}, lt={self.relation_pairs()!r})"
 
 
-def _close(rows: list[int], n: int) -> list[int]:
-    # Bit-parallel Warshall over bitmask rows.
-    for k in range(n):
-        kbit = 1 << k
-        krow = rows[k]
-        for i in range(n):
-            if rows[i] & kbit:
-                rows[i] |= krow
-    return rows
+# Bits per side of a square tile of the transpose in ``Poset.down``.
+TILE = 256
+_TILE_BYTES = TILE // 8
+
+
+def _swap_masks() -> tuple[tuple[int, int], ...]:
+    # For each power of two j < TILE, the shift and the mask of a delta swap
+    # exchanging bit j of the row index with bit j of the column index in a
+    # TILE x TILE bit matrix packed row-major (bit (r, c) at TILE * r + c).
+    out = []
+    j = TILE // 2
+    while j:
+        cols = sum(1 << c for c in range(TILE) if c & j)
+        mask = sum(cols << TILE * r for r in range(TILE) if not r & j)
+        out.append((j * (TILE - 1), mask))
+        j //= 2
+    return tuple(out)
+
+
+_SWAPS = _swap_masks()
+
+
+def _transpose(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Transpose an n x n bit matrix given as row bitmasks.
+
+    Each TILE x TILE tile is packed into one integer, transposed by
+    log2(TILE) delta swaps, and its rows are spliced into the output rows of
+    its column block; a column block of output is finished before the next
+    one starts.
+    """
+    out = []
+    blocks = range(0, n, TILE)
+    low = (1 << TILE) - 1
+    for col in blocks:
+        tiles = []
+        for row in blocks:
+            t = int.from_bytes(b"".join(
+                (rows[x] >> col & low).to_bytes(_TILE_BYTES, "little")
+                for x in range(row, min(row + TILE, n))), "little")
+            for shift, mask in _SWAPS:
+                d = (t ^ t >> shift) & mask
+                t ^= d ^ d << shift
+            tiles.append(t.to_bytes(TILE * _TILE_BYTES, "little"))
+        for j in range(0, min(TILE, n - col) * _TILE_BYTES, _TILE_BYTES):
+            out.append(int.from_bytes(
+                b"".join(t[j:j + _TILE_BYTES] for t in tiles), "little"))
+    return tuple(out)
 
 
 def _find_cycle(n: int, adj: list[int], start: int) -> list[int]:
@@ -181,29 +217,96 @@ def _find_cycle(n: int, adj: list[int], start: int) -> list[int]:
     raise AssertionError("cycle reported but not reconstructible")
 
 
+def _on_cycles(adj: list[int], rest: int) -> int:
+    """The vertices of ``rest`` that lie on a cycle of ``adj`` within ``rest``.
+
+    Iterative Tarjan over the strongly connected components of ``rest``; a
+    component is cyclic iff it has two or more vertices or a loop.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack = 0
+    cyclic = 0
+    for root in iter_bits(rest):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack |= 1 << root
+        work = [(root, adj[root] & rest)]
+        while work:
+            v, pending = work[-1]
+            if pending:
+                bit = pending & -pending
+                work[-1] = (v, pending ^ bit)
+                w = bit.bit_length() - 1
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack |= bit
+                    work.append((w, adj[w] & rest))
+                elif on_stack & bit:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = 0
+                while not comp >> v & 1:
+                    comp |= 1 << stack.pop()
+                on_stack &= ~comp
+                if comp & (comp - 1) or adj[v] >> v & 1:
+                    cyclic |= comp
+    return cyclic
+
+
 def from_relations(n: int, pairs: Iterable[tuple[int, int]],
                    labels: tuple[str, ...] | None = None) -> Poset:
     """Build a poset from generating pairs ``u < v``; closes transitively.
 
-    Raises CycleError if the closure creates a cycle or a reflexive pair,
-    IndexError for out-of-range indices.
+    The closure runs in reverse topological order (Kahn's order on the
+    input edges): each row is the OR of its direct successors' closed rows,
+    skipping successors already reached.  Raises CycleError if the pairs
+    contain a cycle or a reflexive pair, reporting the cycle through the
+    smallest element that lies on one; IndexError for out-of-range indices.
     """
     if n < 0:
         raise ValueError("element count must be nonnegative")
     adj = [0] * n
+    indegree = [0] * n
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"pair ({u}, {v}) out of range for {n} elements")
-        adj[u] |= 1 << v
-    rows = _close(list(adj), n)
-    for x in range(n):
-        if rows[x] >> x & 1:
-            raise CycleError(_find_cycle(n, adj, x))
+        if not adj[u] >> v & 1:
+            adj[u] |= 1 << v
+            indegree[v] += 1
+    order = [x for x in range(n) if not indegree[x]]
+    for u in order:
+        for v in iter_bits(adj[u]):
+            indegree[v] -= 1
+            if not indegree[v]:
+                order.append(v)
+    if len(order) < n:
+        cyclic = _on_cycles(adj, ((1 << n) - 1) & ~mask_of(order))
+        raise CycleError(_find_cycle(n, adj, (cyclic & -cyclic).bit_length() - 1))
+    rows = [0] * n
+    for u in reversed(order):
+        reached = 0
+        pending = adj[u]
+        while pending:
+            bit = pending & -pending
+            reached |= bit | rows[bit.bit_length() - 1]
+            pending &= ~reached
+        rows[u] = reached
     return Poset(n, tuple(rows), labels)
 
 
-# Largest ``n <count>`` header from_text accepts: the closure on load is O(n^2)
-# row operations in Python.  grid_upper(200), 19,900 elements, still loads.
+# Largest ``n <count>`` header from_text accepts, and largest poset ``gen``
+# emits: the rows alone take n^2 bits.  grid_upper(200), 19,900 elements,
+# still loads.
 MAX_TEXT_ELEMENTS = 20_000
 
 

@@ -11,7 +11,6 @@ any subset is covered in its parent's indices, without an induced copy.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import InternalInconsistency, Poset, iter_bits
@@ -35,49 +34,73 @@ def _max_matching(rows: list[int], mask: int) -> tuple[list[int], list[int]]:
     ``rows[u]`` is the up-row of u already restricted to ``mask``.  Returns
     (match_l, match_r): match_l[u] = v iff u is immediately followed by v in
     some chain; -1 where unmatched or outside the mask.
+
+    Each phase layers the left vertices by a breadth-first search on
+    bitmasks: a layer's reach is the OR of its rows, and the mates of the
+    newly reached matched right vertices form the next layer.  Then every
+    free left vertex, in index order, starts a depth-first search with an
+    explicit stack.  From u at layer d the next edge tried is the lowest v
+    above the last one tried in ``rows[u] & (free_r | layer_r[d + 1])``,
+    where ``layer_r[k]`` holds the right vertices whose mate sits at layer
+    k; both masks are updated as vertices fail and paths augment.
     """
     n = len(rows)
-    inf = n + 1
     match_l = [-1] * n
     match_r = [-1] * n
-    dist = [0] * n
-    left = list(iter_bits(mask))
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in left:
-            if match_l[u] < 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = inf
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in iter_bits(rows[u]):
+    free_l = free_r = mask
+    while True:
+        dist = [-1] * n
+        level = free_l
+        seen_r = 0
+        layer_r = [0]
+        depth = 0
+        while level:
+            reach = 0
+            for u in iter_bits(level):
+                dist[u] = depth
+                reach |= rows[u]
+            reach &= ~seen_r
+            seen_r |= reach
+            matched = reach & ~free_r
+            layer_r.append(matched)
+            level = 0
+            for v in iter_bits(matched):
+                level |= 1 << match_r[v]
+            depth += 1
+        if not seen_r & free_r:
+            return match_l, match_r
+        for root in iter_bits(free_l):
+            path = [root]
+            rests = [rows[root]]
+            while path:
+                u = path[-1]
+                cand = rests[-1] & (free_r | layer_r[dist[u] + 1])
+                if not cand:
+                    if match_l[u] >= 0:
+                        layer_r[dist[u]] &= ~(1 << match_l[u])
+                    dist[u] = -1
+                    path.pop()
+                    rests.pop()
+                    continue
+                bit = cand & -cand
+                rests[-1] &= ~(2 * bit - 1)
+                v = bit.bit_length() - 1
+                if free_r & bit:
+                    for u in reversed(path):
+                        w = match_r[v]
+                        if w >= 0:
+                            layer_r[dist[w]] &= ~bit
+                        else:
+                            free_r &= ~bit
+                        layer_r[dist[u]] |= bit
+                        match_r[v] = u
+                        match_l[u], v = v, match_l[u]
+                        bit = 1 << v if v >= 0 else 0
+                    free_l &= ~(1 << root)
+                    break
                 w = match_r[v]
-                if w < 0:
-                    found = True
-                elif dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in iter_bits(rows[u]):
-            w = match_r[v]
-            if w < 0 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = inf
-        return False
-
-    while bfs():
-        for u in left:
-            if match_l[u] < 0:
-                dfs(u)
-    return match_l, match_r
+                path.append(w)
+                rests.append(rows[w])
 
 
 def _chains_from_matching(mask: int, match_l: list[int], match_r: list[int]

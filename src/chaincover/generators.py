@@ -64,18 +64,20 @@ def grid_index(n: int, alpha: int, beta: int) -> int:
 def grid_upper(n: int) -> Poset:
     """The upper half of the n-by-n grid: pairs (a, b), a < b, componentwise.
 
-    Labels carry the coordinates, e.g. "(0,3)".
+    Labels carry the coordinates, e.g. "(0,3)".  Row (a, b) is built from
+    the rows of its upper neighbours (a, b + 1) and (a + 1, b), which come
+    later in index order.
     """
     labels = grid_labels(n)
-    count = len(labels)
-    rows = []
-    for a, b in labels:
-        row = 0
-        for j, (a2, b2) in enumerate(labels):
-            if a <= a2 and b <= b2 and (a, b) != (a2, b2):
-                row |= 1 << j
-        rows.append(row)
-    return Poset(count, tuple(rows), tuple(f"({a},{b})" for a, b in labels))
+    rows = [0] * len(labels)
+    for i in range(len(labels) - 1, -1, -1):
+        a, b = labels[i]
+        if b + 1 < n:
+            rows[i] |= 1 << (i + 1) | rows[i + 1]
+        if a + 1 < b:
+            j = grid_index(n, a + 1, b)
+            rows[i] |= 1 << j | rows[j]
+    return Poset(len(labels), tuple(rows), tuple(f"({a},{b})" for a, b in labels))
 
 
 def chain(n: int) -> Poset:

@@ -10,6 +10,7 @@ no edge list is materialized.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cmp_to_key
 
@@ -28,12 +29,31 @@ class LexDecomposition:
     ``parts[i]`` lists the original element indices of the i-th component in
     the chain order: everything in an earlier part lies below everything in a
     later part.  ``part_posets[i]`` is the poset induced on ``parts[i]`` and
-    ``parts[i][k]`` is the original index of its local element k.
+    ``parts[i][k]`` is the original index of its local element k;
+    ``inc_components`` copies each part poset out only when it is first read.
     """
 
     n: int
     parts: tuple[tuple[int, ...], ...]
-    part_posets: tuple[Poset, ...]
+    part_posets: Sequence[Poset]
+
+
+class _InducedParts(Sequence):
+    """The posets induced on each part, each copied out on first access:
+    callers that read only ``parts`` pay for no copy."""
+
+    def __init__(self, p: Poset, parts: tuple[tuple[int, ...], ...]):
+        self._p = p
+        self._parts = parts
+        self._built: list[Poset | None] = [None] * len(parts)
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __getitem__(self, i: int) -> Poset:
+        if self._built[i] is None:
+            self._built[i] = induced(self._p, self._parts[i])[0]
+        return self._built[i]
 
 
 def _components(p: Poset) -> list[int]:
@@ -81,8 +101,7 @@ def inc_components(p: Poset) -> LexDecomposition:
                         "component order is not uniform; the relation is "
                         "not transitively closed")
     parts = tuple(tuple(iter_bits(c)) for c in comps)
-    part_posets = tuple(induced(p, part)[0] for part in parts)
-    return LexDecomposition(p.n, parts, part_posets)
+    return LexDecomposition(p.n, parts, _InducedParts(p, parts))
 
 
 def recompose(d: LexDecomposition) -> Poset:

@@ -4,13 +4,18 @@ Everything here deliberately avoids the algorithms under test: antichains by
 subset scan or branch and bound, chain partitions by direct set-partition search, embeddings by
 injection enumeration, purity by downset enumeration.  Sizes are small; the
 point is independence, not speed.
+
+The last three functions are the plain reference forms of the library's
+bitmask kernels (recursive Hopcroft-Karp, Warshall closure, per-bit
+transpose); the kernels must return exactly what they return.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
-from chaincover.core import Poset, iter_bits
+from chaincover.core import CycleError, Poset, _find_cycle, iter_bits
 
 
 def is_antichain(p: Poset, members) -> bool:
@@ -149,3 +154,78 @@ def shortest_inc_distance(p: Poset, x: int, y: int) -> int | None:
                     nxt.append(v)
         frontier = nxt
     return None
+
+
+def reference_matching(rows: list[int], mask: int) -> tuple[list[int], list[int]]:
+    """Hopcroft-Karp with a recursive depth-first search, adjacency visited
+    bit by bit, lowest index first."""
+    n = len(rows)
+    inf = n + 1
+    match_l = [-1] * n
+    match_r = [-1] * n
+    dist = [0] * n
+    left = list(iter_bits(mask))
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in left:
+            if match_l[u] < 0:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = inf
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in iter_bits(rows[u]):
+                w = match_r[v]
+                if w < 0:
+                    found = True
+                elif dist[w] == inf:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        for v in iter_bits(rows[u]):
+            w = match_r[v]
+            if w < 0 or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_l[u] = v
+                match_r[v] = u
+                return True
+        dist[u] = inf
+        return False
+
+    while bfs():
+        for u in left:
+            if match_l[u] < 0:
+                dfs(u)
+    return match_l, match_r
+
+
+def reference_closure(n: int, pairs) -> list[int]:
+    """Warshall over bitmask rows; CycleError through the smallest element
+    whose closed row contains itself."""
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+    rows = list(adj)
+    for k in range(n):
+        kbit = 1 << k
+        krow = rows[k]
+        for i in range(n):
+            if rows[i] & kbit:
+                rows[i] |= krow
+    for x in range(n):
+        if rows[x] >> x & 1:
+            raise CycleError(_find_cycle(n, adj, x))
+    return rows
+
+
+def reference_down(p: Poset) -> tuple[int, ...]:
+    """Transpose of ``p.up`` one relation bit at a time."""
+    rows = [0] * p.n
+    for x in range(p.n):
+        for y in iter_bits(p.up[x]):
+            rows[y] |= 1 << x
+    return tuple(rows)

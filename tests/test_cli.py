@@ -3,6 +3,7 @@ import json
 import pytest
 
 from chaincover.cli import run
+from chaincover.core import MAX_TEXT_ELEMENTS, from_text
 from chaincover.generators import canonical_ideal_chain, grid_upper
 
 
@@ -63,6 +64,26 @@ class TestCov:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: line 1: ")
             assert len(err.splitlines()) == 1
+
+
+    def test_deep_augmenting_path(self, tmp_path, capsys):
+        # The fence x_i < y_i, x_{i+1} < y_i on 3,000 elements.  x_0 takes
+        # the last index among the x's, so it is augmented last, along a
+        # path through the whole fence.
+        m = 1500
+        x = [m - 1] + list(range(m - 1))
+        pairs = [(x[i], m + i) for i in range(m)]
+        pairs += [(x[i + 1], m + i) for i in range(m - 1)]
+        path = tmp_path / "fence.poset"
+        path.write_text(f"n {2 * m}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+        assert run(["cov", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["width"] == m == len(doc["certificate"])
+        p = from_text(path.read_text())
+        assert sorted(e for c in doc["chains"] for e in c) == list(range(2 * m))
+        assert all(p.lt(a, b) for c in doc["chains"] for a, b in zip(c, c[1:]))
+        assert not any(p.comparable(a, b) for a in doc["certificate"]
+                       for b in doc["certificate"] if a != b)
 
 
 class TestAntichainDecompose:
@@ -227,6 +248,27 @@ class TestGenDot:
 
     def test_gen_size_error(self, capsys):
         assert run(["gen", "grid", "-n", "1"]) == 2
+
+    @pytest.mark.parametrize("what, n, count", [
+        ("random", 20001, 20001), ("random", 10**12, 10**12),
+        ("chain", 20001, 20001), ("antichain", 10**9, 10**9),
+        ("grid", 201, 20100), ("grid", 10**6, 499999500000)])
+    def test_gen_over_limit(self, capsys, what, n, count):
+        assert run(["gen", what, "-n", str(n), "-p", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: gen {what}: {count} elements, "
+                                f"more than {MAX_TEXT_ELEMENTS}\n")
+
+    def test_gen_at_limit_is_accepted(self, capsys):
+        assert run(["gen", "antichain", "-n", str(MAX_TEXT_ELEMENTS)]) == 0
+        assert capsys.readouterr().out == f"n {MAX_TEXT_ELEMENTS}\n"
+
+    def test_gen_lexsum_over_limit(self, tmp_path, capsys):
+        part = tmp_path / "part.poset"
+        part.write_text(f"n {MAX_TEXT_ELEMENTS // 2 + 1}\n")
+        assert run(["gen", "lexsum", str(part), str(part)]) == 2
+        assert capsys.readouterr().err.startswith("error: gen lexsum: ")
 
     def test_dot(self, grid4_file, capsys):
         assert run(["dot", grid4_file]) == 0

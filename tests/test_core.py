@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 
 from chaincover import core
@@ -213,3 +216,79 @@ def test_cover_pairs_are_transitive_reduction():
         assert not any(g.lt(x, z) and g.lt(z, y) for z in range(g.n))
     # closing the cover relation restores the full order
     assert core.from_relations(g.n, hasse) == g
+
+
+def random_pairs(rng: random.Random, n: int, count: int, acyclic: bool):
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)] if n else []
+    if acyclic:
+        rank = list(range(n))
+        rng.shuffle(rank)
+        pairs = [(u, v) for u, v in pairs if rank[u] < rank[v]]
+    return pairs
+
+
+class TestClosureKernel:
+    """The topological closure against Warshall (``oracles.reference_closure``)."""
+
+    def test_rows_equal_warshall(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            n = rng.randint(0, 40)
+            pairs = random_pairs(rng, n, rng.randint(0, 3 * n), acyclic=True)
+            assert list(from_relations(n, pairs).up) == oracles.reference_closure(n, pairs)
+
+    def test_cycles_equal_warshall(self):
+        rng = random.Random(9)
+        cyclic = 0
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            pairs = random_pairs(rng, n, rng.randint(1, 2 * n), acyclic=False)
+            try:
+                want = oracles.reference_closure(n, pairs)
+            except CycleError as exc:
+                want = (exc.cycle, str(exc))
+                cyclic += 1
+            try:
+                got = list(from_relations(n, pairs).up)
+            except CycleError as exc:
+                got = (exc.cycle, str(exc))
+            assert got == want
+        assert cyclic >= 100
+
+    def test_cycle_behind_a_long_chain(self):
+        # the chain 0 < 1 < ... < n-3 sits above a 2-cycle on the last two
+        # indices: Kahn's order stops at once and only those two lie on a cycle
+        n = 400
+        pairs = [(n - 1, n - 2), (n - 2, n - 1), (n - 1, 0)]
+        pairs += [(i, i + 1) for i in range(n - 3)]
+        with pytest.raises(CycleError) as info:
+            from_relations(n, pairs)
+        assert info.value.cycle == [n - 2, n - 1]
+        assert str(info.value) == f"relation closes into a cycle: {n - 2} < {n - 1} < {n - 2}"
+
+    def test_matches_networkx_closure(self):
+        for n, prob, seed in ((100, 0.05, 1), (300, 0.02, 2), (800, 0.01, 3)):
+            rng = random.Random(seed)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < prob]
+            rank = list(range(n))
+            rng.shuffle(rank)
+            pairs = [(rank[u], rank[v]) for u, v in pairs]
+            g = nx.DiGraph(pairs)
+            g.add_nodes_from(range(n))
+            closed = nx.transitive_closure_dag(g)
+            p = from_relations(n, pairs)
+            assert sorted(p.relation_pairs()) == sorted(closed.edges())
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+    def test_down_equals_per_bit_transpose(self, n):
+        for prob in (0.01, 0.3):
+            p = random_poset(n, prob, n)
+            assert p.down == oracles.reference_down(p)
+
+    def test_dense_rows(self):
+        p = chain(300)
+        assert p.down == oracles.reference_down(p)
+        assert p.down[299] == (1 << 299) - 1

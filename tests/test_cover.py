@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from chaincover.core import InternalInconsistency, dual, induced, iter_bits
-from chaincover.cover import max_antichain, min_chain_cover
+from chaincover.cover import _max_matching, max_antichain, min_chain_cover
 from chaincover.generators import (antichain, chain, grid_upper, lex_sum,
                                    random_poset)
 
@@ -181,3 +181,31 @@ class TestCovLaws:
 
 def test_internal_inconsistency_is_runtime_error():
     assert issubclass(InternalInconsistency, RuntimeError)
+
+
+class TestMatchingKernel:
+    """_max_matching returns exactly the reference recursive Hopcroft-Karp."""
+
+    def test_same_matching_as_reference(self):
+        rng = random.Random(17)
+        instances = 0
+        posets = [grid_upper(k) for k in range(2, 12)]
+        posets += [chain(k) for k in (0, 1, 2, 7, 40)]
+        posets += [antichain(k) for k in (1, 5, 40)]
+        posets += [lex_sum([grid_upper(6), antichain(3), chain(4)])]
+        for seed in range(250):
+            posets.append(random_poset(rng.randint(0, 60),
+                                       (0.02, 0.05, 0.1, 0.3, 0.6)[seed % 5], seed))
+        for p in posets:
+            for mask in random_masks(p.n, rng, 2):
+                rows = [row & mask for row in p.up]
+                assert _max_matching(rows, mask) == oracles.reference_matching(rows, mask)
+                instances += 1
+        assert instances >= 1000
+
+    def test_same_matching_at_n400(self):
+        p = random_poset(400, 0.05, 3)
+        for mask in random_masks(p.n, random.Random(4), 2):
+            rows = [row & mask for row in p.up]
+            assert _max_matching(rows, mask) == oracles.reference_matching(rows, mask)
+

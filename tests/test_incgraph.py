@@ -1,6 +1,6 @@
 import pytest
 
-from chaincover.core import PreconditionError, from_relations
+from chaincover.core import PreconditionError, from_relations, induced
 from chaincover.cover import min_chain_cover
 from chaincover.generators import (antichain, chain, grid_index, grid_upper,
                                    lex_sum, random_poset)
@@ -53,6 +53,24 @@ class TestIncComponents:
                 assert all(
                     oracles.shortest_inc_distance(sub, 0, v) is not None
                     for v in range(sub.n))
+
+
+    def test_part_posets_copied_when_read(self, monkeypatch):
+        from chaincover import incgraph
+        copied = []
+
+        def counting(p, subset):
+            copied.append(tuple(subset))
+            return induced(p, subset)
+
+        monkeypatch.setattr(incgraph, "induced", counting)
+        p = lex_sum([antichain(2), antichain(3), chain(2)])
+        d = inc_components(p)
+        assert copied == []
+        assert d.part_posets[1] == antichain(3)
+        assert copied == [(2, 3, 4)]
+        assert list(d.part_posets) == [antichain(2), antichain(3), chain(1), chain(1)]
+        assert len(copied) == 4
 
 
 class TestRecompose:
