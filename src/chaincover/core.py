@@ -117,13 +117,20 @@ class Poset:
         return None
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Edges of the Hasse diagram: x < y with nothing in between."""
+        """Edges of the Hasse diagram: x < y with nothing in between.
+
+        The covers of x are ``up[x]`` minus the OR of the up-rows of its
+        members; a member already inside that OR adds nothing and is skipped.
+        """
         out = []
-        for x in range(self.n):
-            row = self.up[x]
-            for y in iter_bits(row):
-                if not row & self.down[y]:
-                    out.append((x, y))
+        for x, row in enumerate(self.up):
+            higher = 0
+            pending = row
+            while pending:
+                bit = pending & -pending
+                higher |= self.up[bit.bit_length() - 1]
+                pending &= ~(higher | bit)
+            out += ((x, y) for y in iter_bits(row & ~higher))
         return out
 
     def relation_pairs(self) -> list[tuple[int, int]]:

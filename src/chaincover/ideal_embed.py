@@ -1,19 +1,26 @@
 """Constructive embedding of a half-grid from a nested chain of ideals.
 
 Given ideals J_0 ⊂ J_1 ⊂ ... ⊂ J_{m-1} (downward closed, up-directed, strict
-nesting, nonempty layers), the recursion places the grid point (a, b) inside
+nesting, nonempty layers), the search places the grid point (a, b) inside
 the layer J_a minus everything earlier, walking positions in the order that
 sorts by second coordinate first.  At each position the candidate must sit
 above the images of the grid points below it, and must not sit below the
-image of any grid-incomparable point placed earlier.  The reverse comparison
-(a candidate dominating the image of a later-layer point) cannot happen at
-all: the candidate's layer is contained in an ideal the later layer has
-already escaped, and ideals are downward closed.  That impossibility is kept
-as a debug assertion rather than a constraint.
+image of any grid-incomparable point placed earlier.  The placed images are
+ordered like the grid, so the grid points just below (a, b) bound all the
+others and the earlier incomparable points have a greatest one, (b - 2,
+b - 1): entering a position costs three mask operations, whatever its
+depth.  The reverse comparison (a candidate dominating the image of a
+later-layer point) cannot happen at all: the candidate's layer is contained
+in an ideal the later layer has already escaped, and ideals are downward
+closed.  That impossibility is still checked, by one mask test per
+candidate against the images of the incomparable points, and raises
+InternalInconsistency.
 
 Unbounded chains make the infinite recursion total; finite instances can
 genuinely run out of candidates, so the operation is honestly partial and a
 failure reports the blocking position with its accumulated constraints.
+The search is iterative, so chains of any length stay within Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -82,6 +89,9 @@ def validate_ideal_chain(c: IdealChain) -> IdealChainReport:
                 violations.append(ChainViolation(
                     "not downward closed", a, (y, x)))
                 break
+        if any(mask & ~(p.down[g] | (1 << g)) == 0 for g in ideal):
+            # a greatest element bounds every pair inside the ideal
+            continue
         members = sorted(ideal)
         directed = True
         for i, x in enumerate(members):
@@ -94,9 +104,8 @@ def validate_ideal_chain(c: IdealChain) -> IdealChainReport:
                     break
             if not directed:
                 break
-        if not any(mask & ~(p.down[g] | (1 << g)) == 0 for g in members):
-            violations.append(ChainViolation(
-                "no cofinal chain (no greatest element)", a, ()))
+        violations.append(ChainViolation(
+            "no cofinal chain (no greatest element)", a, ()))
     for a in range(len(c.ideals) - 1):
         if not c.ideals[a] < c.ideals[a + 1]:
             violations.append(ChainViolation(
@@ -136,65 +145,81 @@ def embed_from_ideal_chain(c: IdealChain, budget: int = 10 ** 6
     rank = {x: i for i, x in enumerate(linear_extension(p))}
     by_rank = [sorted(iter_bits(mask), key=rank.__getitem__)
                for mask in layer_masks]
-    assignment: dict[tuple[int, int], int] = {}
+    # position (a, b) sits at index idx(a, b) = b(b - 1)/2 + a
+    n_pos = len(positions)
+    up, down = p.up, p.down
+    img = [0] * n_pos
+    # masks[i]: position i's untried candidates; at[i]: how far it has
+    # walked through its layer in rank order; side[i]: the images of the
+    # grid-incomparable points placed before it, {(a2, b2): a < a2 < b2 < b};
+    # suf[idx(a, b)]: the images of (a, b), (a + 1, b), ..., (b - 1, b),
+    # filled for column b - 1 on entering (0, b)
+    masks = [0] * n_pos
+    at = [0] * n_pos
+    side = [0] * n_pos
+    suf = [0] * n_pos
+    failure = None
+    fail_at = n_pos
     nodes = 0
-    empty_events: list[tuple[tuple[int, int], tuple]] = []
-
-    def constraints_at(pos: tuple[int, int]):
-        a, b = pos
-        below = []
-        not_below = []
-        for (a2, b2), img in assignment.items():
-            if a2 <= a and b2 <= b:
-                below.append(((a2, b2), img))
-            else:  # a2 > a and b2 < b: grid-incomparable
-                not_below.append(((a2, b2), img))
-        return below, not_below
-
-    def rec(idx: int) -> bool:
-        nonlocal nodes
-        if idx == len(positions):
-            return True
-        pos = positions[idx]
-        a, _ = pos
-        below, not_below = constraints_at(pos)
-        mask = layer_masks[a]
-        for _, img in below:
-            mask &= p.up[img]
-        for _, img in not_below:
-            mask &= ~(p.down[img] | (1 << img))
-        for used in assignment.values():
-            mask &= ~(1 << used)
+    i = 0
+    enter = True
+    while i < n_pos:
+        a, b = positions[i]
+        if enter:
+            col = i - a  # idx(0, b)
+            prev = col - b + 1  # idx(0, b - 1)
+            if not a and b > 1:
+                acc = 0
+                for j in range(col - 1, prev - 1, -1):
+                    acc |= 1 << img[j]
+                    suf[j] = acc
+            mask = layer_masks[a]
+            if a:  # (a - 1, b)
+                mask &= up[img[i - 1]]
+            if a < b - 1:  # (a, b - 1)
+                mask &= up[img[prev + a]]
+            if a < b - 2:  # (b - 2, b - 1), the greatest incomparable point
+                top = img[col - 1]
+                mask &= ~(down[top] | 1 << top)
+                side[i] = side[prev + a] | suf[prev + a + 1]
+            else:
+                side[i] = 0
+            if not mask and i < fail_at:
+                fail_at = i
+                failure = EmbedFailure(positions[i], tuple(
+                    ("above", positions[j], img[j]) for j in range(i)
+                    if positions[j][0] <= a) + tuple(
+                    ("not_below", positions[j], img[j]) for j in range(i)
+                    if positions[j][0] > a))
+            masks[i], at[i] = mask, 0
+        mask = masks[i]
         if not mask:
-            empty_events.append((
-                pos,
-                tuple(("above", gp, img) for gp, img in below)
-                + tuple(("not_below", gp, img) for gp, img in not_below)))
-            return False
-        for x in by_rank[a]:
-            if not mask >> x & 1:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted(f"ideal-chain embedding passed {budget} nodes")
-            for _, img in not_below:
-                # downward closure of the ideals makes this direction impossible
-                assert not p.lt(img, x)
-            assignment[pos] = x
-            if rec(idx + 1):
-                return True
-            del assignment[pos]
-        return False
-
-    if not rec(0):
-        pos, constraints = min(empty_events, key=lambda e: (e[0][1], e[0][0]))
-        return EmbedFailure(pos, constraints)
-    mapping = tuple(assignment[(a, b)]
-                    for a in range(m) for b in range(a + 1, m))
-    e = Embedding(grid, p, mapping)
+            if not i:
+                return failure
+            i -= 1
+            enter = False
+            continue
+        candidates = by_rank[a]
+        k = at[i]
+        while not mask >> candidates[k] & 1:
+            k += 1
+        x = candidates[k]
+        at[i] = k + 1
+        masks[i] = mask ^ 1 << x
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExhausted(f"ideal-chain embedding passed {budget} nodes")
+        if down[x] & side[i]:
+            # downward closure of the ideals makes this impossible
+            raise InternalInconsistency("candidate above an incomparable image")
+        img[i] = x
+        i += 1
+        enter = True
+    placed = sorted(zip(positions, img))  # grid index order
+    e = Embedding(grid, p, tuple(x for _, x in placed))
     if not validate_embedding(e):
-        raise InternalInconsistency("recursion produced a non-embedding")
-    for i, (a, b) in enumerate((a, b) for a in range(m) for b in range(a + 1, m)):
-        if mapping[i] not in c.layers[a]:
+        raise InternalInconsistency("search produced a non-embedding")
+    for (a, _), x in placed:
+        if not layer_masks[a] >> x & 1:
             raise InternalInconsistency("image escaped its layer")
     return e

@@ -4,8 +4,17 @@ Backtracking assigns pattern elements in a fixed linear extension order, so
 every already-assigned element is below or incomparable to the current one.
 Candidate targets are prefiltered by (up-set size, down-set size,
 incomparability degree) signatures, then constrained by bitmask intersection
-against the assigned prefix.  Induced-subposet isomorphism is NP-hard in
-general; the signatures keep desk-scale instances fast.
+against the assigned prefix: the image of an earlier position y restricts a
+later one to ``up[f(y)]`` when y lies below it in the pattern and to
+``inc[f(y)]`` otherwise, read from one bitmask per position of the earlier
+positions below it.  Induced-subposet isomorphism is
+NP-hard in general; the signatures keep desk-scale instances fast.
+
+The search is an iterative depth-first search with its state in flat lists
+(no Python recursion, so patterns of any size).  On entering a position it
+ANDs the constraints of the positions before it into one prefix mask of the
+next position's candidates; each candidate then costs one AND.  A candidate
+tried is one node of the budget, also when it leads nowhere.
 
 The search is deterministic (lowest target index first), so a Found result
 is the lexicographically least embedding in assignment order.
@@ -15,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InternalInconsistency, Poset, dual, iter_bits
+from .core import InternalInconsistency, Poset, dual, iter_bits, mask_of
 from . import cover
 from . import generators
 
@@ -34,16 +43,24 @@ class Embedding:
 
 
 def validate_embedding(e: Embedding) -> bool:
-    """Exhaustively recheck injectivity and the order biconditional."""
+    """Exhaustively recheck injectivity and the order biconditional.
+
+    Given injectivity, a in q lies below exactly the b with f(b) above f(a)
+    iff ``p.up[f(a)]`` restricted to the image is the image of ``q.up[a]``;
+    one row test per a covers all q.n^2 pairs.
+    """
     q, p, f = e.source, e.target, e.mapping
     if len(f) != q.n or len(set(f)) != q.n:
         return False
     if any(not 0 <= x < p.n for x in f):
         return False
+    image = mask_of(f)
     for a in range(q.n):
-        for b in range(q.n):
-            if q.lt(a, b) != p.lt(f[a], f[b]):
-                return False
+        want = 0
+        for b in iter_bits(q.up[a]):
+            want |= 1 << f[b]
+        if p.up[f[a]] & image != want:
+            return False
     return True
 
 
@@ -78,8 +95,10 @@ def embeds(p: Poset, q: Poset, budget: int | None = None) -> Embedding | None:
         return None
     sig_p = _signatures(p)
     sig_q = _signatures(q)
-    cand = []
-    for a in range(q.n):
+    order = linear_extension(q)
+    # first[pos]: the targets whose signature admits position pos
+    first = []
+    for a in order:
         ua, da, ia = sig_q[a]
         mask = 0
         for x in range(p.n):
@@ -88,50 +107,97 @@ def embeds(p: Poset, q: Poset, budget: int | None = None) -> Embedding | None:
                 mask |= 1 << x
         if not mask:
             return None
-        cand.append(mask)
-    order = linear_extension(q)
-    assigned = [-1] * q.n
+        first.append(mask)
+    last = q.n - 1
+    up = p.up
+    inc = [p.full_mask & ~(row | down | 1 << x)
+           for x, (row, down) in enumerate(zip(up, p.down))]
+    # below[j]: bit i set when position i < j lies below position j in q;
+    # the image of position i then constrains position j to its up-row,
+    # and otherwise to its inc-row
+    at = [0] * q.n
+    for i, qx in enumerate(order):
+        at[qx] = i
+    below = []
+    for qx in order:
+        bits = 0
+        for qy in iter_bits(q.down[qx]):
+            bits |= 1 << at[qy]
+        below.append(bits)
+    img = [0] * q.n
+    # rests[pos]: untried candidates of position pos; pre[pos]: the
+    # candidates of position pos + 1 under the images of positions < pos.
+    # Neither up[x] nor inc[x] contains x, so these masks never offer an
+    # image twice, and one AND with x's row gives the candidates of pos + 1
+    # once x is placed.
+    rests = [0] * q.n
+    pre = [0] * q.n
+    rests[0] = first[0]
+    if last:
+        pre[0] = first[1]
     nodes = 0
-
-    def rec(pos: int, used: int) -> bool:
-        nonlocal nodes
-        if pos == q.n:
-            return True
-        qx = order[pos]
-        mask = cand[qx] & ~used
-        for qy in order[:pos]:
-            py = assigned[qy]
-            if q.lt(qy, qx):
-                mask &= p.up[py]
-            else:
-                mask &= p.inc_mask(py)
+    pos = 0
+    while True:
+        rest = rests[pos]
+        if not rest:
+            if not pos:
+                return None
+            pos -= 1
+            continue
+        bit = rest & -rest
+        rests[pos] = rest ^ bit
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExhausted(f"embedding search passed {budget} nodes")
+        img[pos] = x = bit.bit_length() - 1
+        if pos == last:
+            break
+        nxt = pre[pos] & (up if below[pos + 1] >> pos & 1 else inc)[x]
+        if not nxt:
+            continue
+        pos += 1
+        rests[pos] = nxt
+        if pos < last:
+            rows = below[pos + 1]
+            mask = first[pos + 1]
+            for i in range(pos):
+                mask &= (up if rows >> i & 1 else inc)[img[i]]
+            pre[pos] = mask
             if not mask:
-                return False
-        for px in iter_bits(mask):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExhausted(f"embedding search passed {budget} nodes")
-            assigned[qx] = px
-            if rec(pos + 1, used | (1 << px)):
-                return True
-        assigned[qx] = -1
-        return False
-
-    if not rec(0, 0):
-        return None
-    e = Embedding(q, p, tuple(assigned))
+                # every candidate of pos is a dead end: one node each
+                nodes += nxt.bit_count()
+                if budget is not None and nodes > budget:
+                    raise BudgetExhausted(f"embedding search passed {budget} nodes")
+                rests[pos] = 0
+    mapping = [0] * q.n
+    for qx, x in zip(order, img):
+        mapping[qx] = x
+    e = Embedding(q, p, tuple(mapping))
     if not validate_embedding(e):
         raise InternalInconsistency("search returned a non-embedding")
     return e
 
 
 def _height(p: Poset) -> int:
-    """Number of elements on a longest chain."""
-    best = [0] * p.n
-    for x in linear_extension(p):
-        below = p.down[x]
-        best[x] = 1 + max((best[y] for y in iter_bits(below)), default=0)
-    return max(best, default=0)
+    """Number of elements on a longest chain.
+
+    Level k + 1 is the set of elements above some element of level k, level
+    1 being everything; the height is the number of nonempty levels.  An
+    element already inside the OR so far adds nothing to it (its up-row lies
+    inside the row that reached it) and is skipped.
+    """
+    height = 0
+    level = p.full_mask
+    while level:
+        height += 1
+        reached = 0
+        pending = level
+        while pending:
+            bit = pending & -pending
+            reached |= p.up[bit.bit_length() - 1]
+            pending &= ~(reached | bit)
+        level = reached
+    return height
 
 
 def embeds_grid(p: Poset, k: int, want_dual: bool = False,

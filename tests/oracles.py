@@ -5,9 +5,12 @@ subset scan or branch and bound, chain partitions by direct set-partition search
 injection enumeration, purity by downset enumeration.  Sizes are small; the
 point is independence, not speed.
 
-The last three functions are the plain reference forms of the library's
-bitmask kernels (recursive Hopcroft-Karp, Warshall closure, per-bit
-transpose); the kernels must return exactly what they return.
+The functions from ``reference_matching`` on are the plain reference forms
+of the library's bitmask kernels (recursive Hopcroft-Karp, Warshall closure,
+per-bit transpose, per-bit cover pairs, the recursive embedding searches,
+the longest chain by Kahn order, the pairwise checks of embeddings and ideal
+chains); the kernels must return exactly what they return, down to the
+nodes a budgeted search spends.
 """
 
 from __future__ import annotations
@@ -15,7 +18,12 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from chaincover.core import CycleError, Poset, _find_cycle, iter_bits
+from chaincover.core import (CycleError, InternalInconsistency, Poset,
+                             _find_cycle, iter_bits, mask_of)
+from chaincover.generators import grid_upper
+from chaincover.ideal_embed import ChainViolation, EmbedFailure, IdealChain
+from chaincover.patterns import (BudgetExhausted, Embedding, _signatures,
+                                 linear_extension)
 
 
 def is_antichain(p: Poset, members) -> bool:
@@ -156,6 +164,15 @@ def shortest_inc_distance(p: Poset, x: int, y: int) -> int | None:
     return None
 
 
+def relabel(p: Poset, perm: list[int]) -> Poset:
+    """The same order with element x renamed perm[x]."""
+    rows = [0] * p.n
+    for x in range(p.n):
+        for y in iter_bits(p.up[x]):
+            rows[perm[x]] |= 1 << perm[y]
+    return Poset(p.n, tuple(rows))
+
+
 def reference_matching(rows: list[int], mask: int) -> tuple[list[int], list[int]]:
     """Hopcroft-Karp with a recursive depth-first search, adjacency visited
     bit by bit, lowest index first."""
@@ -229,3 +246,196 @@ def reference_down(p: Poset) -> tuple[int, ...]:
         for y in iter_bits(p.up[x]):
             rows[y] |= 1 << x
     return tuple(rows)
+
+
+def reference_cover_pairs(p: Poset) -> list[tuple[int, int]]:
+    """Hasse edges one relation bit at a time: y covers x iff nothing of
+    ``up[x]`` lies below y."""
+    return [(x, y) for x in range(p.n) for y in iter_bits(p.up[x])
+            if not p.up[x] & p.down[y]]
+
+
+def reference_validate_embedding(e: Embedding) -> bool:
+    """Injectivity, range and the order biconditional pair by pair."""
+    q, p, f = e.source, e.target, e.mapping
+    if len(f) != q.n or len(set(f)) != q.n:
+        return False
+    if any(not 0 <= x < p.n for x in f):
+        return False
+    return all(q.lt(a, b) == p.lt(f[a], f[b])
+               for a in range(q.n) for b in range(q.n))
+
+
+def reference_embeds(p: Poset, q: Poset, budget: int | None = None) -> Embedding | None:
+    """Recursive backtracking over the same candidates in the same order:
+    one node per candidate tried, BudgetExhausted past ``budget`` nodes."""
+    if q.n == 0:
+        return Embedding(q, p, ())
+    if q.n > p.n:
+        return None
+    sig_p = _signatures(p)
+    sig_q = _signatures(q)
+    cand = []
+    for a in range(q.n):
+        ua, da, ia = sig_q[a]
+        mask = 0
+        for x in range(p.n):
+            ux, dx, ix = sig_p[x]
+            if ux >= ua and dx >= da and ix >= ia:
+                mask |= 1 << x
+        if not mask:
+            return None
+        cand.append(mask)
+    order = linear_extension(q)
+    assigned = [-1] * q.n
+    nodes = 0
+
+    def rec(pos: int, used: int) -> bool:
+        nonlocal nodes
+        if pos == q.n:
+            return True
+        qx = order[pos]
+        mask = cand[qx] & ~used
+        for qy in order[:pos]:
+            py = assigned[qy]
+            if q.lt(qy, qx):
+                mask &= p.up[py]
+            else:
+                mask &= p.inc_mask(py)
+            if not mask:
+                return False
+        for px in iter_bits(mask):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExhausted(f"embedding search passed {budget} nodes")
+            assigned[qx] = px
+            if rec(pos + 1, used | (1 << px)):
+                return True
+        assigned[qx] = -1
+        return False
+
+    if not rec(0, 0):
+        return None
+    return Embedding(q, p, tuple(assigned))
+
+
+def reference_height(p: Poset) -> int:
+    """Longest chain by Kahn order, one step per down-bit."""
+    best = [0] * p.n
+    for x in linear_extension(p):
+        best[x] = 1 + max((best[y] for y in iter_bits(p.down[x])), default=0)
+    return max(best, default=0)
+
+
+def reference_validate_ideal_chain(c: IdealChain) -> tuple[ChainViolation, ...]:
+    """The violations of ``c`` with the up-directedness scan run on every
+    ideal, greatest element or not."""
+    p = c.poset
+    violations = []
+    for a, ideal in enumerate(c.ideals):
+        for x in ideal:
+            if not 0 <= x < p.n:
+                violations.append(ChainViolation("element out of range", a, (x,)))
+                return tuple(violations)
+        mask = mask_of(ideal)
+        for x in ideal:
+            stray = p.down[x] & ~mask
+            if stray:
+                y = (stray & -stray).bit_length() - 1
+                violations.append(ChainViolation(
+                    "not downward closed", a, (y, x)))
+                break
+        members = sorted(ideal)
+        directed = True
+        for i, x in enumerate(members):
+            for y in members[i + 1:]:
+                shared = (p.up[x] | (1 << x)) & (p.up[y] | (1 << y)) & mask
+                if not shared:
+                    violations.append(ChainViolation(
+                        "not up-directed", a, (x, y)))
+                    directed = False
+                    break
+            if not directed:
+                break
+        if not any(mask & ~(p.down[g] | (1 << g)) == 0 for g in members):
+            violations.append(ChainViolation(
+                "no cofinal chain (no greatest element)", a, ()))
+    for a in range(len(c.ideals) - 1):
+        if not c.ideals[a] < c.ideals[a + 1]:
+            violations.append(ChainViolation(
+                "nesting not strict", a + 1, tuple(sorted(c.ideals[a] - c.ideals[a + 1]))[:1]))
+    for a, layer in enumerate(c.layers):
+        if not layer:
+            violations.append(ChainViolation("empty layer", a, ()))
+    return tuple(violations)
+
+
+def reference_embed_from_ideal_chain(c: IdealChain, budget: int = 10 ** 6
+                                     ) -> Embedding | EmbedFailure:
+    """Recursive placement of grid points, the constraints of each position
+    rescanned from the whole assignment; ``c`` must be a valid chain."""
+    m = len(c.ideals)
+    p = c.poset
+    grid = grid_upper(m)
+    positions = sorted(((a, b) for a in range(m) for b in range(a + 1, m)),
+                       key=lambda ab: (ab[1], ab[0]))
+    layer_masks = [mask_of(layer) for layer in c.layers]
+    rank = {x: i for i, x in enumerate(linear_extension(p))}
+    by_rank = [sorted(iter_bits(mask), key=rank.__getitem__)
+               for mask in layer_masks]
+    assignment: dict[tuple[int, int], int] = {}
+    nodes = 0
+    empty_events: list[tuple[tuple[int, int], tuple]] = []
+
+    def constraints_at(pos: tuple[int, int]):
+        a, b = pos
+        below = []
+        not_below = []
+        for (a2, b2), img in assignment.items():
+            if a2 <= a and b2 <= b:
+                below.append(((a2, b2), img))
+            else:  # a2 > a and b2 < b: grid-incomparable
+                not_below.append(((a2, b2), img))
+        return below, not_below
+
+    def rec(idx: int) -> bool:
+        nonlocal nodes
+        if idx == len(positions):
+            return True
+        pos = positions[idx]
+        a, _ = pos
+        below, not_below = constraints_at(pos)
+        mask = layer_masks[a]
+        for _, img in below:
+            mask &= p.up[img]
+        for _, img in not_below:
+            mask &= ~(p.down[img] | (1 << img))
+        for used in assignment.values():
+            mask &= ~(1 << used)
+        if not mask:
+            empty_events.append((
+                pos,
+                tuple(("above", gp, img) for gp, img in below)
+                + tuple(("not_below", gp, img) for gp, img in not_below)))
+            return False
+        for x in by_rank[a]:
+            if not mask >> x & 1:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExhausted(f"ideal-chain embedding passed {budget} nodes")
+            for _, img in not_below:
+                if p.lt(img, x):
+                    raise InternalInconsistency("candidate above an incomparable image")
+            assignment[pos] = x
+            if rec(idx + 1):
+                return True
+            del assignment[pos]
+        return False
+
+    if not rec(0):
+        pos, constraints = min(empty_events, key=lambda e: (e[0][1], e[0][0]))
+        return EmbedFailure(pos, constraints)
+    mapping = tuple(assignment[(a, b)]
+                    for a in range(m) for b in range(a + 1, m))
+    return Embedding(grid, p, mapping)

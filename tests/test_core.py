@@ -292,3 +292,20 @@ class TestTranspose:
         p = chain(300)
         assert p.down == oracles.reference_down(p)
         assert p.down[299] == (1 << 299) - 1
+
+
+class TestCoverPairsKernel:
+    def test_equals_per_bit_scan(self):
+        rng = random.Random(31)
+        posets = [grid_upper(k) for k in (2, 3, 6, 12)]
+        posets += [chain(40), antichain(5), antichain(0)]
+        for seed in range(200):
+            posets.append(random_poset(rng.randrange(1, 60),
+                                       rng.choice((0.02, 0.1, 0.3, 0.7)), seed))
+        for p in list(posets):
+            perm = list(range(p.n))
+            rng.shuffle(perm)
+            posets += [dual(p), oracles.relabel(p, perm),
+                       oracles.relabel(p, perm[::-1])]
+        for p in posets:
+            assert p.cover_pairs() == oracles.reference_cover_pairs(p), p

@@ -1,10 +1,16 @@
+import random
+import tracemalloc
+from collections import Counter
+
 import pytest
 
+from chaincover.core import iter_bits
 from chaincover.generators import (antichain, canonical_ideal_chain, chain,
-                                   grid_index, grid_upper)
+                                   grid_index, grid_labels, grid_upper,
+                                   random_poset)
 from chaincover.ideal_embed import (EmbedFailure, IdealChain, InvalidChain,
                                     embed_from_ideal_chain, validate_ideal_chain)
-from chaincover.patterns import Embedding, validate_embedding
+from chaincover.patterns import BudgetExhausted, Embedding, validate_embedding
 
 import oracles
 
@@ -121,3 +127,136 @@ class TestEmbed:
 def test_embedding_source_is_the_grid():
     result = embed_from_ideal_chain(canonical(7, 3))
     assert result.source == grid_upper(3)
+
+
+def principal_chain(p, tops) -> IdealChain:
+    """The ideals ↓g for a chain g_0 < g_1 < ... of p: valid by construction
+    (greatest element g_a, strict nesting, g_a new in layer a)."""
+    return IdealChain(p, tuple(
+        frozenset(iter_bits(p.down[g] | 1 << g)) for g in tops))
+
+
+def random_chains():
+    """Valid ideal chains on random posets; on some of them a grid position
+    runs out of candidates."""
+    for seed in range(150):
+        p = random_poset(12 + seed % 25, (0.15, 0.3, 0.5)[seed % 3], 4400 + seed)
+        rng = random.Random(seed)
+        if seed % 2:
+            # index order no longer a linear extension: rank order matters
+            perm = list(range(p.n))
+            rng.shuffle(perm)
+            p = oracles.relabel(p, perm)
+        top = rng.randrange(p.n)
+        tops = [top]
+        while p.up[tops[-1]] and len(tops) < 6:
+            tops.append(rng.choice(list(iter_bits(p.up[tops[-1]]))))
+        if len(tops) >= 2:
+            yield principal_chain(p, tops)
+
+
+def run(search, c, budget):
+    try:
+        return search(c, budget)
+    except BudgetExhausted:
+        return "unknown"
+
+
+class TestSearchKernel:
+    """The iterative placement against the recursive reference."""
+
+    def test_same_result_at_every_budget(self):
+        kinds = Counter()
+        for c in random_chains():
+            for budget in (1, 2, 5, 10, 50, 200, 1000, 10 ** 6):
+                got = run(embed_from_ideal_chain, c, budget)
+                want = run(oracles.reference_embed_from_ideal_chain, c, budget)
+                assert got == want, (c, budget)
+                kinds[type(got).__name__] += 1
+        assert kinds["EmbedFailure"] > 50 and kinds["Embedding"] > 50
+        assert kinds["str"] > 20
+
+    def test_canonical_chains(self):
+        for n, m in ((6, 3), (9, 5), (12, 8), (20, 10)):
+            c = canonical(n, m)
+            assert embed_from_ideal_chain(c) == \
+                oracles.reference_embed_from_ideal_chain(c)
+
+    def test_failure_equal_on_chains(self):
+        # singleton layers in a chain starve the grid from m = 3 on
+        for n in range(3, 12):
+            for m in range(3, n + 1):
+                c = IdealChain(chain(n), tuple(frozenset(range(a + 1))
+                                               for a in range(m)))
+                got = embed_from_ideal_chain(c)
+                assert isinstance(got, EmbedFailure)
+                assert got == oracles.reference_embed_from_ideal_chain(c)
+
+    def test_deep_chain(self):
+        # 1,035 grid positions: the recursive search passes Python's
+        # recursion limit
+        c = canonical(48, 46)
+        result = embed_from_ideal_chain(c)
+        assert isinstance(result, Embedding) and validate_embedding(result)
+        layers = c.layers
+        assert all(x in layers[a] for x, (a, _) in
+                   zip(result.mapping, grid_labels(46)))
+
+
+    def test_long_chain_fails_without_quadratic_setup(self):
+        # 19,900 grid positions, blocked at the second one: the search must
+        # not pay for positions it never reaches
+        c = IdealChain(chain(200), tuple(frozenset(range(a + 1))
+                                         for a in range(200)))
+        tracemalloc.start()
+        try:
+            want = oracles.reference_embed_from_ideal_chain(c)
+            ref_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            got = embed_from_ideal_chain(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want == EmbedFailure((0, 2), (("above", (0, 1), 0),))
+        assert peak < ref_peak + 8 * 2 ** 20
+
+
+class TestValidateFastPath:
+    """Skipping the pairwise directedness scan for ideals with a greatest
+    element reports exactly what the full scan reports."""
+
+    def tampered(self):
+        rng = random.Random(77)
+        for c in list(random_chains())[:60] + [canonical(7, 4), canonical(9, 6)]:
+            p, ideals = c.poset, list(c.ideals)
+            yield c
+            for _ in range(6):
+                out = list(ideals)
+                a = rng.randrange(len(out))
+                kind = rng.randrange(5)
+                if kind == 0 and out[a]:
+                    out[a] = out[a] - {rng.choice(sorted(out[a]))}
+                elif kind == 1:
+                    out[a] = out[a] | {rng.randrange(p.n)}
+                elif kind == 2:
+                    out[a] = frozenset(x for x in range(p.n) if rng.random() < 0.4)
+                elif kind == 3 and len(out) > 1:
+                    b = rng.randrange(len(out))
+                    out[a], out[b] = out[b], out[a]
+                else:
+                    out[a] = frozenset(iter_bits(p.maximal_mask))
+                yield IdealChain(p, tuple(out))
+        yield IdealChain(antichain(3), (frozenset({0, 1, 2}),))
+        yield IdealChain(chain(3), (frozenset({0, 5}),))
+        yield IdealChain(chain(3), (frozenset(),))
+
+    def test_reports_equal_the_full_scan(self):
+        kinds = Counter()
+        for c in self.tampered():
+            got = validate_ideal_chain(c)
+            want = oracles.reference_validate_ideal_chain(c)
+            assert got.violations == want, c
+            assert got.ok == (not want)
+            kinds.update(v.kind for v in want)
+        assert kinds["not up-directed"] > 10
+        assert kinds["no cofinal chain (no greatest element)"] > 10

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from chaincover.core import dual
 from chaincover.generators import antichain, chain, grid_upper, random_poset
-from chaincover.patterns import (BudgetExhausted, Embedding, embeds,
+from chaincover.patterns import (BudgetExhausted, Embedding, _height, embeds,
                                  embeds_grid, linear_extension,
                                  validate_embedding)
 
@@ -145,3 +147,102 @@ def test_linear_extension_is_topological():
         assert sorted(order) == list(range(p.n))
         for x, y in p.relation_pairs():
             assert pos[x] < pos[y]
+
+
+BUDGETS = (1, 2, 5, 10, 50, 200, 1000, None)
+
+
+def outcome(search, p, q, budget):
+    """The mapping, None, or "unknown": what a caller can observe."""
+    try:
+        e = search(p, q, budget)
+    except BudgetExhausted:
+        return "unknown"
+    return None if e is None else e.mapping
+
+
+def shuffled(p, seed):
+    perm = list(range(p.n))
+    random.Random(seed).shuffle(perm)
+    return oracles.relabel(p, perm)
+
+
+class TestSearchKernel:
+    """The iterative search against the recursive reference: same mapping,
+    NotFound and Unknown at every budget, which pins the node count."""
+
+    def pairs(self):
+        for seed in range(60):
+            p = random_poset(8 + seed % 20, (0.1, 0.2, 0.35)[seed % 3], 9100 + seed)
+            q = random_poset(2 + seed % 7, (0.2, 0.4)[seed % 2], 9300 + seed)
+            yield p, q
+            yield dual(p), q
+            yield shuffled(p, seed), shuffled(q, seed + 1)
+        for seed in range(12):
+            p = random_poset(24 + seed, (0.15, 0.25)[seed % 2], 9500 + seed)
+            for k in (3, 4):
+                yield p, grid_upper(k)
+                yield p, dual(grid_upper(k))
+        for k in (4, 5, 6):
+            yield grid_upper(k + 1), grid_upper(k)
+            yield grid_upper(k + 2), dual(grid_upper(k))
+        yield chain(6), antichain(2)
+        yield antichain(6), chain(2)
+
+    def test_same_outcome_at_every_budget(self):
+        resolved = unknown = 0
+        for p, q in self.pairs():
+            for budget in BUDGETS:
+                got = outcome(embeds, p, q, budget)
+                assert got == outcome(oracles.reference_embeds, p, q, budget), \
+                    (p, q, budget)
+                unknown += got == "unknown"
+                resolved += got != "unknown"
+        # both kinds of answer occur, so the node count is really compared
+        assert unknown > 50 and resolved > 50
+
+    def test_found_mappings_validate_pairwise(self):
+        for p, q in self.pairs():
+            e = embeds(p, q)
+            if e is not None:
+                assert oracles.reference_validate_embedding(e)
+
+    def test_deep_pattern(self):
+        # 1,200 positions: the recursive search passes Python's recursion limit
+        e = embeds(chain(1500), chain(1200))
+        assert e is not None and e.mapping == tuple(range(1200))
+        assert embeds(chain(1199), chain(1200)) is None
+
+
+class TestHeight:
+    def test_equals_kahn_reference(self):
+        posets = [antichain(0), antichain(4), chain(1), chain(30), grid_upper(9)]
+        for seed in range(80):
+            posets.append(random_poset(seed % 40 + 1, (0.05, 0.2, 0.5)[seed % 3], seed))
+        for p in list(posets):
+            posets += [dual(p), shuffled(p, p.n),
+                       oracles.relabel(p, list(range(p.n))[::-1])]
+        for p in posets:
+            assert _height(p) == oracles.reference_height(p), p
+
+    def test_reversed_chain(self):
+        p = oracles.relabel(chain(300), list(range(299, -1, -1)))
+        assert _height(p) == 300
+
+
+class TestValidateByRows:
+    def test_equals_pairwise_check(self):
+        rng = random.Random(5)
+        for seed in range(60):
+            p = random_poset(10, 0.3, seed)
+            q = random_poset(1 + seed % 5, 0.4, seed + 900)
+            maps = [tuple(rng.randrange(-1, p.n + 1) for _ in range(q.n))
+                    for _ in range(20)]
+            maps += [tuple(rng.sample(range(p.n), q.n)) for _ in range(40)]
+            e = embeds(p, q)
+            if e is not None:
+                maps.append(e.mapping)
+            for f in maps:
+                cand = Embedding(q, p, f)
+                assert validate_embedding(cand) == \
+                    oracles.reference_validate_embedding(cand), (seed, f)
