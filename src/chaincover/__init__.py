@@ -37,9 +37,9 @@ from .reduction import (Claim1Result, Claim2Report, ReductionOutcome,
 from .ideal_embed import (EmbedFailure, IdealChain, IdealChainReport,
                           InvalidChain, embed_from_ideal_chain,
                           validate_ideal_chain)
-from .symbolic import (BadFamily, CapMissing, Cardinal, DomainError,
-                       FiniteCardinal, OrdinalCNF, ParseError, PosetTerm,
-                       cofinality, cov_symbolic, obstruction_list, parse_term,
-                       realize, term_to_text)
+from .symbolic import (CapMissing, Cardinal, DomainError, FiniteCardinal,
+                       OrdinalCNF, ParseError, PosetTerm, cofinality,
+                       cov_symbolic, obstruction_list, parse_term, realize,
+                       term_to_text)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,6 +4,13 @@ Exit codes: 0 success / Found / property holds; 1 NotFound / property fails;
 2 input or usage error; 3 Unknown (search budget exhausted).  ``-`` as a
 poset file means standard input.  ``--json`` switches machine-readable
 output; every JSON payload carries ``"schema": 1``.
+
+Exit 2 prints one ``error:`` line on stderr, for usage errors; unreadable
+or non-UTF-8 files and stdin; malformed poset, ideals, term and cardinal
+text, integer literals too long to convert included; out-of-range elements;
+unmet preconditions; invalid ideal chains; countable cardinals; ``gen``
+sizes out of range; a negative ``--budget``; and ``--rounds`` below 1.
+:func:`run` alone maps errors to exit codes; any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -19,14 +26,31 @@ SCHEMA = 1
 
 
 class _InputError(Exception):
-    """Anything wrong with user input: reported on stderr, exit 2."""
+    """Anything wrong with user input that the CLI itself finds."""
+
+
+# What input alone can raise.  Bare ValueError, IndexError and RuntimeError
+# stay out, so InternalInconsistency and real bugs keep their tracebacks.
+_INPUT_ERRORS = (_InputError, core.PreconditionError, generators.SizeError,
+                 ideal_embed.InvalidChain, symbolic.ParseError,
+                 symbolic.DomainError)
+
+
+def _read_text(path: str, stream=None) -> str:
+    """All of ``stream``, or of the file ``path`` when no stream is given."""
+    try:
+        if stream is not None:
+            return stream.read()
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        raise _InputError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
 
 
 def _read_poset(path: str) -> core.Poset:
-    try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
-    except OSError as exc:
-        raise _InputError(str(exc)) from exc
+    text = _read_text(path, sys.stdin if path == "-" else None)
     try:
         return core.from_text(text)
     except (ValueError, IndexError) as exc:
@@ -92,10 +116,7 @@ def _cmd_check_metric(args) -> int:
     p = _read_poset(args.file)
     _check_index(p, args.x)
     _check_index(p, args.y)
-    try:
-        report = incgraph.check_metric_lemma(p, args.x, args.y)
-    except core.PreconditionError as exc:
-        raise _InputError(str(exc)) from exc
+    report = incgraph.check_metric_lemma(p, args.x, args.y)
     _emit({"item1_ok": report.item1_ok, "item2_ok": report.item2_ok,
            "distance": report.d, "path": list(report.path),
            "violations": list(report.violations)}, args.json,
@@ -109,12 +130,8 @@ def _cmd_find_grid(args) -> int:
     p = _read_poset(args.file)
     if args.k < 2:
         raise _InputError("grid size must be at least 2")
-    try:
-        found = patterns.embeds_grid(p, args.k, want_dual=args.dual,
-                                     budget=args.budget)
-    except patterns.BudgetExhausted:
-        _emit({"result": "unknown"}, args.json, "unknown")
-        return 3
+    found = patterns.embeds_grid(p, args.k, want_dual=args.dual,
+                                 budget=args.budget)
     if found is None:
         _emit({"result": "not found"}, args.json, "not found")
         return 1
@@ -127,10 +144,7 @@ def _cmd_find_grid(args) -> int:
 
 def _cmd_reduce(args) -> int:
     p = _read_poset(args.file)
-    try:
-        out = reduction.reduce(p, args.threshold)
-    except core.PreconditionError as exc:
-        raise _InputError(str(exc)) from exc
+    out = reduction.reduce(p, args.threshold)
     payload = {
         "case": out.case,
         "threshold": out.threshold,
@@ -156,12 +170,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_ideal_embed(args) -> int:
     p = _read_poset(args.file)
-    try:
-        lines = open(args.ideals).read().splitlines()
-    except OSError as exc:
-        raise _InputError(str(exc)) from exc
     ideals = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_text(args.ideals).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             try:
@@ -169,13 +179,7 @@ def _cmd_ideal_embed(args) -> int:
             except ValueError as exc:
                 raise _InputError(f"{args.ideals}:{lineno}: {exc}") from exc
     chain = ideal_embed.IdealChain(p, tuple(ideals))
-    try:
-        result = ideal_embed.embed_from_ideal_chain(chain)
-    except ideal_embed.InvalidChain as exc:
-        raise _InputError(str(exc)) from exc
-    except patterns.BudgetExhausted:
-        _emit({"result": "unknown"}, args.json, "unknown")
-        return 3
+    result = ideal_embed.embed_from_ideal_chain(chain)
     if isinstance(result, ideal_embed.EmbedFailure):
         _emit({"result": "failure", "position": list(result.position)},
               args.json, f"failure at {result.position[0]} {result.position[1]}")
@@ -193,21 +197,13 @@ def _cmd_ideal_embed(args) -> int:
 
 
 def _cmd_sym_cov(args) -> int:
-    try:
-        term = symbolic.parse_term(args.term)
-    except symbolic.ParseError as exc:
-        raise _InputError(str(exc)) from exc
-    value = symbolic.cov_symbolic(term)
+    value = symbolic.cov_symbolic(symbolic.parse_term(args.term))
     _emit({"cov": value.to_text()}, args.json, value.to_text())
     return 0
 
 
 def _cmd_obstructions(args) -> int:
-    try:
-        nu = symbolic.parse_cardinal(args.cardinal)
-        terms = symbolic.obstruction_list(nu)
-    except (symbolic.ParseError, symbolic.DomainError, symbolic.BadFamily) as exc:
-        raise _InputError(str(exc)) from exc
+    terms = symbolic.obstruction_list(symbolic.parse_cardinal(args.cardinal))
     rendered = [symbolic.term_to_text(t) for t in terms]
     _emit({"obstructions": rendered}, args.json, "\n".join(rendered))
     return 0
@@ -224,21 +220,18 @@ def _cmd_gen(args) -> int:
     if count > core.MAX_TEXT_ELEMENTS:
         raise _InputError(f"gen {args.what}: {count} elements, more than "
                           f"{core.MAX_TEXT_ELEMENTS}")
-    try:
-        if args.what == "grid":
-            p = generators.grid_upper(args.n)
-        elif args.what == "chain":
-            p = generators.chain(args.n)
-        elif args.what == "antichain":
-            p = generators.antichain(args.n)
-        elif args.what == "random":
-            p = generators.random_poset(args.n, args.p, args.seed)
-        else:  # lexsum
-            if not parts:
-                raise _InputError("lexsum needs at least one part file")
-            p = generators.lex_sum(parts)
-    except (generators.SizeError, ValueError) as exc:
-        raise _InputError(str(exc)) from exc
+    if args.what == "grid":
+        p = generators.grid_upper(args.n)
+    elif args.what == "chain":
+        p = generators.chain(args.n)
+    elif args.what == "antichain":
+        p = generators.antichain(args.n)
+    elif args.what == "random":
+        p = generators.random_poset(args.n, args.p, args.seed)
+    else:  # lexsum
+        if not parts:
+            raise _InputError("lexsum needs at least one part file")
+        p = generators.lex_sum(parts)
     sys.stdout.write(p.to_text())
     return 0
 
@@ -347,12 +340,12 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _InputError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except core.CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except patterns.BudgetExhausted:
+        _emit({"result": "unknown"}, args.json, "unknown")
+        return 3
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -81,11 +81,15 @@ def grid_upper(n: int) -> Poset:
 
 
 def chain(n: int) -> Poset:
+    if n < 0:
+        raise SizeError("element count must be nonnegative")
     full = (1 << n) - 1
     return Poset(n, tuple((full >> (x + 1)) << (x + 1) for x in range(n)))
 
 
 def antichain(n: int) -> Poset:
+    if n < 0:
+        raise SizeError("element count must be nonnegative")
     return Poset(n, (0,) * n)
 
 
@@ -106,7 +110,9 @@ def lex_sum(parts: list[Poset]) -> Poset:
 def random_poset(n: int, p: float, seed: int) -> Poset:
     """Seeded random poset: include pair (i, j), i < j, with probability p."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError("probability must lie in [0, 1]")
+        raise SizeError("probability must lie in [0, 1]")
+    if n < 0:
+        raise SizeError("element count must be nonnegative")
     rng = XorShift64Star(seed)
     threshold = int(p * (1 << 64))
     pairs = []

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InternalInconsistency, Poset, dual, iter_bits, mask_of
+from .core import (InternalInconsistency, Poset, PreconditionError, dual,
+                   iter_bits, mask_of)
 from . import cover
 from . import generators
 
@@ -206,8 +207,11 @@ def embeds_grid(p: Poset, k: int, want_dual: bool = False,
 
     Cheap structural bounds (size, height, width) prune before the generic
     search runs; they hold equally for the dual since all three are self-dual
-    quantities.
+    quantities.  A budget of 0 answers from these bounds or raises
+    BudgetExhausted; a negative one is a PreconditionError.
     """
+    if budget is not None and budget < 0:
+        raise PreconditionError(f"budget must be nonnegative, got {budget}")
     # the grid has k(k-1)/2 elements: compare before building it (k < 2
     # falls through to grid_upper, which rejects it)
     if k >= 2 and k * (k - 1) // 2 > p.n:

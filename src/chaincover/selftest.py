@@ -27,6 +27,8 @@ def _axioms_hold(p: core.Poset) -> bool:
 
 
 def run(seed: int = 2024, rounds: int = 25) -> tuple[int, int]:
+    if rounds < 1:
+        raise core.PreconditionError(f"rounds must be at least 1, got {rounds}")
     passed = failed = 0
 
     def check(name: str, ok: bool) -> None:

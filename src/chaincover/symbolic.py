@@ -51,10 +51,6 @@ class DomainError(ValueError):
     """Cardinal outside the operation's domain (must be uncountable)."""
 
 
-class BadFamily(ValueError):
-    """Family join does not reach the requested limit cardinal."""
-
-
 class CapMissing(LookupError):
     """No finite cap supplied for an infinite cardinal during realization."""
 
@@ -376,7 +372,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a natural number", self.pos)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as exc:  # over int()'s digit limit, or e.g. '²'
+            raise ParseError(str(exc), start) from exc
 
     def exponent(self) -> OrdinalCNF:
         # the ordinal VALUE of a tower expression: "w^exp" | "w" | nat
@@ -527,28 +526,21 @@ def cov_symbolic(t: PosetTerm) -> Cardinal:
     raise TypeError(f"not a poset term: {t!r}")
 
 
-def obstruction_list(nu: Cardinal, family: OrdinalCNF | None = None
-                     ) -> list[PosetTerm]:
+def obstruction_list(nu: Cardinal) -> list[PosetTerm]:
     """The unavoidable posets witnessing covering number >= nu.
 
     A successor aleph yields the grid and its dual.  A limit aleph yields the
-    four sum forms: the family enumerated increasingly, decreasingly, and
-    their duals.  ``family`` optionally names the successor family through
-    the base ordinal of its fundamental sequence; its join must be nu.
-    Countable and finite cardinals are outside the theorem's hypothesis.
+    four sum forms over the successor family whose join is nu (the base
+    ordinal of its fundamental sequence is nu's index): the family
+    enumerated increasingly, decreasingly, and their duals.  Countable and
+    finite cardinals are outside the theorem's hypothesis.
     """
     if nu.is_finite or nu.index.is_zero:
         raise DomainError("an uncountable cardinal is required")
     if nu.index.is_successor:
-        if family is not None:
-            raise BadFamily("successor cardinals take no family")
         return [Grid(nu), Dual(Grid(nu))]
-    base = family if family is not None else nu.index
-    if not base.is_limit or base != nu.index:
-        raise BadFamily(
-            f"family join aleph({base.to_text()}) differs from {nu.to_text()}")
-    inc = LexSumFam("inc", None, base)
-    dec = LexSumFam("dec", None, base)
+    inc = LexSumFam("inc", None, nu.index)
+    dec = LexSumFam("dec", None, nu.index)
     return [inc, dec, Dual(inc), Dual(dec)]
 
 

@@ -1,10 +1,21 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chaincover import cover
 from chaincover.cli import run
-from chaincover.core import MAX_TEXT_ELEMENTS, from_text
+from chaincover.core import MAX_TEXT_ELEMENTS, InternalInconsistency, from_text
 from chaincover.generators import canonical_ideal_chain, grid_upper
+
+NON_UTF8 = b"\xff\xfe\n"
+
+
+def one_error_line(err: str) -> bool:
+    return len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.fixture
@@ -48,6 +59,27 @@ class TestCov:
 
     def test_missing_file(self, capsys):
         assert run(["cov", "/nonexistent/x.poset"]) == 2
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "bin.poset"
+        path.write_bytes(NON_UTF8)
+        assert run(["cov", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and one_error_line(err)
+
+    def test_non_utf8_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin",
+                            io.TextIOWrapper(io.BytesIO(NON_UTF8), encoding="utf-8"))
+        assert run(["cov", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: -: ") and one_error_line(err)
+
+    def test_internal_inconsistency_propagates(self, grid6_file, monkeypatch):
+        def broken(p, mask=None):
+            raise InternalInconsistency("chains do not cover every element")
+        monkeypatch.setattr(cover, "min_chain_cover", broken)
+        with pytest.raises(InternalInconsistency):
+            run(["cov", grid6_file])
 
     def test_cyclic_input(self, tmp_path, capsys):
         path = tmp_path / "bad.poset"
@@ -139,6 +171,25 @@ class TestFindGrid:
         if code == 3:
             assert capsys.readouterr().out.strip() == "unknown"
 
+    def test_negative_budget_exit2(self, grid6_file, tmp_path, capsys):
+        two = tmp_path / "two.poset"
+        two.write_text("n 2\n")
+        for path in (grid6_file, str(two)):
+            assert run(["find-grid", path, "-k", "3", "--budget", "-5"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: budget must be nonnegative, got -5\n"
+
+    def test_zero_budget(self, grid6_file, tmp_path, capsys):
+        # a zero budget answers from the size, height and width bounds, or
+        # says unknown
+        assert run(["find-grid", grid6_file, "-k", "3", "--budget", "0"]) == 3
+        assert capsys.readouterr().out == "unknown\n"
+        two = tmp_path / "two.poset"
+        two.write_text("n 2\n")
+        assert run(["find-grid", str(two), "-k", "3", "--budget", "0"]) == 1
+        assert capsys.readouterr().out == "not found\n"
+
     def test_dual_flag(self, grid6_file):
         assert run(["find-grid", grid6_file, "-k", "4", "--dual"]) in (0, 1)
 
@@ -194,6 +245,16 @@ class TestIdealEmbed:
         assert err.startswith(f"error: {ifile}:2: ")
         assert len(err.splitlines()) == 1
 
+    def test_non_utf8_ideals_exit2(self, tmp_path, capsys):
+        poset, _ = canonical_ideal_chain(6, 2)
+        pfile = tmp_path / "grid.poset"
+        pfile.write_text(poset.to_text())
+        ifile = tmp_path / "ideals.txt"
+        ifile.write_bytes(NON_UTF8)
+        assert run(["ideal-embed", str(pfile), "--ideals", str(ifile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ifile}: ") and one_error_line(err)
+
 
 class TestSymbolicVerbs:
     def test_sym_cov(self, capsys):
@@ -220,6 +281,15 @@ class TestSymbolicVerbs:
 
     def test_obstructions_domain_error(self, capsys):
         assert run(["obstructions", "aleph(0)"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["obstructions", "9" * 5000], ["obstructions", "aleph(" + "9" * 4301 + ")"],
+        ["sym-cov", "grid(" + "9" * 5000 + ")"]])
+    def test_over_long_literal_exit2(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and one_error_line(captured.err)
+        assert "digits" in captured.err
 
 
 class TestGenDot:
@@ -260,6 +330,11 @@ class TestGenDot:
         assert captured.err == (f"error: gen {what}: {count} elements, "
                                 f"more than {MAX_TEXT_ELEMENTS}\n")
 
+    @pytest.mark.parametrize("what", ["chain", "antichain", "random"])
+    def test_gen_negative_count(self, capsys, what):
+        assert run(["gen", what, "-n", "-3"]) == 2
+        assert capsys.readouterr().err == "error: element count must be nonnegative\n"
+
     def test_gen_at_limit_is_accepted(self, capsys):
         assert run(["gen", "antichain", "-n", str(MAX_TEXT_ELEMENTS)]) == 0
         assert capsys.readouterr().out == f"n {MAX_TEXT_ELEMENTS}\n"
@@ -294,6 +369,14 @@ def test_selftest_quick(capsys):
     assert "0 failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_selftest_needs_a_round(capsys, rounds):
+    assert run(["selftest", "--rounds", rounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rounds must be at least 1, got {rounds}\n"
+
+
 def test_selftest_fail_names_instance(capsys, monkeypatch):
     from chaincover import selftest
     monkeypatch.setattr(selftest, "_axioms_hold", lambda p: False)
@@ -307,3 +390,90 @@ def test_selftest_fail_names_instance(capsys, monkeypatch):
 
 def test_unknown_verb_usage_error(capsys):
     assert run(["frobnicate"]) == 2
+
+
+# -- the failure boundary ------------------------------------------------------
+#
+# Whatever bytes or text arrive, run() answers 0, 1, 2 or 3 and never raises;
+# exit 2 is one "error: " line on stderr.  Element counts in the structured
+# files stay small (the header is drawn whole), so every verb answers fast.
+
+_POSET_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.builds(lambda head, body: head + b"".join(body),
+              st.sampled_from([b"", b"n 0\n", b"n 3\n", b"n 5\n", b"n -2\n",
+                               b"n 99999\n", b"n 3 # c\n"]),
+              st.lists(st.sampled_from([b"0 1\n", b"1 2\n", b"2 0\n", b"1 4\n",
+                                        b"0", b"2", b" ", b"\n", b"#", b"-", b"x",
+                                        b"n", b"\t", b"\r", b"\xff", b"\xc3",
+                                        "\u00e9".encode(), b"9" * 5000]),
+                       max_size=12)))
+
+_IDEALS_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.lists(st.sampled_from([b"0", b"1", b"2", b"3", b"5", b"14", b"99", b"-1",
+                              b" ", b"\n", b"#", b"x", b"\xff", b"9" * 5000]),
+             max_size=24).map(b"".join))
+
+_TERM_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(["grid(", "dual(", "lexsum([", "lexsumfam(", "inc,",
+                              "dec,", ",", "w", "aleph(", "aleph(0)", "aleph(1)",
+                              "aleph(w)", "succ_n", "succ_fund(", ")", "]",
+                              "chain(", "antichain(", "0", "1", "3", "^", "*",
+                              "+", " ", "\u00b2", "9" * 5000]),
+             max_size=14).map("".join))
+
+_FILE_VERBS = [["cov", "--witness"], ["antichain", "--json"], ["decompose"],
+               ["dot", "--inc"], ["dist", "0", "2"], ["check-metric", "0", "1"],
+               ["find-grid", "-k", "3", "--budget", "20"], ["reduce", "-t", "2"]]
+
+
+def run_at_boundary(argv, stdin=b""):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3), argv
+    if code == 2:
+        assert one_error_line(err.getvalue()), (argv, err.getvalue())
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    poset, _ = canonical_ideal_chain(6, 3)
+    (d / "grid.poset").write_text(poset.to_text())
+    return d
+
+
+class TestBoundaryFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(data=_POSET_BYTES, verb=st.sampled_from(_FILE_VERBS),
+           via_stdin=st.booleans())
+    def test_poset_bytes(self, fuzz_dir, data, verb, via_stdin):
+        if via_stdin:
+            run_at_boundary([verb[0], "-", *verb[1:]], stdin=data)
+        else:
+            path = fuzz_dir / "input.poset"
+            path.write_bytes(data)
+            run_at_boundary([verb[0], str(path), *verb[1:]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=_IDEALS_BYTES)
+    def test_ideals_bytes(self, fuzz_dir, data):
+        path = fuzz_dir / "input.ideals"
+        path.write_bytes(data)
+        run_at_boundary(["ideal-embed", str(fuzz_dir / "grid.poset"),
+                         "--ideals", str(path)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(text=_TERM_TEXT, verb=st.sampled_from(["sym-cov", "obstructions"]))
+    def test_term_and_cardinal_text(self, text, verb):
+        # "--" keeps argparse from reading a leading "-" as an option
+        run_at_boundary([verb, "--", text])

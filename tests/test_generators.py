@@ -103,8 +103,13 @@ class TestRandomPoset:
         assert random_poset(5, 1.0, 1) == chain(5)
 
     def test_probability_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeError):
             random_poset(3, 1.5, 0)
+
+    def test_negative_count_rejected(self):
+        for make in (chain, antichain, lambda n: random_poset(n, 0.5, 1)):
+            with pytest.raises(SizeError, match="element count must be nonnegative"):
+                make(-3)
 
     def test_seed_zero_is_legal(self):
         assert random_poset(6, 0.5, 0) == random_poset(6, 0.5, 0)

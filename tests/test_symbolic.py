@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from chaincover.cover import min_chain_cover
 from chaincover.symbolic import (ALEPH0, MAX_DEPTH, OMEGA, ONE, ZERO, Antichain,
-                                 BadFamily, CapMissing, Cardinal, Chain,
+                                 CapMissing, Cardinal, Chain,
                                  DomainError, Dual, FiniteCardinal, Grid, LexSum,
                                  LexSumFam, OrdinalCNF, ParseError, cofinality,
                                  cov_symbolic, join, obstruction_list,
@@ -138,6 +138,17 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_term("lexsum([])")
 
+    @pytest.mark.parametrize("parse, text, pos", [
+        (parse_cardinal, "9" * 5000, 0),
+        (parse_cardinal, "aleph(w*" + "9" * 4301 + ")", 8),
+        (parse_term, "grid(" + "9" * 5000 + ")", 5),
+        (parse_cardinal, "\u00b2", 0),  # isdigit() but not int()-convertible
+    ])
+    def test_unconvertible_literal(self, parse, text, pos):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.pos == pos
+
     def test_invalid_small_grid(self):
         with pytest.raises(ParseError):
             parse_term("grid(1)")
@@ -231,12 +242,6 @@ class TestObstructionList:
             obstruction_list(ALEPH0)
         with pytest.raises(DomainError):
             obstruction_list(Cardinal.finite(5))
-
-    def test_bad_family(self):
-        with pytest.raises(BadFamily):
-            obstruction_list(parse_cardinal("aleph(w*2)"), family=OMEGA)
-        with pytest.raises(BadFamily):
-            obstruction_list(Cardinal.aleph(1), family=OMEGA)
 
 
 # -- realization ---------------------------------------------------------------
