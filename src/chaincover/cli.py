@@ -184,13 +184,8 @@ def _cmd_ideal_embed(args) -> int:
         _emit({"result": "failure", "position": list(result.position)},
               args.json, f"failure at {result.position[0]} {result.position[1]}")
         return 1
-    m = len(ideals)
-    rows = []
-    i = 0
-    for a in range(m):
-        for b in range(a + 1, m):
-            rows.append(f"{a} {b} -> {result.mapping[i]}")
-            i += 1
+    rows = [f"{a} {b} -> {x}" for (a, b), x
+            in zip(generators.grid_labels(len(ideals)), result.mapping)]
     _emit({"result": "found", "mapping": list(result.mapping)}, args.json,
           "\n".join(rows))
     return 0

@@ -13,6 +13,7 @@ is a pure function, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -51,6 +52,18 @@ def mask_of(indices: Iterable[int]) -> int:
     out = 0
     for i in indices:
         out |= 1 << i
+    return out
+
+
+def closed_or(rows, mask: int) -> int:
+    """The OR of ``rows[v]`` over the bits v of ``mask``.  ``rows`` is closed
+    (w in rows[v] puts rows[w] inside rows[v]), so a bit already inside the
+    OR adds nothing and is skipped."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        out |= rows[bit.bit_length() - 1]
+        mask &= ~(out | bit)
     return out
 
 
@@ -119,18 +132,11 @@ class Poset:
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Edges of the Hasse diagram: x < y with nothing in between.
 
-        The covers of x are ``up[x]`` minus the OR of the up-rows of its
-        members; a member already inside that OR adds nothing and is skipped.
+        The covers of x are ``up[x]`` minus the OR of its members' up-rows.
         """
         out = []
         for x, row in enumerate(self.up):
-            higher = 0
-            pending = row
-            while pending:
-                bit = pending & -pending
-                higher |= self.up[bit.bit_length() - 1]
-                pending &= ~(higher | bit)
-            out += ((x, y) for y in iter_bits(row & ~higher))
+            out += ((x, y) for y in iter_bits(row & ~closed_or(self.up, row)))
         return out
 
     def relation_pairs(self) -> list[tuple[int, int]]:
@@ -275,10 +281,10 @@ def from_relations(n: int, pairs: Iterable[tuple[int, int]],
     """Build a poset from generating pairs ``u < v``; closes transitively.
 
     The closure runs in reverse topological order (Kahn's order on the
-    input edges): each row is the OR of its direct successors' closed rows,
-    skipping successors already reached.  Raises CycleError if the pairs
-    contain a cycle or a reflexive pair, reporting the cycle through the
-    smallest element that lies on one; IndexError for out-of-range indices.
+    input edges): each row is its direct successors together with the OR of
+    their closed rows.  Raises CycleError if the pairs contain a cycle or a
+    reflexive pair, reporting the cycle through the smallest element that
+    lies on one; IndexError for out-of-range indices.
     """
     if n < 0:
         raise ValueError("element count must be nonnegative")
@@ -301,13 +307,7 @@ def from_relations(n: int, pairs: Iterable[tuple[int, int]],
         raise CycleError(_find_cycle(n, adj, (cyclic & -cyclic).bit_length() - 1))
     rows = [0] * n
     for u in reversed(order):
-        reached = 0
-        pending = adj[u]
-        while pending:
-            bit = pending & -pending
-            reached |= bit | rows[bit.bit_length() - 1]
-            pending &= ~reached
-        rows[u] = reached
+        rows[u] = adj[u] | closed_or(rows, adj[u])
     return Poset(n, tuple(rows), labels)
 
 
@@ -315,6 +315,16 @@ def from_relations(n: int, pairs: Iterable[tuple[int, int]],
 # emits: the rows alone take n^2 bits.  grid_upper(200), 19,900 elements,
 # still loads.
 MAX_TEXT_ELEMENTS = 20_000
+
+
+def _int_field(field: str, lineno: int) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        if not field.isdecimal():  # digits fail only past int()'s limit
+            raise
+    raise ValueError(f"line {lineno}: integer literal longer than "
+                     f"{sys.get_int_max_str_digits()} digits")
 
 
 def from_text(text: str) -> Poset:
@@ -335,13 +345,16 @@ def from_text(text: str) -> Poset:
         if n is None:
             if len(fields) != 2 or fields[0] != "n":
                 raise ValueError(f"line {lineno}: expected 'n <count>' header")
-            n = int(fields[1])
+            n = _int_field(fields[1], lineno)
             if n > MAX_TEXT_ELEMENTS:
                 raise ValueError(f"line {lineno}: more than {MAX_TEXT_ELEMENTS} elements")
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected '<u> <v>'")
-        pairs.append((int(fields[0]), int(fields[1])))
+        try:
+            pairs.append((int(fields[0]), int(fields[1])))
+        except ValueError:  # once more, for the message
+            pairs.append(tuple(_int_field(field, lineno) for field in fields))
     if n is None:
         raise ValueError("missing 'n <count>' header line")
     return from_relations(n, pairs)

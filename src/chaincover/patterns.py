@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (InternalInconsistency, Poset, PreconditionError, dual,
-                   iter_bits, mask_of)
+from .core import (InternalInconsistency, Poset, PreconditionError, closed_or,
+                   dual, iter_bits, mask_of)
 from . import cover
 from . import generators
 
@@ -183,21 +183,13 @@ def _height(p: Poset) -> int:
     """Number of elements on a longest chain.
 
     Level k + 1 is the set of elements above some element of level k, level
-    1 being everything; the height is the number of nonempty levels.  An
-    element already inside the OR so far adds nothing to it (its up-row lies
-    inside the row that reached it) and is skipped.
+    1 being everything; the height is the number of nonempty levels.
     """
     height = 0
     level = p.full_mask
     while level:
         height += 1
-        reached = 0
-        pending = level
-        while pending:
-            bit = pending & -pending
-            reached |= p.up[bit.bit_length() - 1]
-            pending &= ~(reached | bit)
-        level = reached
+        level = closed_or(p.up, level)
     return height
 
 

@@ -214,12 +214,3 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
                    selected=selected, selected_map=tuple(q_map[i] for i in back),
                    selected_profiles=_profile_map(q, side, q_map))
 
-
-def set_identity_holds(p: Poset, x: int) -> bool:
-    """The partition identity P = ↓x ∪ ↑x ∪ Inc_x, checked exactly."""
-    up = p.up[x] | (1 << x)
-    down = p.down[x] | (1 << x)
-    inc = p.inc_mask(x)
-    return (up | down | inc == p.full_mask
-            and up & down == 1 << x
-            and not inc & (up | down))

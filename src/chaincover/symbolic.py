@@ -30,6 +30,7 @@ aleph(l[n]+1) along the canonical fundamental sequence of a limit ordinal l.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -368,14 +369,15 @@ class _Parser:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a natural number", self.pos)
         try:
             return int(self.text[start:self.pos])
-        except ValueError as exc:  # over int()'s digit limit, or e.g. '²'
-            raise ParseError(str(exc), start) from exc
+        except ValueError:  # past int()'s digit limit
+            raise ParseError("integer literal longer than "
+                             f"{sys.get_int_max_str_digits()} digits", start) from None
 
     def exponent(self) -> OrdinalCNF:
         # the ordinal VALUE of a tower expression: "w^exp" | "w" | nat
@@ -544,10 +546,13 @@ def obstruction_list(nu: Cardinal) -> list[PosetTerm]:
     return [inc, dec, Dual(inc), Dual(dec)]
 
 
-def realize(t: PosetTerm, cap: dict[Cardinal, int] | None = None,
-            family_width: int = 3) -> core.Poset:
+FAMILY_WIDTH = 3
+"""Parts that ``realize`` keeps of a family sum."""
+
+
+def realize(t: PosetTerm, cap: dict[Cardinal, int] | None = None) -> core.Poset:
     """Finite instantiation: grids over infinite cardinals shrink to their
-    capped sizes, family sums truncate to ``family_width`` parts, and the
+    capped sizes, family sums truncate to ``FAMILY_WIDTH`` parts, and the
     rest maps homomorphically."""
     cap = cap or {}
 
@@ -562,18 +567,16 @@ def realize(t: PosetTerm, cap: dict[Cardinal, int] | None = None,
         case Grid(size):
             return generators.grid_upper(capped(size))
         case Dual(inner):
-            return core.dual(realize(inner, cap, family_width))
+            return core.dual(realize(inner, cap))
         case LexSum(parts):
-            return generators.lex_sum(
-                [realize(x, cap, family_width) for x in parts])
+            return generators.lex_sum([realize(x, cap) for x in parts])
         case LexSumFam(direction, count, _):
-            width = family_width if count is None else min(count, family_width)
+            width = FAMILY_WIDTH if count is None else min(count, FAMILY_WIDTH)
             members = [Grid(Cardinal.aleph(t.member_index(i)))
                        for i in range(width)]
             if direction == "dec":
                 members.reverse()
-            return generators.lex_sum(
-                [realize(x, cap, family_width) for x in members])
+            return generators.lex_sum([realize(x, cap) for x in members])
         case Chain(size):
             return generators.chain(capped(size))
         case Antichain(size):

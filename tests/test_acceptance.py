@@ -9,15 +9,16 @@ import time
 
 import pytest
 
-from chaincover.core import dual, induced, is_pure, iter_bits
+from chaincover.core import is_pure, iter_bits
 from chaincover.cover import min_chain_cover
 from chaincover.generators import (canonical_ideal_chain, grid_upper,
                                    random_poset)
 from chaincover.ideal_embed import IdealChain, embed_from_ideal_chain
 from chaincover.incgraph import (check_metric_lemma, inc_components,
-                                 inc_distance_path, recompose)
+                                 inc_distance_path)
 from chaincover.patterns import Embedding, embeds, validate_embedding
-from chaincover.reduction import claim1_reduce, cover_bound_report
+from chaincover.reduction import cover_bound_report
+from chaincover.selftest import LAWS
 from chaincover.symbolic import (Antichain, Cardinal, Chain, Dual, Grid, LexSum,
                                  OMEGA, cov_symbolic, obstruction_list,
                                  parse_term, realize, term_to_text)
@@ -42,11 +43,7 @@ def instances():
 
 def test_criterion_1_dilworth_equality(instances):
     start = time.time()
-    ok = True
-    for p in instances:
-        cc = min_chain_cover(p)
-        if cc.width != len(cc.certificate):
-            ok = False
+    ok = all(LAWS["dilworth equality"](p) for p in instances)
     for i in range(120):
         small = random_poset(1 + i % 14, (0.1, 0.3, 0.6)[i % 3], 31_000 + i)
         if cov(small) != oracles.brute_max_antichain_size(small):
@@ -71,7 +68,7 @@ def test_criterion_2_grid_formula():
 
 
 def test_criterion_3_duality(instances):
-    ok = all(cov(p) == cov(dual(p)) for p in instances)
+    ok = all(LAWS["cov duality"](p) for p in instances)
     record(3, "Cov(P) = Cov(dual(P)) on all instances", ok)
     assert ok
 
@@ -105,29 +102,14 @@ def test_criterion_4_metric_lemma(connected_inc_instances):
 
 
 def test_criterion_5_decomposition_round_trip(instances):
-    ok = True
-    for p in instances:
-        d = inc_components(p)
-        if recompose(d) != p:
-            ok = False
-        if cov(p) != max(cov(s) for s in d.part_posets):
-            ok = False
+    ok = all(LAWS["decomposition round trip"](p)
+             and LAWS["cov equals part maximum"](p) for p in instances)
     record(5, "recompose(inc_components(P)) = P and Cov = part max", ok)
     assert ok
 
 
 def test_criterion_6_claim1_reduction(instances):
-    ok = True
-    for p in instances:
-        t = cov(p)
-        q, _, _, inc_covs = claim1_reduce(p, t)
-        if cov(q) < t:
-            ok = False
-        for x in range(q.n):
-            inc_sub, _ = induced(q, iter_bits(q.inc_mask(x)))
-            width = cov(inc_sub)
-            if width >= t or inc_covs[x] != width:
-                ok = False
+    ok = all(LAWS["antichain restriction postconditions"](p) for p in instances)
     record(6, "claim-1 postconditions at t = Cov(P) on all instances", ok)
     assert ok
 
@@ -238,7 +220,7 @@ def test_criterion_11_symbolic_finite_consistency():
 
 
 def test_criterion_12_finite_purity(instances):
-    ok = all(is_pure(p) == (p.greatest() is not None) for p in instances)
+    ok = all(LAWS["purity characterization"](p) for p in instances)
     for i in range(200):
         small = random_poset(1 + i % 16, (0.15, 0.4)[i % 2], 80_000 + i)
         if is_pure(small) != oracles.brute_is_pure(small):

@@ -97,6 +97,21 @@ class TestCov:
             assert err.startswith(f"error: {path}: line 1: ")
             assert len(err.splitlines()) == 1
 
+    def test_over_long_number(self, tmp_path, capsys):
+        path = tmp_path / "long.poset"
+        digits = "9" * 5000
+        limit = sys.get_int_max_str_digits()
+        for text, lineno in ((f"n {digits}\n", 1), (f"n 3\n0 {digits}\n", 2),
+                             (f"n 3\n{digits} 1\n", 2)):
+            path.write_text(text)
+            assert run(["cov", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}: line {lineno}: integer literal longer than "
+                f"{limit} digits\n")
+        path.write_text(f"n 3\n0 x{digits}\n")  # not a number at all
+        assert run(["cov", str(path)]) == 2
+        assert "invalid literal" in capsys.readouterr().err
+
 
     def test_deep_augmenting_path(self, tmp_path, capsys):
         # The fence x_i < y_i, x_{i+1} < y_i on 3,000 elements.  x_0 takes
@@ -290,6 +305,7 @@ class TestSymbolicVerbs:
         captured = capsys.readouterr()
         assert captured.out == "" and one_error_line(captured.err)
         assert "digits" in captured.err
+        assert "set_int_max_str_digits" not in captured.err
 
 
 class TestGenDot:
@@ -379,7 +395,7 @@ def test_selftest_needs_a_round(capsys, rounds):
 
 def test_selftest_fail_names_instance(capsys, monkeypatch):
     from chaincover import selftest
-    monkeypatch.setattr(selftest, "_axioms_hold", lambda p: False)
+    monkeypatch.setitem(selftest.LAWS, "order axioms", lambda p: False)
     assert run(["selftest", "--seed", "7", "--rounds", "2"]) == 1
     out = capsys.readouterr().out.splitlines()
     # round i draws random_poset(6 + (7i + seed) % 19, (.05, .1, .3)[i % 3], seed + i)

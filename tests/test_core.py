@@ -2,12 +2,14 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, strategies as st
 
 from chaincover import core
 from chaincover.core import (CycleError, EmptyPoset, dual, from_relations,
                              from_text, induced, is_pure, iter_bits)
 from chaincover.generators import antichain, chain, grid_index, grid_upper, random_poset
 from chaincover.incgraph import interval_cover
+from chaincover.selftest import LAWS
 
 import oracles
 
@@ -142,13 +144,7 @@ class TestRegion:
 
     def test_partition_identity(self):
         for seed in range(8):
-            p = random_poset(9, 0.3, seed)
-            for x in range(p.n):
-                up = p.up[x] | 1 << x
-                down = p.down[x] | 1 << x
-                inc = p.inc_mask(x)
-                assert up | down | inc == p.full_mask
-                assert not inc & (up | down)
+            assert LAWS["partition identity"](random_poset(9, 0.3, seed))
 
 
 class TestPurity:
@@ -179,11 +175,27 @@ class TestPurity:
             assert fast == oracles.brute_is_pure(p)
 
 
+@st.composite
+def relabelled_posets(draw):
+    """A random order on 0..n-1 (n = 0 included), relabelled by a random
+    permutation, so a pair u < v need not have u below v as integers."""
+    n = draw(st.integers(0, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n)) if n else []
+    perm = draw(st.permutations(range(n)))
+    return from_relations(n, [(perm[min(u, v)], perm[max(u, v)])
+                              for u, v in pairs if u != v])
+
+
 class TestTextFormat:
     def test_round_trip(self):
         for seed in range(10):
             p = random_poset(10, 0.25, seed)
             assert from_text(p.to_text()) == p
+
+    @given(relabelled_posets())
+    def test_round_trip_any_poset(self, p):
+        assert from_text(p.to_text()) == p
 
     def test_comments_and_blank_lines(self):
         text = "# leading comment\nn 3\n\n0 1  # inline\n1 2\n"

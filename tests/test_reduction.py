@@ -4,7 +4,8 @@ from chaincover.core import PreconditionError, induced, iter_bits
 from chaincover.cover import min_chain_cover
 from chaincover.generators import antichain, chain, grid_upper, lex_sum, random_poset
 from chaincover.reduction import (ElementProfile, claim1_reduce,
-                                  cover_bound_report, reduce, set_identity_holds)
+                                  cover_bound_report, reduce)
+from chaincover.selftest import LAWS
 
 
 def cov(p) -> int:
@@ -62,12 +63,7 @@ class TestClaim1:
     def test_postconditions_hold_at_exact_threshold(self):
         for seed in range(30):
             p = random_poset(12, (0.1, 0.3)[seed % 2], seed)
-            t = cov(p)
-            q, _, _, inc_covs = claim1_reduce(p, t)
-            assert cov(q) >= t
-            for x in range(q.n):
-                assert cov_of(q, iter_bits(q.inc_mask(x))) < t
-            assert max(inc_covs) < t
+            assert LAWS["antichain restriction postconditions"](p)
 
     def test_postconditions_below_threshold(self):
         # thresholds below Cov exercise the greedy antichain branch
@@ -221,4 +217,4 @@ class TestSetIdentity:
     def test_holds_everywhere(self):
         for seed in range(15):
             p = random_poset(10, 0.3, seed)
-            assert all(set_identity_holds(p, x) for x in range(p.n))
+            assert LAWS["partition identity"](p)

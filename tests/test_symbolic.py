@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,35 @@ small_ordinals = st.recursive(
     lambda inner: st.tuples(inner, st.integers(1, 3), st.integers(0, 5)).map(
         lambda t: OrdinalCNF(((t[0] + ONE, t[1]),)) + nat(t[2])),
     max_leaves=4)
+
+
+# Exponents the text form can hold: n, w, w^n, w^w, w^w^n, ... (towers)
+towers = st.recursive(st.integers(min_value=0, max_value=3).map(nat),
+                      lambda inner: inner.map(lambda e: OrdinalCNF(((e, 1),))),
+                      max_leaves=3)
+
+
+@st.composite
+def text_ordinals(draw):
+    exps = sorted(draw(st.lists(towers, max_size=3, unique=True)), reverse=True)
+    return OrdinalCNF(tuple((e, draw(st.integers(1, 3))) for e in exps))
+
+
+text_cardinals = st.one_of(st.integers(0, 9).map(Cardinal.finite),
+                           text_ordinals().map(Cardinal.aleph))
+
+text_terms = st.recursive(
+    st.one_of(
+        text_cardinals.filter(lambda c: not c.is_finite or c.size >= 2).map(Grid),
+        text_cardinals.map(Chain),
+        st.integers(0, 9).map(Antichain),
+        st.builds(LexSumFam, st.sampled_from(["inc", "dec"]),
+                  st.none() | st.integers(1, 9),
+                  text_ordinals().filter(lambda o: o.is_limit))),
+    lambda inner: st.one_of(
+        inner.map(Dual),
+        st.lists(inner, min_size=1, max_size=3).map(tuple).map(LexSum)),
+    max_leaves=8)
 
 
 class TestOrdinalCNF:
@@ -124,6 +155,10 @@ class TestParse:
     def test_round_trip(self, text):
         assert term_to_text(parse_term(text)) == text
 
+    @given(text_terms)
+    def test_round_trip_random_terms(self, t):
+        assert parse_term(term_to_text(t)) == t
+
     def test_whitespace_tolerated(self):
         assert parse_term(" grid( aleph( 1 ) ) ") == Grid(Cardinal.aleph(1))
 
@@ -148,6 +183,14 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse(text)
         assert info.value.pos == pos
+
+    def test_literal_messages(self):
+        with pytest.raises(ParseError, match="expected a natural number"):
+            parse_cardinal("\u00b2")
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError,
+                           match=f"integer literal longer than {limit} digits"):
+            parse_term("grid(" + "9" * 5000 + ")")
 
     def test_invalid_small_grid(self):
         with pytest.raises(ParseError):
@@ -269,9 +312,9 @@ class TestRealize:
     def test_family_truncation(self):
         t = parse_term("lexsumfam(inc,w,aleph(succ_n))")
         cap = {Cardinal.aleph(k): 4 for k in (1, 2, 3)}
-        p = realize(t, cap, family_width=3)
+        p = realize(t, cap)
         assert p.n == 18
-        rev = realize(parse_term("lexsumfam(dec,w,aleph(succ_n))"), cap, 3)
+        rev = realize(parse_term("lexsumfam(dec,w,aleph(succ_n))"), cap)
         assert rev.n == 18
 
     def test_finite_consistency_random_terms(self):
