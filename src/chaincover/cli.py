@@ -175,7 +175,7 @@ def _cmd_ideal_embed(args) -> int:
         line = raw.split("#", 1)[0].strip()
         if line:
             try:
-                ideals.append(frozenset(int(tok) for tok in line.split()))
+                ideals.append(frozenset(core.int_field(tok) for tok in line.split()))
             except ValueError as exc:
                 raise _InputError(f"{args.ideals}:{lineno}: {exc}") from exc
     chain = ideal_embed.IdealChain(p, tuple(ideals))

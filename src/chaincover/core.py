@@ -317,13 +317,15 @@ def from_relations(n: int, pairs: Iterable[tuple[int, int]],
 MAX_TEXT_ELEMENTS = 20_000
 
 
-def _int_field(field: str, lineno: int) -> int:
+def int_field(field: str) -> int:
+    """``int(field)``, naming the digit limit when a field of digits passes
+    it; the caller adds the location."""
     try:
         return int(field)
     except ValueError:
         if not field.isdecimal():  # digits fail only past int()'s limit
             raise
-    raise ValueError(f"line {lineno}: integer literal longer than "
+    raise ValueError("integer literal longer than "
                      f"{sys.get_int_max_str_digits()} digits")
 
 
@@ -342,19 +344,22 @@ def from_text(text: str) -> Poset:
         if not line:
             continue
         fields = line.split()
-        if n is None:
-            if len(fields) != 2 or fields[0] != "n":
-                raise ValueError(f"line {lineno}: expected 'n <count>' header")
-            n = _int_field(fields[1], lineno)
-            if n > MAX_TEXT_ELEMENTS:
-                raise ValueError(f"line {lineno}: more than {MAX_TEXT_ELEMENTS} elements")
-            continue
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected '<u> <v>'")
         try:
-            pairs.append((int(fields[0]), int(fields[1])))
-        except ValueError:  # once more, for the message
-            pairs.append(tuple(_int_field(field, lineno) for field in fields))
+            if n is None:
+                if len(fields) != 2 or fields[0] != "n":
+                    raise ValueError("expected 'n <count>' header")
+                n = int_field(fields[1])
+                if n > MAX_TEXT_ELEMENTS:
+                    raise ValueError(f"more than {MAX_TEXT_ELEMENTS} elements")
+                continue
+            if len(fields) != 2:
+                raise ValueError("expected '<u> <v>'")
+            try:
+                pairs.append((int(fields[0]), int(fields[1])))
+            except ValueError:  # once more, for the message
+                pairs.append(tuple(map(int_field, fields)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
         raise ValueError("missing 'n <count>' header line")
     return from_relations(n, pairs)

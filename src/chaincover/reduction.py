@@ -134,12 +134,12 @@ class ElementProfile:
 class ReductionOutcome:
     """Result of the full reduction pass at threshold t.
 
-    ``q`` is the antichain-restricted poset with ``q_map`` into the original;
-    ``profiles`` measures every element of q.  For the up/down cases,
-    ``selected`` is the chosen subposet (mapped by ``selected_map``) with its
-    own per-element profile, and ``x0`` is the pivot in original indices.
-    Both profiles are keyed by original indices; a selected element's
-    profile is measured inside ``selected``.
+    ``q`` is the antichain-restricted poset with ``q_map`` into the original,
+    and ``antichain`` the antichain it restricts to.  ``profiles`` measures
+    every element of q inside q, keyed by original indices, and
+    ``component_covs`` is Cov of each Inc component of q in chain order.  For
+    the up/down cases, ``x0`` is the pivot in original indices and
+    ``selected`` the chosen subposet, mapped by ``selected_map``.
     """
 
     case: str
@@ -148,28 +148,21 @@ class ReductionOutcome:
     q: Poset
     q_map: tuple[int, ...]
     profiles: dict[int, ElementProfile]
-    component_members: tuple[tuple[int, ...], ...]
     component_covs: tuple[int, ...]
     x0: int | None = None
     selected: Poset | None = None
     selected_map: tuple[int, ...] | None = None
-    selected_profiles: dict[int, ElementProfile] | None = None
 
 
-def _profile_map(q: Poset, mask: int, back: tuple[int, ...],
-                 inc=None) -> dict[int, ElementProfile]:
-    """Profile each x in ``mask`` inside the subposet of q on ``mask``, keyed
-    by ``back[x]``; ``inc[x]``, when given, is the already known Cov(Inc_x)."""
-    out = {}
-    for x in iter_bits(mask):
-        rest = mask & ~(1 << x)
-        out[back[x]] = ElementProfile(
-            cov_inc=(inc[x] if inc is not None
-                     else min_chain_cover(q, rest & q.inc_mask(x)).width),
-            cov_minus_up=min_chain_cover(q, rest & ~q.up[x]).width,
-            cov_minus_down=min_chain_cover(q, rest & ~q.down[x]).width,
-        )
-    return out
+def _profiles(q: Poset, q_map: tuple[int, ...],
+              inc_covs: tuple[int, ...]) -> dict[int, ElementProfile]:
+    """Each x of q profiled inside q, keyed by ``q_map[x]``, with Cov(Inc_x)
+    from claim 1's certificate ``inc_covs``."""
+    full = q.full_mask
+    return {q_map[x]: ElementProfile(
+                inc_covs[x], min_chain_cover(q, full & ~(q.up[x] | 1 << x)).width,
+                min_chain_cover(q, full & ~(q.down[x] | 1 << x)).width)
+            for x in range(q.n)}
 
 
 def reduce(p: Poset, t: int) -> ReductionOutcome:
@@ -186,16 +179,16 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     selection is made (case1_dual).  Ties go to the up side, then to the
     lowest index.  When the selected subposet itself drops below t the case
     is ``unreduced``.  Every subset is a mask over q's indices, and
-    Cov(Inc_x) comes from the restriction's certificate.
+    Cov(Inc_x) comes from the restriction's certificate.  The outcome carries
+    q and its profiles, the component covers and, outside case2, x0 and the
+    selected subposet.
     """
     q, q_map, antichain, inc_covs = claim1_reduce(p, t)
-    parts = inc_components(q).parts
-    comp_covs = tuple(min_chain_cover(q, mask_of(part)).width for part in parts)
+    comps = [mask_of(part) for part in inc_components(q).parts]
+    comp_covs = tuple(min_chain_cover(q, comp).width for comp in comps)
     out = ReductionOutcome("case2", t, antichain, q, q_map,
-                           _profile_map(q, q.full_mask, q_map, inc_covs),
-                           tuple(tuple(q_map[i] for i in part) for part in parts),
-                           comp_covs)
-    comp = next((mask_of(part) for part, c in zip(parts, comp_covs) if c >= t), 0)
+                           _profiles(q, q_map, inc_covs), comp_covs)
+    comp = next((m for m, c in zip(comps, comp_covs) if c >= t), 0)
     if not comp:
         return out
     best = None
@@ -211,6 +204,5 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     width, case, x0, side = best
     selected, back = induced(q, iter_bits(side))
     return replace(out, case=case if width >= t else "unreduced", x0=q_map[x0],
-                   selected=selected, selected_map=tuple(q_map[i] for i in back),
-                   selected_profiles=_profile_map(q, side, q_map))
+                   selected=selected, selected_map=tuple(q_map[i] for i in back))
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from chaincover import cover
 from chaincover.cli import run
 from chaincover.core import MAX_TEXT_ELEMENTS, InternalInconsistency, from_text
-from chaincover.generators import canonical_ideal_chain, grid_upper
+from chaincover.generators import canonical_ideal_chain, grid_upper, random_poset
 
 NON_UTF8 = b"\xff\xfe\n"
 
@@ -110,7 +110,8 @@ class TestCov:
                 f"{limit} digits\n")
         path.write_text(f"n 3\n0 x{digits}\n")  # not a number at all
         assert run(["cov", str(path)]) == 2
-        assert "invalid literal" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: line 2: invalid literal")
 
 
     def test_deep_augmenting_path(self, tmp_path, capsys):
@@ -216,6 +217,55 @@ class TestFindGrid:
         assert capsys.readouterr().out.strip() == "not found"
 
 
+# Exact `reduce --json` bytes: grid6 at its width, and two random posets
+# at t = 1 and at t = Cov(P).
+REDUCE_JSON = [
+    pytest.param(grid_upper(6), 3, (
+        '{"antichain": [], "case": "case1", "component_covs": [1, 1, 3, 1,'
+        ' 1], "profiles": {"0": [0, 0, 3], "1": [0, 1, 3], "10": [1, 3, 2],'
+        ' "11": [1, 3, 1], "12": [1, 3, 1], "13": [0, 3, 1], "14": [0, 3,'
+        ' 0], "2": [1, 1, 3], "3": [1, 2, 3], "4": [2, 2, 2], "5": [1, 1,'
+        ' 3], "6": [1, 2, 3], "7": [2, 2, 2], "8": [1, 3, 2], "9": [2, 2,'
+        ' 2]}, "q": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14],'
+        ' "schema": 1, "selected": [2, 3, 4, 6, 7, 8, 9, 10, 11, 12],'
+        ' "threshold": 3, "x0": 2}\n'
+    ), id="grid6-t3"),
+    pytest.param(random_poset(20, 0.1, 1), 1, (
+        '{"antichain": [0, 1, 2, 3, 4, 9, 13, 14, 16], "case": "case1",'
+        ' "component_covs": [1], "profiles": {"17": [0, 0, 0]}, "q": [17],'
+        ' "schema": 1, "selected": [17], "threshold": 1, "x0": 17}\n'
+    ), id="random20-0.1-1-t1"),
+    pytest.param(random_poset(20, 0.1, 1), 11, (
+        '{"antichain": [], "case": "unreduced", "component_covs": [11],'
+        ' "profiles": {"0": [10, 10, 11], "1": [9, 9, 11], "10": [10, 11,'
+        ' 11], "11": [9, 11, 11], "12": [10, 11, 10], "13": [10, 10, 10],'
+        ' "14": [10, 10, 10], "15": [10, 11, 10], "16": [10, 10, 10],'
+        ' "17": [10, 10, 10], "18": [10, 11, 10], "19": [10, 10, 10],'
+        ' "2": [10, 10, 10], "3": [10, 10, 11], "4": [10, 10, 11], "5": [10,'
+        ' 11, 11], "6": [10, 10, 11], "7": [10, 11, 10], "8": [10, 11, 10],'
+        ' "9": [10, 10, 11]}, "q": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,'
+        ' 12, 13, 14, 15, 16, 17, 18, 19], "schema": 1, "selected": [1, 6,'
+        ' 11, 12, 15, 18, 19], "threshold": 11, "x0": 1}\n'
+    ), id="random20-0.1-1-t11"),
+    pytest.param(random_poset(20, 0.3, 4), 1, (
+        '{"antichain": [0, 2, 3, 4, 5], "case": "case1",'
+        ' "component_covs": [1], "profiles": {"7": [0, 0, 0]}, "q": [7],'
+        ' "schema": 1, "selected": [7], "threshold": 1, "x0": 7}\n'
+    ), id="random20-0.3-4-t1"),
+    pytest.param(random_poset(20, 0.3, 4), 6, (
+        '{"antichain": [], "case": "case1_dual", "component_covs": [6],'
+        ' "profiles": {"0": [5, 5, 6], "1": [5, 6, 6], "10": [3, 6, 4],'
+        ' "11": [5, 6, 5], "12": [3, 6, 4], "13": [3, 6, 3], "14": [3, 6,'
+        ' 4], "15": [3, 6, 4], "16": [3, 6, 3], "17": [4, 6, 4], "18": [3,'
+        ' 6, 3], "19": [3, 6, 3], "2": [5, 5, 6], "3": [5, 5, 5], "4": [5,'
+        ' 5, 5], "5": [5, 5, 5], "6": [4, 6, 5], "7": [5, 5, 5], "8": [4, 6,'
+        ' 4], "9": [5, 6, 5]}, "q": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,'
+        ' 12, 13, 14, 15, 16, 17, 18, 19], "schema": 1, "selected": [0, 1,'
+        ' 2, 3, 4, 5, 6, 7, 9, 10, 11, 14], "threshold": 6, "x0": 14}\n'
+    ), id="random20-0.3-4-t6"),
+]
+
+
 class TestReduceVerb:
     def test_json_schema(self, grid6_file, capsys):
         assert run(["reduce", grid6_file, "-t", "3", "--json"]) == 0
@@ -224,6 +274,13 @@ class TestReduceVerb:
         assert doc["case"] in ("case1", "case1_dual", "case2", "unreduced")
         assert doc["threshold"] == 3
         assert isinstance(doc["profiles"], dict)
+
+    @pytest.mark.parametrize("poset, t, expected", REDUCE_JSON)
+    def test_json_bytes(self, tmp_path, capsys, poset, t, expected):
+        path = tmp_path / "p.poset"
+        path.write_text(poset.to_text())
+        assert run(["reduce", str(path), "-t", str(t), "--json"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_precondition_exit2(self, grid6_file):
         assert run(["reduce", grid6_file, "-t", "9"]) == 2
@@ -259,6 +316,18 @@ class TestIdealEmbed:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ifile}:2: ")
         assert len(err.splitlines()) == 1
+
+    def test_over_long_token_exit2(self, tmp_path, capsys):
+        poset, _ = canonical_ideal_chain(6, 2)
+        pfile = tmp_path / "grid.poset"
+        pfile.write_text(poset.to_text())
+        ifile = tmp_path / "ideals.txt"
+        ifile.write_text("0\n0 " + "9" * 5000 + "\n")
+        assert run(["ideal-embed", str(pfile), "--ideals", str(ifile)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {ifile}:2: integer literal longer than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
+        assert "set_int_max_str_digits" not in err
 
     def test_non_utf8_ideals_exit2(self, tmp_path, capsys):
         poset, _ = canonical_ideal_chain(6, 2)

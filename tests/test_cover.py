@@ -3,10 +3,12 @@ import random
 import networkx as nx
 import pytest
 
-from chaincover.core import InternalInconsistency, dual, induced, iter_bits
+from chaincover.core import (InternalInconsistency, dual, induced, iter_bits,
+                             mask_of)
 from chaincover.cover import _max_matching, max_antichain, min_chain_cover
 from chaincover.generators import (antichain, chain, grid_upper, lex_sum,
                                    random_poset)
+from chaincover.incgraph import inc_components
 
 import oracles
 
@@ -144,6 +146,19 @@ class TestMaskKernel:
         p = random_poset(200, 0.05, 11)
         for mask in random_masks(p.n, random.Random(2), 3):
             assert min_chain_cover(p, mask).width == split_graph_width(p, mask)
+        # the masks reduce makes, at n = 400 and 800: Inc_x, P minus x and
+        # its up-set, and x with its up-set inside x's Inc component
+        rng = random.Random(3)
+        for p in (random_poset(400, 0.05, 11),
+                  lex_sum([random_poset(400, 0.01, 12),
+                           random_poset(400, 0.05, 13)])):
+            comps = [mask_of(part) for part in inc_components(p).parts]
+            for x in rng.sample(range(p.n), 3):
+                up = p.up[x] | 1 << x
+                comp = next(c for c in comps if c >> x & 1)
+                for mask in (p.inc_mask(x), p.full_mask & ~up, up & comp):
+                    assert (min_chain_cover(p, mask).width
+                            == split_graph_width(p, mask))
 
     def test_bit_out_of_range(self):
         p = chain(4)
