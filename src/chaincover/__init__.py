@@ -27,9 +27,8 @@ from .cover import ChainCover, max_antichain, min_chain_cover
 from .generators import (GridLabel, SizeError, antichain, canonical_ideal_chain,
                          chain, grid_index, grid_labels, grid_upper, lex_sum,
                          random_poset)
-from .incgraph import (LexDecomposition, MalformedDecomposition, MetricReport,
-                       check_metric_lemma, inc_components, inc_distance_path,
-                       recompose, to_dot)
+from .incgraph import (MalformedDecomposition, MetricReport, check_metric_lemma,
+                       inc_components, inc_distance_path, recompose, to_dot)
 from .patterns import (BudgetExhausted, Embedding, embeds, embeds_grid,
                        validate_embedding)
 from .reduction import (Claim1Result, Claim2Report, ReductionOutcome,

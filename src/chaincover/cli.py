@@ -89,11 +89,11 @@ def _cmd_antichain(args) -> int:
 
 def _cmd_decompose(args) -> int:
     p = _read_poset(args.file)
-    d = incgraph.inc_components(p)
+    parts = [list(core.iter_bits(c)) for c in incgraph.inc_components(p)]
     if args.json:
-        _emit({"parts": [list(part) for part in d.parts]}, True, "")
+        _emit({"parts": parts}, True, "")
     else:
-        for part in d.parts:
+        for part in parts:
             print(" ".join(str(x) for x in part))
     return 0
 
@@ -175,9 +175,13 @@ def _cmd_ideal_embed(args) -> int:
         line = raw.split("#", 1)[0].strip()
         if line:
             try:
-                ideals.append(frozenset(core.int_field(tok) for tok in line.split()))
+                ideal = frozenset(core.int_field(tok) for tok in line.split())
+                top = max(ideal)
+                if top >= p.n:
+                    raise ValueError(f"element {top} out of range for {p.n} elements")
             except ValueError as exc:
                 raise _InputError(f"{args.ideals}:{lineno}: {exc}") from exc
+            ideals.append(ideal)
     chain = ideal_embed.IdealChain(p, tuple(ideals))
     result = ideal_embed.embed_from_ideal_chain(chain)
     if isinstance(result, ideal_embed.EmbedFailure):
@@ -244,7 +248,7 @@ def _check_index(p: core.Poset, x: int) -> None:
 
 def _cmd_selftest(args) -> int:
     from . import selftest
-    passed, failed = selftest.run(seed=args.seed, rounds=args.rounds)
+    passed, failed = selftest.run(args.seed, args.rounds)
     print(f"selftest: {passed} passed, {failed} failed")
     return 0 if failed == 0 else 1
 

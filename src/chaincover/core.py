@@ -276,8 +276,7 @@ def _on_cycles(adj: list[int], rest: int) -> int:
     return cyclic
 
 
-def from_relations(n: int, pairs: Iterable[tuple[int, int]],
-                   labels: tuple[str, ...] | None = None) -> Poset:
+def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     """Build a poset from generating pairs ``u < v``; closes transitively.
 
     The closure runs in reverse topological order (Kahn's order on the
@@ -308,7 +307,7 @@ def from_relations(n: int, pairs: Iterable[tuple[int, int]],
     rows = [0] * n
     for u in reversed(order):
         rows[u] = adj[u] | closed_or(rows, adj[u])
-    return Poset(n, tuple(rows), labels)
+    return Poset(n, tuple(rows))
 
 
 # Largest ``n <count>`` header from_text accepts, and largest poset ``gen``
@@ -318,27 +317,30 @@ MAX_TEXT_ELEMENTS = 20_000
 
 
 def int_field(field: str) -> int:
-    """``int(field)``, naming the digit limit when a field of digits passes
-    it; the caller adds the location."""
-    try:
-        return int(field)
-    except ValueError:
-        if not field.isdecimal():  # digits fail only past int()'s limit
-            raise
-    raise ValueError("integer literal longer than "
-                     f"{sys.get_int_max_str_digits()} digits")
+    """The value of a field of ASCII decimal digits, naming the digit limit
+    when the field passes it; the caller adds the location."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {field!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and len(field) > limit:
+        raise ValueError(f"integer literal longer than {limit} digits")
+    return int(field)
 
 
 def from_text(text: str) -> Poset:
     """Parse the poset text format.
 
     Line 1 is ``n <count>``, count <= MAX_TEXT_ELEMENTS; each later
-    non-comment line is ``<u> <v>`` asserting u < v.  ``#`` starts a comment.
+    non-comment line is ``<u> <v>`` asserting u < v, both below count.  Every
+    integer is ASCII decimal digits.  ``#`` starts a comment.
     The closure is applied on load; a cycle raises CycleError with the cycle
     in the message.
     """
     n = None
     pairs = []
+    # in ASCII text without signs or "_", int() accepts only what int_field does
+    plain = text.isascii() and not any(c in text for c in "+-_")
+    parse = int if plain else int_field
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -355,9 +357,12 @@ def from_text(text: str) -> Poset:
             if len(fields) != 2:
                 raise ValueError("expected '<u> <v>'")
             try:
-                pairs.append((int(fields[0]), int(fields[1])))
+                u, v = parse(fields[0]), parse(fields[1])
             except ValueError:  # once more, for the message
-                pairs.append(tuple(map(int_field, fields)))
+                u, v = int_field(fields[0]), int_field(fields[1])
+            if u >= n or v >= n:
+                raise ValueError(f"pair ({u}, {v}) out of range for {n} elements")
+            pairs.append((u, v))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:

@@ -31,6 +31,9 @@ from .core import InternalInconsistency, Poset, iter_bits, mask_of
 from .generators import grid_upper
 from .patterns import BudgetExhausted, Embedding, linear_extension, validate_embedding
 
+# Search nodes embed_from_ideal_chain may spend before BudgetExhausted.
+BUDGET = 10 ** 6
+
 
 class InvalidChain(ValueError):
     """The ideal chain violates its invariants; see the validation report."""
@@ -124,12 +127,11 @@ class EmbedFailure:
     constraints: tuple[tuple[str, tuple[int, int], int], ...]
 
 
-def embed_from_ideal_chain(c: IdealChain, budget: int = 10 ** 6
-                           ) -> Embedding | EmbedFailure:
+def embed_from_ideal_chain(c: IdealChain) -> Embedding | EmbedFailure:
     """Build an induced copy of grid_upper(m) with f(a, b) in layer a.
 
     Candidates are tried minimal-first in a fixed linear extension of the
-    poset; dead ends backtrack chronologically under ``budget`` nodes.
+    poset; dead ends backtrack chronologically under ``BUDGET`` nodes.
     """
     report = validate_ideal_chain(c)
     if not report.ok:
@@ -148,6 +150,7 @@ def embed_from_ideal_chain(c: IdealChain, budget: int = 10 ** 6
     # position (a, b) sits at index idx(a, b) = b(b - 1)/2 + a
     n_pos = len(positions)
     up, down = p.up, p.down
+    budget = BUDGET
     img = [0] * n_pos
     # masks[i]: position i's untried candidates; at[i]: how far it has
     # walked through its layer in rank order; side[i]: the images of the

@@ -10,54 +10,26 @@ no edge list is materialized.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .core import (InternalInconsistency, Poset, PreconditionError, induced,
-                   iter_bits, mask_of)
+from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
+from .core import induced  # unused here: the incgraph.induced tracer site
 
 
 class MalformedDecomposition(ValueError):
     """A hand-built decomposition does not describe a lexicographic sum."""
 
 
-@dataclass(frozen=True)
-class LexDecomposition:
-    """Ordered incomparability components of a poset.
+def inc_components(p: Poset) -> list[int]:
+    """The connected components of Inc(P) as bitmasks, ordered as a chain:
+    everything in an earlier component lies below everything in a later one.
 
-    ``parts[i]`` lists the original element indices of the i-th component in
-    the chain order: everything in an earlier part lies below everything in a
-    later part.  ``part_posets[i]`` is the poset induced on ``parts[i]`` and
-    ``parts[i][k]`` is the original index of its local element k;
-    ``inc_components`` copies each part poset out only when it is first read.
+    The order is fixed by comparing one representative pair; the uniform
+    cross-component comparability is then rechecked exhaustively, and a
+    failure raises InternalInconsistency since it can only mean a bug in the
+    relation.
     """
-
-    n: int
-    parts: tuple[tuple[int, ...], ...]
-    part_posets: Sequence[Poset]
-
-
-class _InducedParts(Sequence):
-    """The posets induced on each part, each copied out on first access:
-    callers that read only ``parts`` pay for no copy."""
-
-    def __init__(self, p: Poset, parts: tuple[tuple[int, ...], ...]):
-        self._p = p
-        self._parts = parts
-        self._built: list[Poset | None] = [None] * len(parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __getitem__(self, i: int) -> Poset:
-        if self._built[i] is None:
-            self._built[i] = induced(self._p, self._parts[i])[0]
-        return self._built[i]
-
-
-def _components(p: Poset) -> list[int]:
-    """Connected components of Inc(P) as bitmasks, in order of least element."""
     seen = 0
     comps = []
     for start in range(p.n):
@@ -74,18 +46,6 @@ def _components(p: Poset) -> list[int]:
             comp |= fresh
             frontier |= fresh
         comps.append(comp)
-    return comps
-
-
-def inc_components(p: Poset) -> LexDecomposition:
-    """Decompose into incomparability components ordered as a chain.
-
-    The order on parts is fixed by comparing one representative pair; the
-    uniform cross-part comparability is then rechecked exhaustively, and a
-    failure raises InternalInconsistency since it can only mean a bug in the
-    relation.
-    """
-    comps = _components(p)
 
     def cmp(a: int, b: int) -> int:
         x = (a & -a).bit_length() - 1
@@ -100,32 +60,33 @@ def inc_components(p: Poset) -> LexDecomposition:
                     raise InternalInconsistency(
                         "component order is not uniform; the relation is "
                         "not transitively closed")
-    parts = tuple(tuple(iter_bits(c)) for c in comps)
-    return LexDecomposition(p.n, parts, _InducedParts(p, parts))
+    return comps
 
 
-def recompose(d: LexDecomposition) -> Poset:
-    """Rebuild the poset a decomposition describes, on the original indices."""
+def recompose(n: int, parts: list[int], part_posets: list[Poset]) -> Poset:
+    """Rebuild the lexicographic sum on n elements whose i-th part is the
+    mask ``parts[i]``, ordered by ``part_posets[i]``; local element k of a
+    part is its k-th lowest bit, and earlier parts lie below later ones."""
     seen = 0
-    for part, sub in zip(d.parts, d.part_posets):
-        if sub.n != len(part):
+    for pm, sub in zip(parts, part_posets):
+        if sub.n != pm.bit_count():
             raise MalformedDecomposition("part poset size differs from part")
-        pm = mask_of(part)
         if pm & seen:
             raise MalformedDecomposition("parts are not disjoint")
         seen |= pm
-    if seen != (1 << d.n) - 1:
+    if seen != (1 << n) - 1:
         raise MalformedDecomposition("parts do not partition the elements")
-    rows = [0] * d.n
-    later = (1 << d.n) - 1
-    for part, sub in zip(d.parts, d.part_posets):
-        later &= ~mask_of(part)
-        for local, orig in enumerate(part):
+    rows = [0] * n
+    later = (1 << n) - 1
+    for pm, sub in zip(parts, part_posets):
+        later &= ~pm
+        members = list(iter_bits(pm))
+        for local, orig in enumerate(members):
             row = later
             for other in iter_bits(sub.up[local]):
-                row |= 1 << part[other]
+                row |= 1 << members[other]
             rows[orig] = row
-    return Poset(d.n, tuple(rows))
+    return Poset(n, tuple(rows))
 
 
 def inc_distance_path(p: Poset, x: int, y: int) -> tuple[int, list[int]] | None:

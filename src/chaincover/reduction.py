@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .core import (InternalInconsistency, Poset, PreconditionError, induced,
-                   iter_bits, mask_of)
+                   iter_bits)
 from .cover import min_chain_cover
 from .incgraph import inc_components, inc_distance_path, interval_cover
 
@@ -138,8 +138,8 @@ class ReductionOutcome:
     and ``antichain`` the antichain it restricts to.  ``profiles`` measures
     every element of q inside q, keyed by original indices, and
     ``component_covs`` is Cov of each Inc component of q in chain order.  For
-    the up/down cases, ``x0`` is the pivot in original indices and
-    ``selected`` the chosen subposet, mapped by ``selected_map``.
+    the up/down cases, ``x0`` is the pivot and ``selected_map`` the chosen
+    subposet, both in original indices.
     """
 
     case: str
@@ -150,7 +150,6 @@ class ReductionOutcome:
     profiles: dict[int, ElementProfile]
     component_covs: tuple[int, ...]
     x0: int | None = None
-    selected: Poset | None = None
     selected_map: tuple[int, ...] | None = None
 
 
@@ -181,10 +180,10 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     is ``unreduced``.  Every subset is a mask over q's indices, and
     Cov(Inc_x) comes from the restriction's certificate.  The outcome carries
     q and its profiles, the component covers and, outside case2, x0 and the
-    selected subposet.
+    elements of the selected subposet.
     """
     q, q_map, antichain, inc_covs = claim1_reduce(p, t)
-    comps = [mask_of(part) for part in inc_components(q).parts]
+    comps = inc_components(q)
     comp_covs = tuple(min_chain_cover(q, comp).width for comp in comps)
     out = ReductionOutcome("case2", t, antichain, q, q_map,
                            _profiles(q, q_map, inc_covs), comp_covs)
@@ -202,7 +201,6 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     if best is None:
         raise InternalInconsistency("subadditivity guarantees a qualifying pivot")
     width, case, x0, side = best
-    selected, back = induced(q, iter_bits(side))
     return replace(out, case=case if width >= t else "unreduced", x0=q_map[x0],
-                   selected=selected, selected_map=tuple(q_map[i] for i in back))
+                   selected_map=tuple(q_map[i] for i in iter_bits(side)))
 

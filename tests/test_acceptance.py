@@ -81,7 +81,7 @@ def connected_inc_instances():
     while len(out) < 200:
         p = random_poset(30, 0.08, seed)
         seed += 1
-        if len(inc_components(p).parts) == 1:
+        if len(inc_components(p)) == 1:
             out.append(p)
     return out
 

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from chaincover import cover
 from chaincover.cli import run
 from chaincover.core import MAX_TEXT_ELEMENTS, InternalInconsistency, from_text
-from chaincover.generators import canonical_ideal_chain, grid_upper, random_poset
+from chaincover.generators import (antichain, canonical_ideal_chain, chain,
+                                   grid_upper, lex_sum, random_poset)
 
 NON_UTF8 = b"\xff\xfe\n"
+BAD = "invalid literal for int() with base 10: "
 
 
 def one_error_line(err: str) -> bool:
@@ -113,6 +115,23 @@ class TestCov:
         assert capsys.readouterr().err.startswith(
             f"error: {path}: line 2: invalid literal")
 
+    @pytest.mark.parametrize("text, message", [
+        ("n 1_0\n", "line 1: " + BAD + "'1_0'"),
+        ("n +3\n0 1\n", "line 1: " + BAD + "'+3'"),
+        ("n -0\n", "line 1: " + BAD + "'-0'"),
+        ("n \u0663\n", "line 1: " + BAD + "'\u0663'"),
+        ("n 13\n0 1_2\n", "line 2: " + BAD + "'1_2'"),
+        ("n 3\n-1 2\n", "line 2: " + BAD + "'-1'"),
+        ("n 3  # \u00e9\n0 +1\n", "line 2: " + BAD + "'+1'"),
+        ("n 2\n0 5\n", "line 2: pair (0, 5) out of range for 2 elements"),
+        ("n 2\n# c\n0 1\n2 0\n",
+         "line 4: pair (2, 0) out of range for 2 elements"),
+    ])
+    def test_bad_number_names_its_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "f.poset"
+        path.write_text(text)
+        assert run(["cov", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_deep_augmenting_path(self, tmp_path, capsys):
         # The fence x_i < y_i, x_{i+1} < y_i on 3,000 elements.  x_0 takes
@@ -134,6 +153,24 @@ class TestCov:
                        for b in doc["certificate"] if a != b)
 
 
+# Exact `decompose` bytes, plain and --json.
+DECOMPOSE = [
+    pytest.param(grid_upper(6), "0\n1\n2 3 4 5 6 7 8 9 10 11 12\n13\n14\n", (
+        '{"parts": [[0], [1], [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], [13],'
+        ' [14]], "schema": 1}\n'
+    ), id="grid6"),
+    pytest.param(lex_sum([antichain(2), grid_upper(5), chain(2)]),
+                 "0 1\n2\n3\n4 5 6 7 8 9\n10\n11\n12\n13\n", (
+        '{"parts": [[0, 1], [2], [3], [4, 5, 6, 7, 8, 9], [10], [11], [12],'
+        ' [13]], "schema": 1}\n'
+    ), id="lexsum"),
+    pytest.param(random_poset(20, 0.2, 3), " ".join(map(str, range(20))) + "\n", (
+        '{"parts": [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,'
+        ' 16, 17, 18, 19]], "schema": 1}\n'
+    ), id="random20-0.2-3"),
+]
+
+
 class TestAntichainDecompose:
     def test_antichain(self, grid6_file, capsys):
         assert run(["antichain", grid6_file]) == 0
@@ -144,6 +181,15 @@ class TestAntichainDecompose:
         assert run(["decompose", grid4_file]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["0", "1", "2 3", "4", "5"]
+
+    @pytest.mark.parametrize("poset, plain, as_json", DECOMPOSE)
+    def test_decompose_bytes(self, tmp_path, capsys, poset, plain, as_json):
+        path = tmp_path / "p.poset"
+        path.write_text(poset.to_text())
+        assert run(["decompose", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+        assert run(["decompose", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == as_json
 
 
 class TestDistMetric:
@@ -329,6 +375,20 @@ class TestIdealEmbed:
                        f"{sys.get_int_max_str_digits()} digits\n")
         assert "set_int_max_str_digits" not in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("0\n0 5\n", "2: element 5 out of range for 3 elements"),
+        ("0 3 1\n", "1: element 3 out of range for 3 elements"),
+        ("0\n0 +1\n", "2: " + BAD + "'+1'"),
+        ("-1\n", "1: " + BAD + "'-1'"),
+    ])
+    def test_bad_token_names_its_line(self, tmp_path, capsys, text, message):
+        pfile = tmp_path / "chain.poset"
+        pfile.write_text("n 3\n0 1\n1 2\n")
+        ifile = tmp_path / "ideals.txt"
+        ifile.write_text(text)
+        assert run(["ideal-embed", str(pfile), "--ideals", str(ifile)]) == 2
+        assert capsys.readouterr().err == f"error: {ifile}:{message}\n"
+
     def test_non_utf8_ideals_exit2(self, tmp_path, capsys):
         poset, _ = canonical_ideal_chain(6, 2)
         pfile = tmp_path / "grid.poset"
@@ -487,9 +547,11 @@ _POSET_BYTES = st.one_of(
     st.binary(max_size=40),
     st.builds(lambda head, body: head + b"".join(body),
               st.sampled_from([b"", b"n 0\n", b"n 3\n", b"n 5\n", b"n -2\n",
-                               b"n 99999\n", b"n 3 # c\n"]),
+                               b"n 99999\n", b"n 3 # c\n", b"n +3\n",
+                               b"n 1_0\n", "n \u0663\n".encode()]),
               st.lists(st.sampled_from([b"0 1\n", b"1 2\n", b"2 0\n", b"1 4\n",
                                         b"0", b"2", b" ", b"\n", b"#", b"-", b"x",
+                                        b"+", b"_", b"9 0\n",
                                         b"n", b"\t", b"\r", b"\xff", b"\xc3",
                                         "\u00e9".encode(), b"9" * 5000]),
                        max_size=12)))
@@ -497,6 +559,7 @@ _POSET_BYTES = st.one_of(
 _IDEALS_BYTES = st.one_of(
     st.binary(max_size=40),
     st.lists(st.sampled_from([b"0", b"1", b"2", b"3", b"5", b"14", b"99", b"-1",
+                              b"+1", b"1_0",
                               b" ", b"\n", b"#", b"x", b"\xff", b"9" * 5000]),
              max_size=24).map(b"".join))
 

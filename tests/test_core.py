@@ -202,6 +202,10 @@ class TestTextFormat:
         p = from_text(text)
         assert p == chain(3)
 
+    def test_any_text_in_comments(self):
+        assert from_text("n 3  # \u00e9\n0 1  # \u0663\n1 2\n") == chain(3)
+        assert from_text("n 3  # +1 -1 1_0\n0 1\n1 2\n") == chain(3)
+
     def test_cycle_on_load(self):
         with pytest.raises(CycleError):
             from_text("n 2\n0 1\n1 0\n")

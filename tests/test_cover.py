@@ -3,8 +3,7 @@ import random
 import networkx as nx
 import pytest
 
-from chaincover.core import (InternalInconsistency, dual, induced, iter_bits,
-                             mask_of)
+from chaincover.core import InternalInconsistency, dual, induced, iter_bits
 from chaincover.cover import _max_matching, max_antichain, min_chain_cover
 from chaincover.generators import (antichain, chain, grid_upper, lex_sum,
                                    random_poset)
@@ -152,7 +151,7 @@ class TestMaskKernel:
         for p in (random_poset(400, 0.05, 11),
                   lex_sum([random_poset(400, 0.01, 12),
                            random_poset(400, 0.05, 13)])):
-            comps = [mask_of(part) for part in inc_components(p).parts]
+            comps = inc_components(p)
             for x in rng.sample(range(p.n), 3):
                 up = p.up[x] | 1 << x
                 comp = next(c for c in comps if c >> x & 1)

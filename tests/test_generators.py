@@ -68,11 +68,13 @@ class TestLexSum:
             lex_sum([])
 
     def test_inc_components_recover_connected_parts(self):
+        from chaincover.core import induced, iter_bits
         from chaincover.incgraph import inc_components
         parts = [antichain(2), antichain(3), antichain(2)]
-        d = inc_components(lex_sum(parts))
-        assert d.parts == ((0, 1), (2, 3, 4), (5, 6))
-        assert list(d.part_posets) == parts
+        p = lex_sum(parts)
+        comps = inc_components(p)
+        assert [tuple(iter_bits(c)) for c in comps] == [(0, 1), (2, 3, 4), (5, 6)]
+        assert [induced(p, iter_bits(c))[0] for c in comps] == parts
 
     def test_empty_part_tolerated(self):
         assert lex_sum([antichain(0), chain(3)]) == chain(3)

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from chaincover import ideal_embed
 from chaincover.core import iter_bits
 from chaincover.generators import (antichain, canonical_ideal_chain, chain,
                                    grid_index, grid_labels, grid_upper,
@@ -155,9 +156,9 @@ def random_chains():
             yield principal_chain(p, tops)
 
 
-def run(search, c, budget):
+def run(search):
     try:
-        return search(c, budget)
+        return search()
     except BudgetExhausted:
         return "unknown"
 
@@ -165,12 +166,13 @@ def run(search, c, budget):
 class TestSearchKernel:
     """The iterative placement against the recursive reference."""
 
-    def test_same_result_at_every_budget(self):
+    def test_same_result_at_every_budget(self, monkeypatch):
         kinds = Counter()
         for c in random_chains():
             for budget in (1, 2, 5, 10, 50, 200, 1000, 10 ** 6):
-                got = run(embed_from_ideal_chain, c, budget)
-                want = run(oracles.reference_embed_from_ideal_chain, c, budget)
+                monkeypatch.setattr(ideal_embed, "BUDGET", budget)
+                got = run(lambda: embed_from_ideal_chain(c))
+                want = run(lambda: oracles.reference_embed_from_ideal_chain(c, budget))
                 assert got == want, (c, budget)
                 kinds[type(got).__name__] += 1
         assert kinds["EmbedFailure"] > 50 and kinds["Embedding"] > 50

@@ -1,11 +1,12 @@
 import pytest
 
-from chaincover.core import PreconditionError, from_relations, induced
+from chaincover.core import (PreconditionError, from_relations, induced,
+                             iter_bits, mask_of)
 from chaincover.generators import (antichain, chain, grid_index, grid_upper,
                                    lex_sum, random_poset)
-from chaincover.incgraph import (LexDecomposition, MalformedDecomposition,
-                                 check_metric_lemma, inc_components,
-                                 inc_distance_path, recompose, to_dot)
+from chaincover.incgraph import (MalformedDecomposition, check_metric_lemma,
+                                 inc_components, inc_distance_path, recompose,
+                                 to_dot)
 from chaincover.selftest import LAWS
 
 import oracles
@@ -16,10 +17,14 @@ def three_chain_with_bridge():
     return from_relations(4, [(0, 1), (1, 2)])
 
 
+def parts(p):
+    """The members of each Inc component of p, in chain order."""
+    return [tuple(iter_bits(c)) for c in inc_components(p)]
+
+
 class TestIncComponents:
     def test_grid4_parts(self):
         g = grid_upper(4)
-        d = inc_components(g)
         expected = [
             (grid_index(4, 0, 1),),
             (grid_index(4, 0, 2),),
@@ -27,21 +32,20 @@ class TestIncComponents:
             (grid_index(4, 1, 3),),
             (grid_index(4, 2, 3),),
         ]
-        assert list(d.parts) == expected
+        assert parts(g) == expected
 
     def test_antichain_single_part(self):
-        assert len(inc_components(antichain(4)).parts) == 1
+        assert len(inc_components(antichain(4))) == 1
 
     def test_chain_singletons_in_order(self):
-        d = inc_components(chain(5))
-        assert d.parts == ((0,), (1,), (2,), (3,), (4,))
+        assert parts(chain(5)) == [(0,), (1,), (2,), (3,), (4,)]
 
     def test_cross_part_comparability(self):
         for seed in range(20):
             p = random_poset(12, 0.35, seed)
-            d = inc_components(p)
-            for i, low in enumerate(d.parts):
-                for high in d.parts[i + 1:]:
+            d = parts(p)
+            for i, low in enumerate(d):
+                for high in d[i + 1:]:
                     for x in low:
                         for y in high:
                             assert p.lt(x, y)
@@ -49,28 +53,36 @@ class TestIncComponents:
     def test_parts_have_connected_inc_graphs(self):
         for seed in range(10):
             p = random_poset(10, 0.3, seed)
-            for sub in inc_components(p).part_posets:
+            for c in inc_components(p):
+                sub = induced(p, iter_bits(c))[0]
                 assert all(
                     oracles.shortest_inc_distance(sub, 0, v) is not None
                     for v in range(sub.n))
 
 
-    def test_part_posets_copied_when_read(self, monkeypatch):
-        from chaincover import incgraph
+    def test_induced_copies_counted(self, monkeypatch):
+        from chaincover import core, incgraph, reduction
         copied = []
 
         def counting(p, subset):
-            copied.append(tuple(subset))
+            subset = tuple(subset)
+            copied.append(subset)
             return induced(p, subset)
 
-        monkeypatch.setattr(incgraph, "induced", counting)
+        for module in (core, incgraph, reduction):
+            monkeypatch.setattr(module, "induced", counting)
         p = lex_sum([antichain(2), antichain(3), chain(2)])
-        d = inc_components(p)
+        assert parts(p) == [(0, 1), (2, 3, 4), (5,), (6,)]
         assert copied == []
-        assert d.part_posets[1] == antichain(3)
-        assert copied == [(2, 3, 4)]
-        assert list(d.part_posets) == [antichain(2), antichain(3), chain(1), chain(1)]
-        assert len(copied) == 4
+        # claim 1 restricts antichain(3) to Inc of {0}: its q is the one copy
+        out = reduction.reduce(antichain(3), 2)
+        assert out.x0 is not None
+        assert copied == [(1, 2)]
+        copied.clear()
+        # no Inc_x of a chain reaches t = 1: claim 1 returns the chain whole
+        out = reduction.reduce(chain(5), 1)
+        assert out.x0 is not None
+        assert copied == []
 
 
 class TestRecompose:
@@ -81,26 +93,28 @@ class TestRecompose:
 
     def test_round_trip_grid(self):
         g = grid_upper(4)
-        assert recompose(inc_components(g)) == g
+        comps = inc_components(g)
+        subs = [induced(g, iter_bits(c))[0] for c in comps]
+        assert recompose(g.n, comps, subs) == g
 
     def test_hand_built_two_antichains(self):
-        hand = LexDecomposition(4, ((0, 1), (2, 3)), (antichain(2), antichain(2)))
-        assert recompose(hand) == lex_sum([antichain(2), antichain(2)])
+        hand = [mask_of((0, 1)), mask_of((2, 3))]
+        assert (recompose(4, hand, [antichain(2), antichain(2)])
+                == lex_sum([antichain(2), antichain(2)]))
 
     def test_single_part_is_identity(self):
         p = antichain(3)
-        hand = LexDecomposition(3, ((0, 1, 2),), (p,))
-        assert recompose(hand) == p
+        assert recompose(3, [mask_of((0, 1, 2))], [p]) == p
 
     def test_malformed_not_partition(self):
         with pytest.raises(MalformedDecomposition):
-            recompose(LexDecomposition(4, ((0, 1), (1, 2)), (antichain(2),) * 2))
+            recompose(4, [mask_of((0, 1)), mask_of((1, 2))], [antichain(2)] * 2)
         with pytest.raises(MalformedDecomposition):
-            recompose(LexDecomposition(4, ((0, 1),), (antichain(2),)))
+            recompose(4, [mask_of((0, 1))], [antichain(2)])
 
     def test_malformed_size_mismatch(self):
         with pytest.raises(MalformedDecomposition):
-            recompose(LexDecomposition(3, ((0, 1, 2),), (antichain(2),)))
+            recompose(3, [mask_of((0, 1, 2))], [antichain(2)])
 
 
 class TestEqSumShadow:

@@ -129,7 +129,7 @@ class TestReduce:
         assert {x: pr.cov_minus_up for x, pr in out.profiles.items()} == {1: 1, 2: 1}
         # the singleton up-set loses the threshold: the finite gap is flagged
         assert out.case == "unreduced"
-        assert out.selected.n == 1
+        assert len(out.selected_map) == 1
 
     def test_two_stacked_antichains_regression(self):
         out = reduce(lex_sum([antichain(2), antichain(2)]), 2)
@@ -144,7 +144,7 @@ class TestReduce:
         assert out.case == "case1"
         assert out.antichain == frozenset()
         assert all(c == 1 for c in out.component_covs)
-        assert out.selected is not None
+        assert out.selected_map is not None
 
     def test_case2_is_finitely_unreachable(self):
         # finitely, Cov(q) is the maximum over its components and the
@@ -176,7 +176,7 @@ class TestReduce:
                 assert any(c >= t for c in out.component_covs)
                 assert out.x0 is not None
             if out.case in ("case1", "case1_dual"):
-                assert cov(out.selected) >= t
+                assert cov_of(p, out.selected_map) >= t
 
     def test_target_component_after_others(self):
         # the target component is the fourth; its pivot's up-set must stay
