@@ -172,10 +172,10 @@ def _cmd_ideal_embed(args) -> int:
     p = _read_poset(args.file)
     ideals = []
     for lineno, raw in enumerate(_read_text(args.ideals).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
             try:
-                ideal = frozenset(core.int_field(tok) for tok in line.split())
+                ideal = frozenset(core.int_field(tok) for tok in tokens)
                 top = max(ideal)
                 if top >= p.n:
                     raise ValueError(f"element {top} out of range for {p.n} elements")

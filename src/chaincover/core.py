@@ -321,10 +321,11 @@ def int_field(field: str) -> int:
     when the field passes it; the caller adds the location."""
     if not (field.isascii() and field.isdigit()):
         raise ValueError(f"invalid literal for int() with base 10: {field!r}")
-    limit = sys.get_int_max_str_digits()
-    if limit and len(field) > limit:
-        raise ValueError(f"integer literal longer than {limit} digits")
-    return int(field)
+    try:
+        return int(field)
+    except ValueError:  # a field of digits fails only int()'s digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"integer literal longer than {limit} digits") from None
 
 
 def from_text(text: str) -> Poset:
@@ -338,14 +339,10 @@ def from_text(text: str) -> Poset:
     """
     n = None
     pairs = []
-    # in ASCII text without signs or "_", int() accepts only what int_field does
-    plain = text.isascii() and not any(c in text for c in "+-_")
-    parse = int if plain else int_field
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         try:
             if n is None:
                 if len(fields) != 2 or fields[0] != "n":
@@ -356,10 +353,7 @@ def from_text(text: str) -> Poset:
                 continue
             if len(fields) != 2:
                 raise ValueError("expected '<u> <v>'")
-            try:
-                u, v = parse(fields[0]), parse(fields[1])
-            except ValueError:  # once more, for the message
-                u, v = int_field(fields[0]), int_field(fields[1])
+            u, v = int_field(fields[0]), int_field(fields[1])
             if u >= n or v >= n:
                 raise ValueError(f"pair ({u}, {v}) out of range for {n} elements")
             pairs.append((u, v))
