@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InternalInconsistency, Poset, iter_bits
+from .core import InternalInconsistency, Poset, iter_bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,17 @@ class ChainCover:
         return len(self.chains)
 
 
-def _max_matching(rows: list[int], mask: int) -> tuple[list[int], list[int]]:
+def _max_matching(rows: list[int], mask: int, match_l: list[int],
+                  match_r: list[int]) -> tuple[list[int], list[int]]:
     """Hopcroft-Karp on the split graph of ``mask``; lowest index first.
 
-    ``rows[u]`` is the up-row of u already restricted to ``mask``.  Returns
-    (match_l, match_r): match_l[u] = v iff u is immediately followed by v in
-    some chain; -1 where unmatched or outside the mask.
+    ``rows[u]`` is the up-row of u already restricted to ``mask``.
+    ``match_l`` and ``match_r`` hold a matching of that graph to start from
+    (all -1 for none) and are grown in place to a maximum one, which is
+    returned: match_l[u] = v iff u is immediately followed by v in some
+    chain; -1 where unmatched or outside the mask.  Hopcroft-Karp is correct
+    from any starting matching, and from one of size |mask| - k it needs at
+    most k - Cov(mask) augmentations.
 
     Each phase layers the left vertices by a breadth-first search on
     bitmasks: a layer's reach is the OR of its rows, and the mates of the
@@ -45,9 +50,11 @@ def _max_matching(rows: list[int], mask: int) -> tuple[list[int], list[int]]:
     k; both masks are updated as vertices fail and paths augment.
     """
     n = len(rows)
-    match_l = [-1] * n
-    match_r = [-1] * n
     free_l = free_r = mask
+    for u, v in enumerate(match_l):
+        if v >= 0:
+            free_l &= ~(1 << u)
+            free_r &= ~(1 << v)
     while True:
         dist = [-1] * n
         level = free_l
@@ -139,20 +146,46 @@ def _antichain_from_matching(rows: list[int], mask: int, match_l: list[int],
     return z_left & ~z_right
 
 
-def min_chain_cover(p: Poset, mask: int | None = None) -> ChainCover:
+def min_chain_cover(p: Poset, mask: int | None = None,
+                    hint: ChainCover | None = None) -> ChainCover:
     """Minimum chain cover of the subposet on ``mask``, with a Dilworth witness.
 
     ``mask`` is a bitmask of p's elements (default: all of them); chains and
     certificate use p's own indices, so no induced copy is made.  A bit at or
     beyond ``p.n`` raises IndexError.  The result is deterministic: vertices
-    and adjacency are explored lowest index first.
+    and adjacency are explored lowest index first, from the empty matching
+    or from the hint's.
+
+    ``hint`` is a cover of p on a superset of ``mask``.  Its chains cut to
+    ``mask`` are still chains (the relation is closed) and bound the width
+    from above; its certificate cut to ``mask`` is an antichain and bounds it
+    from below.  When the two bounds meet they are the answer, and no
+    matching runs; otherwise the cut chains' links seed Hopcroft-Karp.  The
+    witness check runs on both paths, so a hint from another poset or from a
+    non-superset gives a verified cover or raises InternalInconsistency.
     """
     if mask is None:
         mask = p.full_mask
     elif mask & ~p.full_mask:
         raise IndexError(f"mask has elements outside 0..{p.n - 1}")
+    match_l = [-1] * p.n
+    match_r = [-1] * p.n
+    if hint is not None:
+        cut = []
+        for chain in hint.chains:
+            kept = [x for x in chain if mask >> x & 1]
+            if kept:
+                cut.append(tuple(kept))
+                for u, v in zip(kept, kept[1:]):
+                    match_l[u] = v
+                    match_r[v] = u
+        cert_mask = mask_of(hint.certificate) & mask
+        if cert_mask.bit_count() == len(cut):
+            chains = tuple(cut)
+            _check_witnesses(p, mask, chains, cert_mask)
+            return ChainCover(chains, frozenset(iter_bits(cert_mask)))
     rows = [row & mask for row in p.up]
-    match_l, match_r = _max_matching(rows, mask)
+    _max_matching(rows, mask, match_l, match_r)
     chains = _chains_from_matching(mask, match_l, match_r)
     cert_mask = _antichain_from_matching(rows, mask, match_l, match_r)
     _check_witnesses(p, mask, chains, cert_mask)
@@ -165,14 +198,17 @@ def max_antichain(p: Poset) -> frozenset[int]:
 
 
 def _check_witnesses(p: Poset, mask: int, chains, cert_mask: int) -> None:
+    up = p.up
     seen = 0
     for chain in chains:
-        for i, x in enumerate(chain):
+        prev = -1
+        for x in chain:
             if seen >> x & 1:
                 raise InternalInconsistency(f"element {x} covered twice")
             seen |= 1 << x
-            if i and not p.lt(chain[i - 1], x):
-                raise InternalInconsistency(f"chain breaks at {chain[i-1]},{x}")
+            if prev >= 0 and not up[prev] >> x & 1:
+                raise InternalInconsistency(f"chain breaks at {prev},{x}")
+            prev = x
     if seen != mask:
         raise InternalInconsistency("chains do not cover every element")
     if cert_mask & ~mask:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .core import (InternalInconsistency, Poset, PreconditionError, induced,
                    iter_bits)
-from .cover import min_chain_cover
+from .cover import ChainCover, min_chain_cover
 from .incgraph import inc_components, inc_distance_path, interval_cover
 
 
@@ -41,35 +41,40 @@ def claim1_reduce(p: Poset, t: int) -> Claim1Result:
     postconditions, Cov(Q) >= t and Cov(Inc_x(Q)) < t for every x in Q, are
     exact finite theorems here, so they are asserted; maximality of L
     forbids extending it by any x in Q.  ``inc_covs[x]`` is Cov(Inc_x(Q)),
-    the certificate of the second postcondition.
+    the certificate of the second postcondition.  Each sub-cover is hinted
+    with the cover of P, of the last accepted Inc_L, or of Q.
     """
     if t < 1:
         raise PreconditionError("threshold must be at least 1")
-    if min_chain_cover(p).width < t:
+    whole = min_chain_cover(p)
+    if whole.width < t:
         raise PreconditionError(f"Cov(P) < {t}")
     inc_covs = []
     for seed in range(p.n):
         inc_l = p.inc_mask(seed)
-        width = min_chain_cover(p, inc_l).width
-        if width >= t:
+        cover_l = min_chain_cover(p, inc_l, hint=whole)
+        if cover_l.width >= t:
             break
-        inc_covs.append(width)
+        inc_covs.append(cover_l.width)
     else:
         return Claim1Result(p, tuple(range(p.n)), frozenset(), tuple(inc_covs))
     chosen = [seed]
     while True:
         for y in iter_bits(inc_l):
             tightened = inc_l & p.inc_mask(y)
-            if min_chain_cover(p, tightened).width >= t:
+            cover = min_chain_cover(p, tightened, hint=cover_l)
+            if cover.width >= t:
                 chosen.append(y)
-                inc_l = tightened
+                inc_l, cover_l = tightened, cover
                 break
         else:
             break
     q, q_map = induced(p, iter_bits(inc_l))
-    if min_chain_cover(q).width < t:
+    whole = min_chain_cover(q)
+    if whole.width < t:
         raise InternalInconsistency("antichain restriction lost the threshold")
-    inc_covs = tuple(min_chain_cover(q, q.inc_mask(x)).width for x in range(q.n))
+    inc_covs = tuple(min_chain_cover(q, q.inc_mask(x), hint=whole).width
+                     for x in range(q.n))
     if max(inc_covs) >= t:
         raise InternalInconsistency(
             "restriction left an element violating the antichain maximality")
@@ -153,14 +158,16 @@ class ReductionOutcome:
     selected_map: tuple[int, ...] | None = None
 
 
-def _profiles(q: Poset, q_map: tuple[int, ...],
-              inc_covs: tuple[int, ...]) -> dict[int, ElementProfile]:
+def _profiles(q: Poset, q_map: tuple[int, ...], inc_covs: tuple[int, ...],
+              whole: ChainCover) -> dict[int, ElementProfile]:
     """Each x of q profiled inside q, keyed by ``q_map[x]``, with Cov(Inc_x)
-    from claim 1's certificate ``inc_covs``."""
+    from claim 1's certificate ``inc_covs``; ``whole`` covers q and hints
+    every sub-cover."""
     full = q.full_mask
     return {q_map[x]: ElementProfile(
-                inc_covs[x], min_chain_cover(q, full & ~(q.up[x] | 1 << x)).width,
-                min_chain_cover(q, full & ~(q.down[x] | 1 << x)).width)
+                inc_covs[x],
+                min_chain_cover(q, full & ~(q.up[x] | 1 << x), hint=whole).width,
+                min_chain_cover(q, full & ~(q.down[x] | 1 << x), hint=whole).width)
             for x in range(q.n)}
 
 
@@ -177,24 +184,28 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     maximizing it wins (case1); if the down side dominates strictly the dual
     selection is made (case1_dual).  Ties go to the up side, then to the
     lowest index.  When the selected subposet itself drops below t the case
-    is ``unreduced``.  Every subset is a mask over q's indices, and
+    is ``unreduced``.  Every subset is a mask over q's indices, every
+    sub-cover is hinted with the cover of q or of the target component, and
     Cov(Inc_x) comes from the restriction's certificate.  The outcome carries
     q and its profiles, the component covers and, outside case2, x0 and the
     elements of the selected subposet.
     """
     q, q_map, antichain, inc_covs = claim1_reduce(p, t)
+    whole = min_chain_cover(q)
     comps = inc_components(q)
-    comp_covs = tuple(min_chain_cover(q, comp).width for comp in comps)
+    covers = [min_chain_cover(q, comp, hint=whole) for comp in comps]
+    comp_covs = tuple(c.width for c in covers)
     out = ReductionOutcome("case2", t, antichain, q, q_map,
-                           _profiles(q, q_map, inc_covs), comp_covs)
-    comp = next((m for m, c in zip(comps, comp_covs) if c >= t), 0)
-    if not comp:
+                           _profiles(q, q_map, inc_covs, whole), comp_covs)
+    hit = next(((m, c) for m, c in zip(comps, covers) if c.width >= t), None)
+    if hit is None:
         return out
+    comp, comp_cover = hit
     best = None
     for case, rows in (("case1", q.up), ("case1_dual", q.down)):
         for x in iter_bits(comp):
             side = (rows[x] | 1 << x) & comp
-            width = min_chain_cover(q, side).width
+            width = min_chain_cover(q, side, hint=comp_cover).width
             if (width >= (t - inc_covs[x] + 1) // 2
                     and (best is None or width > best[0])):
                 best = (width, case, x, side)

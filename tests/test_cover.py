@@ -3,8 +3,11 @@ import random
 import networkx as nx
 import pytest
 
-from chaincover.core import InternalInconsistency, dual, induced, iter_bits
-from chaincover.cover import _max_matching, max_antichain, min_chain_cover
+from chaincover import cover
+from chaincover.core import (InternalInconsistency, dual, from_relations,
+                             induced, iter_bits)
+from chaincover.cover import (ChainCover, _max_matching, max_antichain,
+                              min_chain_cover)
 from chaincover.generators import (antichain, chain, grid_upper, lex_sum,
                                    random_poset)
 from chaincover.incgraph import inc_components
@@ -113,6 +116,34 @@ def split_graph_width(p, mask: int) -> int:
     return mask.bit_count() - len(matching) // 2
 
 
+def assert_dilworth_pair(p, mask: int, cc) -> None:
+    """cc's chains partition the mask into chains of p, and its certificate
+    is an antichain inside the mask of the same size."""
+    seen = 0
+    for c in cc.chains:
+        for i, x in enumerate(c):
+            assert not seen >> x & 1
+            seen |= 1 << x
+            if i:
+                assert p.lt(c[i - 1], x)
+    assert seen == mask
+    assert len(cc.certificate) == cc.width
+    assert all(mask >> x & 1 for x in cc.certificate)
+    assert oracles.is_antichain(p, cc.certificate)
+
+
+def cut_links(hint, mask: int, n: int) -> tuple[list[int], list[int]]:
+    """The matching formed by the links of hint's chains cut to the mask."""
+    match_l = [-1] * n
+    match_r = [-1] * n
+    for chain in hint.chains:
+        kept = [x for x in chain if mask >> x & 1]
+        for u, v in zip(kept, kept[1:]):
+            match_l[u] = v
+            match_r[v] = u
+    return match_l, match_r
+
+
 class TestMaskKernel:
     """min_chain_cover(p, mask) against induced copies and networkx."""
 
@@ -125,17 +156,7 @@ class TestMaskKernel:
                 cc = min_chain_cover(p, mask)
                 sub, _ = induced(p, iter_bits(mask))
                 assert cc.width == min_chain_cover(sub).width
-                seen = 0
-                for c in cc.chains:
-                    for i, x in enumerate(c):
-                        assert not seen >> x & 1
-                        seen |= 1 << x
-                        if i:
-                            assert p.lt(c[i - 1], x)
-                assert seen == mask
-                assert len(cc.certificate) == cc.width
-                assert all(mask >> x & 1 for x in cc.certificate)
-                assert oracles.is_antichain(p, cc.certificate)
+                assert_dilworth_pair(p, mask, cc)
 
     def test_full_mask_is_default(self):
         p = random_poset(40, 0.1, 3)
@@ -146,18 +167,24 @@ class TestMaskKernel:
         for mask in random_masks(p.n, random.Random(2), 3):
             assert min_chain_cover(p, mask).width == split_graph_width(p, mask)
         # the masks reduce makes, at n = 400 and 800: Inc_x, P minus x and
-        # its up-set, and x with its up-set inside x's Inc component
+        # its up-set, and x with its up-set inside x's Inc component; each
+        # cold and hinted the way reduce hints it
         rng = random.Random(3)
         for p in (random_poset(400, 0.05, 11),
                   lex_sum([random_poset(400, 0.01, 12),
                            random_poset(400, 0.05, 13)])):
+            whole = min_chain_cover(p)
             comps = inc_components(p)
             for x in rng.sample(range(p.n), 3):
                 up = p.up[x] | 1 << x
                 comp = next(c for c in comps if c >> x & 1)
-                for mask in (p.inc_mask(x), p.full_mask & ~up, up & comp):
-                    assert (min_chain_cover(p, mask).width
-                            == split_graph_width(p, mask))
+                comp_cover = min_chain_cover(p, comp, hint=whole)
+                for mask, hint in ((p.inc_mask(x), whole),
+                                   (p.full_mask & ~up, whole),
+                                   (up & comp, comp_cover)):
+                    width = split_graph_width(p, mask)
+                    assert min_chain_cover(p, mask).width == width
+                    assert min_chain_cover(p, mask, hint=hint).width == width
 
     def test_bit_out_of_range(self):
         p = chain(4)
@@ -165,6 +192,87 @@ class TestMaskKernel:
             min_chain_cover(p, 1 << 4)
         with pytest.raises(IndexError):
             induced(p, [4])
+
+
+# 0 < 1 < 2 and 3 < 4 < 5, with 1 < 5: width 2, covered by the hint below.
+N6 = from_relations(6, [(0, 1), (1, 2), (3, 4), (4, 5), (1, 5)])
+N6_HINT = ChainCover(((0, 1, 2), (3, 4, 5)), frozenset({0, 3}))
+
+
+def counting_matching(monkeypatch) -> list[list[int]]:
+    """Patch cover._max_matching to record the matching each call starts from."""
+    seeds = []
+    real = cover._max_matching
+
+    def counted(rows, mask, match_l, match_r):
+        seeds.append(list(match_l))
+        return real(rows, mask, match_l, match_r)
+
+    monkeypatch.setattr(cover, "_max_matching", counted)
+    return seeds
+
+
+class TestHint:
+    """min_chain_cover(p, mask, hint) against the cold kernel."""
+
+    def test_matches_cold_from_random_supersets(self):
+        rng = random.Random(8)
+        for seed in range(40):
+            n = rng.randint(0, 60)
+            p = random_poset(n, (0.05, 0.1, 0.3)[seed % 3], seed)
+            for mask in random_masks(n, rng, 4):
+                cold = min_chain_cover(p, mask)
+                for sup in (mask, p.full_mask, mask | rng.getrandbits(n),
+                            mask | rng.getrandbits(n) & rng.getrandbits(n)):
+                    sup &= p.full_mask
+                    for hint in (min_chain_cover(p, sup),
+                                 min_chain_cover(p, sup, hint=min_chain_cover(p))):
+                        got = min_chain_cover(p, mask, hint=hint)
+                        assert got.width == cold.width
+                        assert_dilworth_pair(p, mask, got)
+                # a cover of the mask itself is its own answer
+                assert min_chain_cover(p, mask, hint=cold) == cold
+
+    def test_bounds_meet_without_matching(self, monkeypatch):
+        seeds = counting_matching(monkeypatch)
+        mask = 0b001011  # {0, 1, 3}: cut chains (0, 1), (3); cut antichain {0, 3}
+        got = min_chain_cover(N6, mask, hint=N6_HINT)
+        assert seeds == []
+        assert got == ChainCover(((0, 1), (3,)), frozenset({0, 3}))
+        assert got.width == min_chain_cover(N6, mask).width
+
+    def test_augments_from_cut_chains(self, monkeypatch):
+        seeds = counting_matching(monkeypatch)
+        mask = 0b100011  # {0, 1, 5}: cut chains (0, 1), (5), lb 1 < ub 2
+        got = min_chain_cover(N6, mask, hint=N6_HINT)
+        assert seeds == [[1, -1, -1, -1, -1, -1]]
+        assert got.chains == ((0, 1, 5),)
+        assert got.width == min_chain_cover(N6, mask).width == 1
+        assert_dilworth_pair(N6, mask, got)
+
+    def test_misuse_never_returns_a_wrong_width(self):
+        rng = random.Random(9)
+        outcomes = {}
+        for seed in range(40):
+            n = rng.randint(2, 40)
+            p = random_poset(n, (0.05, 0.1, 0.3)[seed % 3], seed)
+            other = random_poset(n, (0.3, 0.05, 0.1)[seed % 3], seed + 1000)
+            for mask in random_masks(n, rng, 3):
+                cold = min_chain_cover(p, mask).width
+                for misuse, hint in (
+                        ("other poset", min_chain_cover(other)),
+                        ("subset", min_chain_cover(p, mask & rng.getrandbits(n)))):
+                    try:
+                        got = min_chain_cover(p, mask, hint=hint)
+                    except InternalInconsistency:
+                        outcome = "raised"
+                    else:
+                        assert got.width == cold
+                        assert_dilworth_pair(p, mask, got)
+                        outcome = "cold width"
+                    outcomes[misuse, outcome] = outcomes.get((misuse, outcome), 0) + 1
+        # each misuse reaches both outcomes
+        assert len(outcomes) == 4
 
 
 class TestCovLaws:
@@ -213,7 +321,8 @@ class TestMatchingKernel:
         for p in posets:
             for mask in random_masks(p.n, rng, 2):
                 rows = [row & mask for row in p.up]
-                assert _max_matching(rows, mask) == oracles.reference_matching(rows, mask)
+                assert (_max_matching(rows, mask, [-1] * p.n, [-1] * p.n)
+                        == oracles.reference_matching(rows, mask))
                 instances += 1
         assert instances >= 1000
 
@@ -221,5 +330,25 @@ class TestMatchingKernel:
         p = random_poset(400, 0.05, 3)
         for mask in random_masks(p.n, random.Random(4), 2):
             rows = [row & mask for row in p.up]
-            assert _max_matching(rows, mask) == oracles.reference_matching(rows, mask)
+            assert (_max_matching(rows, mask, [-1] * p.n, [-1] * p.n)
+                    == oracles.reference_matching(rows, mask))
+
+    def test_warm_start_reaches_reference_size(self):
+        rng = random.Random(23)
+        for seed in range(60):
+            p = random_poset(rng.randint(0, 60),
+                             (0.02, 0.05, 0.1, 0.3, 0.6)[seed % 5], seed)
+            for mask in random_masks(p.n, rng, 2):
+                sup = (mask | rng.getrandbits(p.n)) & p.full_mask
+                match_l, match_r = cut_links(min_chain_cover(p, sup), mask, p.n)
+                rows = [row & mask for row in p.up]
+                got_l, got_r = _max_matching(rows, mask, match_l, match_r)
+                ref_l, _ = oracles.reference_matching(rows, mask)
+                assert (sum(v >= 0 for v in got_l)
+                        == sum(v >= 0 for v in ref_l))
+                for u, v in enumerate(got_l):
+                    if v >= 0:
+                        assert rows[u] >> v & 1 and got_r[v] == u
+                assert sorted(v for v in got_r if v >= 0) == [
+                    u for u, v in enumerate(got_l) if v >= 0]
 
