@@ -149,22 +149,22 @@ def _cmd_reduce(args) -> int:
         "case": out.case,
         "threshold": out.threshold,
         "antichain": sorted(out.antichain),
-        "q": sorted(out.q_map),
+        "q": list(core.iter_bits(out.q)),
         "profiles": {str(x): [pr.cov_inc, pr.cov_minus_up, pr.cov_minus_down]
                      for x, pr in sorted(out.profiles.items())},
         "component_covs": list(out.component_covs),
         "x0": out.x0,
-        "selected": sorted(out.selected_map) if out.selected_map else None,
+        "selected": list(core.iter_bits(out.selected)) if out.selected else None,
     }
     if args.json:
         _emit(payload, True, "")
     else:
         print(f"case {out.case}")
         print("antichain " + " ".join(str(x) for x in sorted(out.antichain)))
-        print("q " + " ".join(str(x) for x in out.q_map))
+        print("q " + " ".join(map(str, payload["q"])))
         if out.x0 is not None:
             print(f"x0 {out.x0}")
-            print("selected " + " ".join(str(x) for x in out.selected_map))
+            print("selected " + " ".join(map(str, payload["selected"])))
     return 0
 
 

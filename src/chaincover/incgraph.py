@@ -21,18 +21,21 @@ class MalformedDecomposition(ValueError):
     """A hand-built decomposition does not describe a lexicographic sum."""
 
 
-def inc_components(p: Poset) -> list[int]:
-    """The connected components of Inc(P) as bitmasks, ordered as a chain:
-    everything in an earlier component lies below everything in a later one.
+def inc_components(p: Poset, mask: int | None = None) -> list[int]:
+    """The connected components of Inc of the subposet on ``mask`` (default:
+    all of p) as bitmasks, ordered as a chain: everything in an earlier
+    component lies below everything in a later one.  A bit at or beyond
+    ``p.n`` raises IndexError.
 
     The order is fixed by comparing one representative pair; the uniform
     cross-component comparability is then rechecked exhaustively, and a
     failure raises InternalInconsistency since it can only mean a bug in the
     relation.
     """
-    seen = 0
+    mask = p.full_mask if mask is None else mask
+    seen = ~mask  # bits outside the mask count as seen
     comps = []
-    for start in range(p.n):
+    for start in iter_bits(mask):
         if seen >> start & 1:
             continue
         comp = 1 << start

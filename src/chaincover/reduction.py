@@ -1,10 +1,10 @@
 """Finite-threshold reduction machinery over chain covering numbers.
 
 Starting from a poset whose covering number is at least a threshold t, the
-steps here carve out induced subposets with verified structural certificates:
-first an antichain-restriction step whose postconditions are exact finite
-theorems, then a component split, then an up-set (or down-set) selection
-guided by the per-element covering profile.
+steps here carve out subposets, as bitmasks of it, with verified structural
+certificates: first an antichain-restriction step whose postconditions are
+exact finite theorems, then a component split, then an up-set (or down-set)
+selection guided by the per-element covering profile.
 
 One fidelity boundary is deliberate: with infinite cardinals the up/down
 selection provably preserves "covering number at least t"; with finite
@@ -18,46 +18,46 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .core import (InternalInconsistency, Poset, PreconditionError, induced,
-                   iter_bits)
+from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
+from .core import induced  # unused here: the reduction.induced tracer site
 from .cover import ChainCover, min_chain_cover
 from .incgraph import inc_components, inc_distance_path, interval_cover
 
 
 class Claim1Result(NamedTuple):
-    q: Poset
-    q_map: tuple[int, ...]
+    q: int
     antichain: frozenset[int]
-    inc_covs: tuple[int, ...]
+    inc_covs: dict[int, int]
+    cover: ChainCover
 
 
 def claim1_reduce(p: Poset, t: int) -> Claim1Result:
     """Restrict to the incomparability set of a maximal antichain.
 
-    If no single element x has Cov(Inc_x) >= t the poset is returned whole
-    with an empty antichain.  Otherwise a greedy inclusion-maximal antichain
-    L with Cov(Inc_L) >= t is grown (lowest index first, from the first x
-    that qualifies) and the poset induced on Inc_L is returned.  Both
-    postconditions, Cov(Q) >= t and Cov(Inc_x(Q)) < t for every x in Q, are
-    exact finite theorems here, so they are asserted; maximality of L
-    forbids extending it by any x in Q.  ``inc_covs[x]`` is Cov(Inc_x(Q)),
-    the certificate of the second postcondition.  Each sub-cover is hinted
-    with the cover of P, of the last accepted Inc_L, or of Q.
+    Q is a mask of p: all of it, with an empty antichain, if no single x
+    has Cov(Inc_x) >= t; otherwise Inc_L for a greedy inclusion-maximal
+    antichain L with Cov(Inc_L) >= t (lowest index first, from the first x
+    that qualifies).  Both postconditions, Cov(Q) >= t and Cov(Inc_x(Q)) < t
+    for every x in Q, are exact finite theorems (maximality of L forbids
+    extending it by any x in Q), so they are asserted.  ``inc_covs[x]`` is
+    Cov(Inc_x(Q)) for each x of Q, the second one's certificate; ``cover``
+    is the verified cover of Q: P's, or the last accepted one of Inc_L.
+    Each sub-cover is hinted with P's cover or the last accepted one.
     """
     if t < 1:
         raise PreconditionError("threshold must be at least 1")
     whole = min_chain_cover(p)
     if whole.width < t:
         raise PreconditionError(f"Cov(P) < {t}")
-    inc_covs = []
+    inc_covs = {}
     for seed in range(p.n):
         inc_l = p.inc_mask(seed)
         cover_l = min_chain_cover(p, inc_l, hint=whole)
         if cover_l.width >= t:
             break
-        inc_covs.append(cover_l.width)
+        inc_covs[seed] = cover_l.width
     else:
-        return Claim1Result(p, tuple(range(p.n)), frozenset(), tuple(inc_covs))
+        return Claim1Result(p.full_mask, frozenset(), inc_covs, whole)
     chosen = [seed]
     while True:
         for y in iter_bits(inc_l):
@@ -69,16 +69,14 @@ def claim1_reduce(p: Poset, t: int) -> Claim1Result:
                 break
         else:
             break
-    q, q_map = induced(p, iter_bits(inc_l))
-    whole = min_chain_cover(q)
-    if whole.width < t:
+    if cover_l.width < t:
         raise InternalInconsistency("antichain restriction lost the threshold")
-    inc_covs = tuple(min_chain_cover(q, q.inc_mask(x), hint=whole).width
-                     for x in range(q.n))
-    if max(inc_covs) >= t:
+    inc_covs = {x: min_chain_cover(p, inc_l & p.inc_mask(x), hint=cover_l).width
+                for x in iter_bits(inc_l)}
+    if max(inc_covs.values()) >= t:
         raise InternalInconsistency(
             "restriction left an element violating the antichain maximality")
-    return Claim1Result(q, q_map, frozenset(chosen), inc_covs)
+    return Claim1Result(inc_l, frozenset(chosen), inc_covs, cover_l)
 
 
 @dataclass(frozen=True)
@@ -139,36 +137,34 @@ class ElementProfile:
 class ReductionOutcome:
     """Result of the full reduction pass at threshold t.
 
-    ``q`` is the antichain-restricted poset with ``q_map`` into the original,
-    and ``antichain`` the antichain it restricts to.  ``profiles`` measures
-    every element of q inside q, keyed by original indices, and
-    ``component_covs`` is Cov of each Inc component of q in chain order.  For
-    the up/down cases, ``x0`` is the pivot and ``selected_map`` the chosen
-    subposet, both in original indices.
+    ``q`` is the antichain-restricted subposet as a mask of the original
+    poset, and ``antichain`` the antichain it restricts to.  ``profiles``
+    measures every element of q inside q, and ``component_covs`` is Cov of
+    each Inc component of q in chain order.  For the up/down cases, ``x0``
+    is the pivot and ``selected`` the chosen subposet as a mask.  Every
+    index is the original poset's.
     """
 
     case: str
     threshold: int
     antichain: frozenset[int]
-    q: Poset
-    q_map: tuple[int, ...]
+    q: int
     profiles: dict[int, ElementProfile]
     component_covs: tuple[int, ...]
     x0: int | None = None
-    selected_map: tuple[int, ...] | None = None
+    selected: int | None = None
 
 
-def _profiles(q: Poset, q_map: tuple[int, ...], inc_covs: tuple[int, ...],
+def _profiles(p: Poset, q: int, inc_covs: dict[int, int],
               whole: ChainCover) -> dict[int, ElementProfile]:
-    """Each x of q profiled inside q, keyed by ``q_map[x]``, with Cov(Inc_x)
-    from claim 1's certificate ``inc_covs``; ``whole`` covers q and hints
-    every sub-cover."""
-    full = q.full_mask
-    return {q_map[x]: ElementProfile(
+    """Each x of the mask q profiled inside q, with Cov(Inc_x) from claim
+    1's certificate ``inc_covs``; ``whole`` covers q and hints every
+    sub-cover."""
+    return {x: ElementProfile(
                 inc_covs[x],
-                min_chain_cover(q, full & ~(q.up[x] | 1 << x), hint=whole).width,
-                min_chain_cover(q, full & ~(q.down[x] | 1 << x), hint=whole).width)
-            for x in range(q.n)}
+                min_chain_cover(p, q & ~(p.up[x] | 1 << x), hint=whole).width,
+                min_chain_cover(p, q & ~(p.down[x] | 1 << x), hint=whole).width)
+            for x in iter_bits(q)}
 
 
 def reduce(p: Poset, t: int) -> ReductionOutcome:
@@ -184,34 +180,33 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     maximizing it wins (case1); if the down side dominates strictly the dual
     selection is made (case1_dual).  Ties go to the up side, then to the
     lowest index.  When the selected subposet itself drops below t the case
-    is ``unreduced``.  Every subset is a mask over q's indices, every
-    sub-cover is hinted with the cover of q or of the target component, and
-    Cov(Inc_x) comes from the restriction's certificate.  The outcome carries
-    q and its profiles, the component covers and, outside case2, x0 and the
-    elements of the selected subposet.
+    is ``unreduced``.  Every subset is a mask over p's indices, cut to q
+    where it comes from p's rows.  Claim 1's cover of q is the one cold
+    cover; it hints the component and profile sub-covers, the target
+    component's cover hints the pivot loop, and Cov(Inc_x) comes from the
+    restriction's certificate.  The outcome carries q and its profiles, the
+    component covers and, outside case2, x0 and the selected subposet.
     """
-    q, q_map, antichain, inc_covs = claim1_reduce(p, t)
-    whole = min_chain_cover(q)
-    comps = inc_components(q)
-    covers = [min_chain_cover(q, comp, hint=whole) for comp in comps]
+    q, antichain, inc_covs, whole = claim1_reduce(p, t)
+    comps = inc_components(p, q)
+    covers = [min_chain_cover(p, comp, hint=whole) for comp in comps]
     comp_covs = tuple(c.width for c in covers)
-    out = ReductionOutcome("case2", t, antichain, q, q_map,
-                           _profiles(q, q_map, inc_covs, whole), comp_covs)
+    out = ReductionOutcome("case2", t, antichain, q,
+                           _profiles(p, q, inc_covs, whole), comp_covs)
     hit = next(((m, c) for m, c in zip(comps, covers) if c.width >= t), None)
     if hit is None:
         return out
     comp, comp_cover = hit
     best = None
-    for case, rows in (("case1", q.up), ("case1_dual", q.down)):
+    for case, rows in (("case1", p.up), ("case1_dual", p.down)):
         for x in iter_bits(comp):
             side = (rows[x] | 1 << x) & comp
-            width = min_chain_cover(q, side, hint=comp_cover).width
+            width = min_chain_cover(p, side, hint=comp_cover).width
             if (width >= (t - inc_covs[x] + 1) // 2
                     and (best is None or width > best[0])):
                 best = (width, case, x, side)
     if best is None:
         raise InternalInconsistency("subadditivity guarantees a qualifying pivot")
     width, case, x0, side = best
-    return replace(out, case=case if width >= t else "unreduced", x0=q_map[x0],
-                   selected_map=tuple(q_map[i] for i in iter_bits(side)))
+    return replace(out, case=case if width >= t else "unreduced", x0=x0, selected=side)
 

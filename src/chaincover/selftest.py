@@ -38,12 +38,13 @@ def _splits_at(p: core.Poset, x: int) -> bool:
 
 
 def _claim1_postconditions(p: core.Poset) -> bool:
-    # at t = Cov(P), each Cov(Inc_x(Q)) is measured on an induced copy
+    # at t = Cov(P), Q and each Cov(Inc_x(Q)) are measured on induced copies
     t = _cov(p)
-    q, _, _, inc_covs = reduction.claim1_reduce(p, t)
-    inc_widths = tuple(_cov(core.induced(q, iter_bits(q.inc_mask(x)))[0])
-                       for x in range(q.n))
-    return _cov(q) >= t and max(inc_widths) < t and inc_covs == inc_widths
+    mask, _, inc_covs, _ = reduction.claim1_reduce(p, t)
+    q, q_map = core.induced(p, iter_bits(mask))
+    inc_widths = {q_map[x]: _cov(core.induced(q, iter_bits(q.inc_mask(x)))[0])
+                  for x in range(q.n)}
+    return _cov(q) >= t and max(inc_widths.values()) < t and inc_covs == inc_widths
 
 
 def _round_trip(p: core.Poset) -> bool:

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from chaincover.core import (PreconditionError, from_relations, induced,
-                             iter_bits, mask_of)
+from chaincover.core import (InternalInconsistency, Poset, PreconditionError,
+                             from_relations, induced, iter_bits, mask_of)
 from chaincover.generators import (antichain, chain, grid_index, grid_upper,
                                    lex_sum, random_poset)
 from chaincover.incgraph import (MalformedDecomposition, check_metric_lemma,
@@ -36,6 +38,29 @@ class TestIncComponents:
 
     def test_antichain_single_part(self):
         assert len(inc_components(antichain(4))) == 1
+
+    def test_masked_matches_induced_copies(self):
+        rng = random.Random(11)
+        for seed in range(60):
+            p = random_poset(1 + seed % 40, (0.05, 0.15, 0.4)[seed % 3], seed)
+            masks = [0, p.full_mask] + [rng.getrandbits(p.n) for _ in range(3)]
+            for mask in masks:
+                sub, back = induced(p, iter_bits(mask))
+                expected = [mask_of(back[x] for x in iter_bits(c))
+                            for c in inc_components(sub)]
+                assert inc_components(p, mask) == expected
+
+    def test_masked_out_of_range(self):
+        with pytest.raises(IndexError):
+            inc_components(chain(3), 0b1001)
+
+    def test_masked_uniform_order_checked(self):
+        # 2 < 0 < 1 with 1 and 2 incomparable, not closed; 3 is
+        # incomparable to all, so only a mask without 3 splits the parts
+        p = Poset(4, (0b0010, 0b0000, 0b0001, 0b0000))
+        assert inc_components(p) == [0b1111]
+        with pytest.raises(InternalInconsistency):
+            inc_components(p, 0b0111)
 
     def test_chain_singletons_in_order(self):
         assert parts(chain(5)) == [(0,), (1,), (2,), (3,), (4,)]
@@ -74,11 +99,10 @@ class TestIncComponents:
         p = lex_sum([antichain(2), antichain(3), chain(2)])
         assert parts(p) == [(0, 1), (2, 3, 4), (5,), (6,)]
         assert copied == []
-        # claim 1 restricts antichain(3) to Inc of {0}: its q is the one copy
+        # claim 1 restricts antichain(3) to Inc of {0}, kept as a mask
         out = reduction.reduce(antichain(3), 2)
         assert out.x0 is not None
-        assert copied == [(1, 2)]
-        copied.clear()
+        assert copied == []
         # no Inc_x of a chain reaches t = 1: claim 1 returns the chain whole
         out = reduction.reduce(chain(5), 1)
         assert out.x0 is not None

@@ -35,24 +35,35 @@ def three_chain_with_bridge():
 
 class TestClaim1:
     def test_antichain3_threshold2(self):
-        q, q_map, label, inc_covs = claim1_reduce(antichain(3), 2)
+        mask, label, inc_covs, _ = claim1_reduce(antichain(3), 2)
+        q, q_map = induced(antichain(3), iter_bits(mask))
         assert sorted(label) == [0]
         assert q == antichain(2) and q_map == (1, 2)
         assert cov(q) == 2
         assert cov_of(q, iter_bits(q.inc_mask(0))) == 1
-        assert inc_covs == (1, 1)
+        assert inc_covs == {1: 1, 2: 1}
 
     def test_grid6_threshold3_untouched(self):
         g = grid_upper(6)
-        q, q_map, label, inc_covs = claim1_reduce(g, 3)
-        assert label == frozenset() and q == g and q_map == tuple(range(g.n))
+        q, label, inc_covs, _ = claim1_reduce(g, 3)
+        assert label == frozenset() and q == g.full_mask
         # the early return's seed scan visited every element
-        assert len(inc_covs) == g.n and max(inc_covs) < 3
+        assert len(inc_covs) == g.n and max(inc_covs.values()) < 3
 
     def test_chain_trivial(self):
-        q, _, label, inc_covs = claim1_reduce(chain(4), 1)
-        assert q == chain(4) and label == frozenset()
-        assert inc_covs == (0, 0, 0, 0)
+        q, label, inc_covs, _ = claim1_reduce(chain(4), 1)
+        assert q == chain(4).full_mask and label == frozenset()
+        assert inc_covs == {0: 0, 1: 0, 2: 0, 3: 0}
+
+    def test_cover_is_a_verified_cover_of_q(self):
+        # the early return hands back P's cover, the greedy path Inc_L's
+        for seed in range(20):
+            p = random_poset(10, 0.15, seed)
+            for t in range(1, cov(p) + 1):
+                q, _, _, cover = claim1_reduce(p, t)
+                assert sorted(x for c in cover.chains for x in c) == list(iter_bits(q))
+                assert cover.certificate <= set(iter_bits(q))
+                assert cover.width == cov_of(p, iter_bits(q)) >= t
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
@@ -70,11 +81,12 @@ class TestClaim1:
         for seed in range(20):
             p = random_poset(10, 0.15, seed)
             for t in range(1, cov(p) + 1):
-                q, _, label, inc_covs = claim1_reduce(p, t)
+                mask, label, inc_covs, _ = claim1_reduce(p, t)
+                q = induced(p, iter_bits(mask))[0]
                 assert cov(q) >= t
                 for x in range(q.n):
                     assert cov_of(q, iter_bits(q.inc_mask(x))) < t
-                assert max(inc_covs) < t
+                assert max(inc_covs.values()) < t
                 members = sorted(label)
                 for i, x in enumerate(members):
                     for y in members[i + 1:]:
@@ -122,14 +134,14 @@ class TestReduce:
     def test_antichain3(self):
         out = reduce(antichain(3), 2)
         assert sorted(out.antichain) == [0]
-        assert out.q == antichain(2)
+        assert induced(antichain(3), iter_bits(out.q))[0] == antichain(2)
         assert out.component_covs == (2,)
         assert out.x0 == 1
         # profile over q: removing the up-set of either element leaves one
         assert {x: pr.cov_minus_up for x, pr in out.profiles.items()} == {1: 1, 2: 1}
         # the singleton up-set loses the threshold: the finite gap is flagged
         assert out.case == "unreduced"
-        assert len(out.selected_map) == 1
+        assert out.selected.bit_count() == 1
 
     def test_two_stacked_antichains_regression(self):
         out = reduce(lex_sum([antichain(2), antichain(2)]), 2)
@@ -137,14 +149,14 @@ class TestReduce:
         assert out.antichain == frozenset()
         assert out.component_covs == (2, 2)
         assert out.x0 == 0
-        assert out.selected_map == (0,)
+        assert tuple(iter_bits(out.selected)) == (0,)
 
     def test_chain_case1(self):
         out = reduce(chain(5), 1)
         assert out.case == "case1"
         assert out.antichain == frozenset()
         assert all(c == 1 for c in out.component_covs)
-        assert out.selected_map is not None
+        assert out.selected is not None
 
     def test_case2_is_finitely_unreachable(self):
         # finitely, Cov(q) is the maximum over its components and the
@@ -161,7 +173,7 @@ class TestReduce:
     def test_restriction_shrinks_before_split(self):
         out = reduce(antichain(4), 3)
         # the greedy antichain restriction removes one element first
-        assert out.q == antichain(3)
+        assert induced(antichain(4), iter_bits(out.q))[0] == antichain(3)
         assert out.component_covs == (3,)
 
     def test_dichotomy_certificates(self):
@@ -176,7 +188,7 @@ class TestReduce:
                 assert any(c >= t for c in out.component_covs)
                 assert out.x0 is not None
             if out.case in ("case1", "case1_dual"):
-                assert cov_of(p, out.selected_map) >= t
+                assert cov_of(p, iter_bits(out.selected)) >= t
 
     def test_target_component_after_others(self):
         # the target component is the fourth; its pivot's up-set must stay
@@ -185,7 +197,7 @@ class TestReduce:
         assert out.case == "case1"
         assert out.component_covs == (2, 1, 1, 3, 1, 1, 1, 1)
         assert out.x0 == 4
-        assert out.selected_map == (4, 5, 6, 8, 9, 10, 11, 12, 13, 14)
+        assert tuple(iter_bits(out.selected)) == (4, 5, 6, 8, 9, 10, 11, 12, 13, 14)
 
     def test_profiles_match_induced_copies(self):
         instances = [random_poset(4 + seed % 9, (0.1, 0.25)[seed % 2], seed)
@@ -196,11 +208,29 @@ class TestReduce:
         for p in instances:
             for t in range(1, cov(p) + 1):
                 out = reduce(p, t)
-                _, _, _, inc_covs = claim1_reduce(p, t)
-                q, back = out.q, out.q_map
-                assert inc_covs == tuple(cov_of(q, iter_bits(q.inc_mask(x)))
-                                         for x in range(q.n))
+                inc_covs = claim1_reduce(p, t).inc_covs
+                q, back = induced(p, iter_bits(out.q))
+                assert inc_covs == {back[x]: cov_of(q, iter_bits(q.inc_mask(x)))
+                                    for x in range(q.n)}
                 assert profiles_by_copies(q, back) == out.profiles
+
+    def test_one_cold_cover_per_reduce(self, monkeypatch):
+        # claim 1's cover of q hints everything after it: the only cover
+        # without a hint is P's own, on the early return and the greedy path
+        from chaincover import reduction
+        cold = []
+
+        def counting(p, mask=None, hint=None):
+            if hint is None:
+                cold.append(mask)
+            return min_chain_cover(p, mask, hint=hint)
+
+        monkeypatch.setattr(reduction, "min_chain_cover", counting)
+        for p, t, restricted in ((grid_upper(6), 3, False), (antichain(4), 3, True),
+                                 (random_poset(20, 0.1, 1), 1, True)):
+            cold.clear()
+            assert bool(reduce(p, t).antichain) == restricted
+            assert cold == [None]
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
