@@ -11,11 +11,16 @@ text, integer literals too long to convert included; out-of-range elements;
 unmet preconditions; invalid ideal chains; countable cardinals; ``gen``
 sizes out of range; a negative ``--budget``; and ``--rounds`` below 1.
 :func:`run` alone maps errors to exit codes; any other exception is a bug.
+
+The argparse tree is built once per process, by the first :func:`run`, and
+only read after that; each call parses into a fresh Namespace.  It binds
+the ``_cmd_*`` functions as they are when it is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -253,6 +258,7 @@ def _cmd_selftest(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="chaincover",
@@ -332,9 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

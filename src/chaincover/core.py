@@ -328,6 +328,10 @@ def int_field(field: str) -> int:
         raise ValueError(f"integer literal longer than {limit} digits") from None
 
 
+# int()'s digit limit is 0 (off) or at least this: no shorter line reaches it.
+_SHORT_LINE = sys.int_info.str_digits_check_threshold
+
+
 def from_text(text: str) -> Poset:
     """Parse the poset text format.
 
@@ -340,7 +344,9 @@ def from_text(text: str) -> Poset:
     n = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split("#", 1)[0].split()
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        fields = raw.split()
         if not fields:
             continue
         try:
@@ -353,7 +359,12 @@ def from_text(text: str) -> Poset:
                 continue
             if len(fields) != 2:
                 raise ValueError("expected '<u> <v>'")
-            u, v = int_field(fields[0]), int_field(fields[1])
+            a, b = fields
+            if (len(raw) <= _SHORT_LINE and raw.isascii() and a.isdigit()
+                    and b.isdigit()):
+                u, v = int(a), int(b)
+            else:
+                u, v = int_field(a), int_field(b)
             if u >= n or v >= n:
                 raise ValueError(f"pair ({u}, {v}) out of range for {n} elements")
             pairs.append((u, v))

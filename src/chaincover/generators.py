@@ -30,21 +30,6 @@ class GridLabel(NamedTuple):
 _MASK64 = (1 << 64) - 1
 
 
-class XorShift64Star:
-    """xorshift64* stream; the exact portable variant used by random_poset."""
-
-    def __init__(self, seed: int):
-        self.state = (seed & _MASK64) or 0x9E3779B97F4A7C15
-
-    def next_u64(self) -> int:
-        s = self.state
-        s ^= s >> 12
-        s ^= (s << 25) & _MASK64
-        s ^= s >> 27
-        self.state = s
-        return (s * 0x2545F4914F6CDD1D) & _MASK64
-
-
 def grid_labels(n: int) -> tuple[GridLabel, ...]:
     """Coordinate labels of the upper half-grid over {0..n-1}, index order."""
     if n < 2:
@@ -113,12 +98,15 @@ def random_poset(n: int, p: float, seed: int) -> Poset:
         raise SizeError("probability must lie in [0, 1]")
     if n < 0:
         raise SizeError("element count must be nonnegative")
-    rng = XorShift64Star(seed)
+    s = (seed & _MASK64) or 0x9E3779B97F4A7C15
     threshold = int(p * (1 << 64))
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.next_u64() < threshold:
+            s ^= s >> 12
+            s ^= (s << 25) & _MASK64
+            s ^= s >> 27
+            if (s * 0x2545F4914F6CDD1D) & _MASK64 < threshold:
                 pairs.append((i, j))
     return from_relations(n, pairs)
 
@@ -133,11 +121,6 @@ def canonical_ideal_chain(n: int, m: int) -> tuple[Poset, tuple[frozenset[int], 
         raise SizeError("grid needs n >= 2")
     if not 1 <= m < n:
         raise SizeError("ideal count m must satisfy 1 <= m < n")
-    grid = grid_upper(n)
-    ideals = []
-    for a in range(m):
-        members = frozenset(grid_index(n, x, b)
-                            for x in range(a + 1)
-                            for b in range(x + 1, n))
-        ideals.append(members)
-    return grid, tuple(ideals)
+    # index order runs through the first coordinate, so J_a is an index prefix
+    return grid_upper(n), tuple(frozenset(range(grid_index(n, a, n - 1) + 1))
+                                for a in range(m))

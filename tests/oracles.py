@@ -5,12 +5,13 @@ subset scan or branch and bound, chain partitions by direct set-partition search
 injection enumeration, purity by downset enumeration.  Sizes are small; the
 point is independence, not speed.
 
-The functions from ``reference_matching`` on are the plain reference forms
-of the library's bitmask kernels (recursive Hopcroft-Karp, Warshall closure,
-per-bit transpose, per-bit cover pairs, the recursive embedding searches,
-the longest chain by Kahn order, the pairwise checks of embeddings and ideal
-chains); the kernels must return exactly what they return, down to the
-nodes a budgeted search spends.
+The functions from ``XorShift64Star`` on are the plain reference forms of
+the library's kernels (the random stream one method call per draw, the text
+parser with ``int_field`` on every field, recursive Hopcroft-Karp, Warshall
+closure, per-bit transpose, per-bit cover pairs, the recursive embedding
+searches, the longest chain by Kahn order, the pairwise checks of embeddings
+and ideal chains); the kernels must return exactly what they return, down
+to the nodes a budgeted search spends.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from chaincover.core import (CycleError, InternalInconsistency, Poset,
-                             _find_cycle, iter_bits, mask_of)
+from chaincover.core import (MAX_TEXT_ELEMENTS, CycleError,
+                             InternalInconsistency, Poset, _find_cycle,
+                             from_relations, int_field, iter_bits, mask_of)
 from chaincover.generators import grid_upper
 from chaincover.ideal_embed import ChainViolation, EmbedFailure, IdealChain
 from chaincover.patterns import (BudgetExhausted, Embedding, _signatures,
@@ -171,6 +173,64 @@ def relabel(p: Poset, perm: list[int]) -> Poset:
         for y in iter_bits(p.up[x]):
             rows[perm[x]] |= 1 << perm[y]
     return Poset(p.n, tuple(rows))
+
+
+_MASK64 = (1 << 64) - 1
+
+
+class XorShift64Star:
+    """The xorshift64* stream of ``random_poset`` as a generator object: one
+    state update per draw, the form the portability fixture pins."""
+
+    def __init__(self, seed: int):
+        self.state = (seed & _MASK64) or 0x9E3779B97F4A7C15
+
+    def next_u64(self) -> int:
+        s = self.state
+        s ^= s >> 12
+        s ^= (s << 25) & _MASK64
+        s ^= s >> 27
+        self.state = s
+        return (s * 0x2545F4914F6CDD1D) & _MASK64
+
+
+def reference_random_pairs(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j in lexicographic order, that ``random_poset``
+    includes: one draw per pair, kept iff draw < floor(p * 2^64)."""
+    rng = XorShift64Star(seed)
+    threshold = int(p * (1 << 64))
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if rng.next_u64() < threshold]
+
+
+def reference_from_text(text: str) -> Poset:
+    """The poset text parser with ``int_field`` on every field: each line
+    split at its first ``#``, then on whitespace."""
+    n = None
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        try:
+            if n is None:
+                if len(fields) != 2 or fields[0] != "n":
+                    raise ValueError("expected 'n <count>' header")
+                n = int_field(fields[1])
+                if n > MAX_TEXT_ELEMENTS:
+                    raise ValueError(f"more than {MAX_TEXT_ELEMENTS} elements")
+                continue
+            if len(fields) != 2:
+                raise ValueError("expected '<u> <v>'")
+            u, v = int_field(fields[0]), int_field(fields[1])
+            if u >= n or v >= n:
+                raise ValueError(f"pair ({u}, {v}) out of range for {n} elements")
+            pairs.append((u, v))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if n is None:
+        raise ValueError("missing 'n <count>' header line")
+    return from_relations(n, pairs)
 
 
 def reference_matching(rows: list[int], mask: int) -> tuple[list[int], list[int]]:

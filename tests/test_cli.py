@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincover import cover
+from chaincover import cli, cover
 from chaincover.cli import run
 from chaincover.core import MAX_TEXT_ELEMENTS, InternalInconsistency, from_text
 from chaincover.generators import (antichain, canonical_ideal_chain, chain,
@@ -535,6 +538,88 @@ def test_selftest_fail_names_instance(capsys, monkeypatch):
 
 def test_unknown_verb_usage_error(capsys):
     assert run(["frobnicate"]) == 2
+
+
+# -- one parser per process ----------------------------------------------------
+#
+# run() reuses one argparse tree; each query must still answer as the first
+# query of a fresh interpreter does.  COLUMNS pins argparse's wrap width on
+# both sides.
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+VERBS = ["cov", "antichain", "decompose", "dist", "check-metric", "find-grid",
+         "reduce", "ideal-embed", "sym-cov", "obstructions", "gen", "dot",
+         "selftest"]
+
+
+def fresh_process(argv, code=None):
+    """(stdout, stderr, exit code) of ``python -m chaincover.cli <argv>``, or
+    of the script ``code`` with ``argv``, in a new interpreter."""
+    cmd = ["-c", code] if code is not None else ["-m", "chaincover.cli"]
+    done = subprocess.run([sys.executable, *cmd, *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"})
+    return done.stdout, done.stderr, done.returncode
+
+
+class TestSharedParser:
+    @pytest.mark.parametrize("first, second", [
+        (["cov", "{f}", "--witness"], ["cov", "{f}"]),
+        (["antichain", "{f}", "--json"], ["antichain", "{f}"]),
+        (["find-grid", "{f}", "-k", "4", "--budget", "5"],
+         ["find-grid", "{f}", "-k", "4"]),
+        (["gen", "random", "-n", "9", "--seed", "3"], ["gen", "random", "-n", "9"]),
+        (["cov"], ["cov", "{f}"]),
+    ])
+    def test_back_to_back_equals_fresh(self, grid6_file, capsys, monkeypatch,
+                                       first, second):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in (first, second):
+            argv = [a.format(f=grid6_file) for a in argv]
+            code = run(argv)
+            out, err = capsys.readouterr()
+            assert (out, err, code) == fresh_process(argv), argv
+
+    @pytest.mark.parametrize("argv", [["-h"]] + [[verb, "-h"] for verb in VERBS])
+    def test_help_twice_same_bytes(self, capsys, argv):
+        assert run(argv) == 0
+        first = capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr() == first and first.out.startswith("usage: ")
+
+    def test_two_runs_build_one_parser(self, grid6_file, capsys):
+        cli.build_parser.cache_clear()
+        assert run(["cov", grid6_file]) == 0
+        assert run(["nope"]) == 2
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        script = ("import chaincover.cli as cli; "
+                  "print(cli.build_parser.cache_info().misses)")
+        assert fresh_process([], script) == ("0\n", "", 0)
+
+
+class TestEntryPoint:
+    """The real entry point, cold: one process, one parser, one query."""
+
+    def test_cov_json(self, grid6_file, capsys):
+        out, err, code = fresh_process(["cov", grid6_file, "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["width"] == 3
+        assert run(["cov", grid6_file, "--json"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_unknown_verb(self):
+        out, err, code = fresh_process(["nope"])
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [err.splitlines()[-1]]
+        assert errors[0].startswith(
+            "chaincover: error: argument verb: invalid choice: 'nope'")
+
+    def test_unreadable_file(self, tmp_path):
+        out, err, code = fresh_process(["cov", str(tmp_path / "absent.poset")])
+        assert (code, out) == (2, "") and one_error_line(err)
 
 
 # -- the failure boundary ------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chaincover import core
 from chaincover.core import (CycleError, EmptyPoset, dual, from_relations,
@@ -187,6 +187,36 @@ def relabelled_posets(draw):
                               for u, v in pairs if u != v])
 
 
+# Poset texts mixing valid and duplicate pairs, comments, blank lines, every
+# kind of line end and tabs with fields that are not ASCII digits (sign,
+# underscore, other scripts' digits, superscript, fullwidth), a no-break
+# space, three-field lines, out-of-range pairs, 5,000-digit fields and one
+# line longer than any fast-path line.
+_DIGITS = "9" * 5000
+_POSET_TEXT = st.builds(
+    lambda head, body: head + "".join(line + end for line, end in body),
+    st.sampled_from(["n 3\n", "n 5\n", "n 12\n", "n 0\n", "", "# c\nn 4\r\n",
+                     "n 5 # \u00e9\n", "n\t5\n", "n +3\n", "n 1_0\n",
+                     "n \u0663\n", "n \uff15\n", f"n {_DIGITS}\n"]),
+    st.lists(st.tuples(
+        st.sampled_from(["0 1", "1 2", "2 4", "0 1", "3 1", "4 0", "1 0", "11 10",
+                         "", "  ", "# c", "0 1 # c", "2 3# \u00e9 \u0663",
+                         "0\t2", "\t1  3\t", "0\u00a01", "+3 1", "1 +3",
+                         "1_0 2", "\u0663 1", "1 \u00b2", "\uff11 2", "-1 2",
+                         "0 1 2", "0", "x 1", "0 99", "99 0", "007 4",
+                         f"{_DIGITS} 1", f"0 {_DIGITS}", "0" * 5000 + "1 2",
+                         "0" + " " * 700 + "1", "n 3"]),
+        st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"])),
+        max_size=12))
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestTextFormat:
     def test_round_trip(self):
         for seed in range(10):
@@ -216,6 +246,21 @@ class TestTextFormat:
 
     def test_empty(self):
         assert from_text("n 0\n").n == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_POSET_TEXT)
+    def test_equals_reference_parser(self, text):
+        # the inline ASCII-digit test gives what int_field on every field gives
+        assert _parsed(from_text, text) == _parsed(oracles.reference_from_text, text)
+
+    def test_builds_through_from_relations(self, monkeypatch):
+        # the closure stays behind the module's from_relations, a traced name
+        calls = []
+        real = core.from_relations
+        monkeypatch.setattr(core, "from_relations",
+                            lambda n, pairs: calls.append(n) or real(n, pairs))
+        assert from_text("n 3\n0 1\n1 2\n") == chain(3)
+        assert calls == [3]
 
 
 def test_iter_bits():

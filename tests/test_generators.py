@@ -2,10 +2,12 @@ import pytest
 
 from chaincover.core import from_relations
 from chaincover.cover import min_chain_cover
-from chaincover.generators import (GridLabel, SizeError, XorShift64Star,
-                                   antichain, canonical_ideal_chain, chain,
-                                   grid_index, grid_labels, grid_upper,
-                                   lex_sum, random_poset)
+from chaincover.generators import (GridLabel, SizeError, antichain,
+                                   canonical_ideal_chain, chain, grid_index,
+                                   grid_labels, grid_upper, lex_sum,
+                                   random_poset)
+
+from oracles import XorShift64Star, reference_random_pairs
 
 
 class TestGrid:
@@ -95,6 +97,14 @@ class TestRandomPoset:
             14575455857230217846,
         ]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 + 5])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+    def test_equals_reference_stream(self, p, seed):
+        # the inlined state update draws exactly the reference stream
+        for n in range(41):
+            assert random_poset(n, p, seed) == from_relations(
+                n, reference_random_pairs(n, p, seed))
+
     def test_frozen_relation_fixture(self):
         assert random_poset(8, 0.3, 42).relation_pairs() == [
             (0, 7), (2, 3), (2, 4), (5, 6)]
@@ -137,6 +147,15 @@ class TestCanonicalIdealChain:
         _, ideals = canonical_ideal_chain(9, 5)
         for a, b in zip(ideals, ideals[1:]):
             assert a < b
+
+    def test_ideals_by_coordinates(self):
+        for n in range(2, 13):
+            for m in range(1, n):
+                _, ideals = canonical_ideal_chain(n, m)
+                assert ideals == tuple(
+                    frozenset(grid_index(n, x, b) for x in range(a + 1)
+                              for b in range(x + 1, n))
+                    for a in range(m))
 
     def test_size_errors(self):
         with pytest.raises(SizeError):
