@@ -6,26 +6,75 @@ relation is transitively closed, a path cover there is a chain cover here.
 The matching also yields a maximum antichain through the minimum-vertex-cover
 complement, so every result ships with a certificate pair whose sizes agree.
 Everything runs on the up-rows restricted to a bitmask, so the subposet on
-any subset is covered in its parent's indices, without an induced copy.
+any subset is covered in its parent's indices, without an induced copy, and
+a cover holds its chains and its antichain as bitmasks of those indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import or_
 
-from .core import InternalInconsistency, Poset, iter_bits, mask_of
+from .core import InternalInconsistency, Poset, iter_bits
 
 
 @dataclass(frozen=True)
 class ChainCover:
-    """A partition into chains plus a maximum-antichain certificate."""
+    """A partition into chains plus a maximum-antichain certificate, as
+    bitmasks of ``poset``: the poset ``min_chain_cover`` verified them on,
+    for its subposet on ``mask``.  A cover built by hand has no poset, so
+    as a hint it takes the full check.
+    """
 
-    chains: tuple[tuple[int, ...], ...]
-    certificate: frozenset[int]
+    chain_masks: tuple[int, ...]
+    certificate_mask: int
+    poset: Poset | None = field(default=None, compare=False, repr=False)
+    mask: int = field(default=0, compare=False, repr=False)
 
     @property
     def width(self) -> int:
-        return len(self.chains)
+        return len(self.chain_masks)
+
+    @property
+    def chains(self) -> tuple[tuple[int, ...], ...]:
+        up = self.poset.up
+        return tuple([tuple(_ordered(up, c)) for c in self.chain_masks])
+
+    @property
+    def certificate(self) -> frozenset[int]:
+        return frozenset(iter_bits(self.certificate_mask))
+
+    @cached_property
+    def least_antichain(self) -> int:
+        """A_min, the least maximum antichain, as a mask (a cold cover's
+        certificate is the greatest, A_max).  König from the free right
+        vertices: A_max of the dual, on the ``down`` rows with the sides of
+        the chains' matching swapped.  Checked like the certificate."""
+        p = self.poset
+        match_l, match_r = _links(p, self.chain_masks)
+        rows = [row & self.mask for row in p.down]
+        least = _antichain_from_matching(rows, self.mask, match_r, match_l)
+        _check_antichain(p.up, self.mask, least, self.width)
+        return least
+
+
+def _ordered(up, chain: int) -> list[int]:
+    """A chain mask's elements, lowest (most elements above it) first."""
+    return sorted(iter_bits(chain), key=lambda x: -up[x].bit_count())
+
+
+def _links(p: Poset, chains) -> tuple[list[int], list[int]]:
+    """The matching of the split graph formed by the links of chain masks."""
+    match_l = [-1] * p.n
+    match_r = [-1] * p.n
+    for c in chains:
+        if c & (c - 1):
+            chain = _ordered(p.up, c)
+            for u, v in zip(chain, chain[1:]):
+                match_l[u] = v
+                match_r[v] = u
+    return match_l, match_r
 
 
 def _max_matching(rows: list[int], mask: int, match_l: list[int],
@@ -110,16 +159,23 @@ def _max_matching(rows: list[int], mask: int, match_l: list[int],
                 rests.append(rows[w])
 
 
-def _chains_from_matching(mask: int, match_l: list[int], match_r: list[int]
-                          ) -> tuple[tuple[int, ...], ...]:
+def _chains_from_matching(up, mask: int, match_l: list[int],
+                          match_r: list[int]) -> tuple[int, ...]:
+    """One mask per chain, walked from each head in index order, with each
+    link checked against ``up`` as it is walked."""
     chains = []
     for head in iter_bits(mask):
         if match_r[head] >= 0:
             continue
-        chain = [head]
-        while match_l[chain[-1]] >= 0:
-            chain.append(match_l[chain[-1]])
-        chains.append(tuple(chain))
+        chain = 1 << head
+        u = head
+        while (v := match_l[u]) >= 0:
+            bit = 1 << v
+            if not up[u] & bit:
+                raise InternalInconsistency(f"chain breaks at {u},{v}")
+            chain |= bit
+            u = v
+        chains.append(chain)
     return tuple(chains)
 
 
@@ -157,39 +213,54 @@ def min_chain_cover(p: Poset, mask: int | None = None,
     or from the hint's.
 
     ``hint`` is a cover of p on a superset of ``mask``.  Its chains cut to
-    ``mask`` are still chains (the relation is closed) and bound the width
-    from above; its certificate cut to ``mask`` is an antichain and bounds it
-    from below.  When the two bounds meet they are the answer, and no
-    matching runs; otherwise the cut chains' links seed Hopcroft-Karp.  The
-    witness check runs on both paths, so a hint from another poset or from a
-    non-superset gives a verified cover or raises InternalInconsistency.
+    ``mask``, one AND each, are still chains (the relation is closed) and
+    bound the width from above; its antichains cut to ``mask`` bound it
+    from below: the certificate and, for a hint verified on p, A_min.  A
+    down-set of the hint's subposet keeps its width iff it holds A_min, an
+    up-set iff it holds A_max, which a cold cover certifies.  When a bound
+    meets the cut chain count, the cut pair is the answer and no matching
+    runs; otherwise the cut chains' links seed Hopcroft-Karp.  The settled
+    cut of a hint verified on p partitions ``mask`` iff ``mask`` lies inside
+    the hint's, and that word test is its whole check: sub-chains of
+    verified chains are chains, subsets of verified antichains antichains.
+    Every other result takes the full check, so a hint from another poset
+    or from a non-superset gives a verified cover or raises
+    InternalInconsistency.
     """
     if mask is None:
         mask = p.full_mask
     elif mask & ~p.full_mask:
         raise IndexError(f"mask has elements outside 0..{p.n - 1}")
-    match_l = [-1] * p.n
-    match_r = [-1] * p.n
+    up = p.up
+    cut = ()
     if hint is not None:
-        cut = []
-        for chain in hint.chains:
-            kept = [x for x in chain if mask >> x & 1]
-            if kept:
-                cut.append(tuple(kept))
-                for u, v in zip(kept, kept[1:]):
-                    match_l[u] = v
-                    match_r[v] = u
-        cert_mask = mask_of(hint.certificate) & mask
-        if cert_mask.bit_count() == len(cut):
-            chains = tuple(cut)
-            _check_witnesses(p, mask, chains, cert_mask)
-            return ChainCover(chains, frozenset(iter_bits(cert_mask)))
-    rows = [row & mask for row in p.up]
+        cut = tuple([c for chain in hint.chain_masks if (c := chain & mask)])
+        verified = hint.poset is p
+        cert = hint.certificate_mask & mask
+        if verified and cert.bit_count() < len(cut):
+            cert = hint.least_antichain & mask
+        if cert.bit_count() == len(cut):
+            if not verified:
+                _check_partition(cut, mask)
+                # walking the cut chains checks every link
+                _chains_from_matching(up, mask, *_links(p, cut))
+                _check_antichain(up, mask, cert, len(cut))
+            elif mask & ~hint.mask:
+                raise InternalInconsistency("hint does not cover the subposet")
+            cover = ChainCover(cut, cert, p, mask)
+            # the hint's A_min, once derived, is the cut's if it lies inside
+            least = vars(hint).get("least_antichain")
+            if verified and least is not None and not least & ~mask:
+                vars(cover)["least_antichain"] = least
+            return cover
+    match_l, match_r = _links(p, cut)
+    rows = [row & mask for row in up]
     _max_matching(rows, mask, match_l, match_r)
-    chains = _chains_from_matching(mask, match_l, match_r)
-    cert_mask = _antichain_from_matching(rows, mask, match_l, match_r)
-    _check_witnesses(p, mask, chains, cert_mask)
-    return ChainCover(chains, frozenset(iter_bits(cert_mask)))
+    chains = _chains_from_matching(up, mask, match_l, match_r)
+    _check_partition(chains, mask)
+    cert = _antichain_from_matching(rows, mask, match_l, match_r)
+    _check_antichain(up, mask, cert, len(chains))
+    return ChainCover(chains, cert, p, mask)
 
 
 def max_antichain(p: Poset) -> frozenset[int]:
@@ -197,27 +268,19 @@ def max_antichain(p: Poset) -> frozenset[int]:
     return min_chain_cover(p).certificate
 
 
-def _check_witnesses(p: Poset, mask: int, chains, cert_mask: int) -> None:
-    up = p.up
-    seen = 0
-    for chain in chains:
-        prev = -1
-        for x in chain:
-            if seen >> x & 1:
-                raise InternalInconsistency(f"element {x} covered twice")
-            seen |= 1 << x
-            if prev >= 0 and not up[prev] >> x & 1:
-                raise InternalInconsistency(f"chain breaks at {prev},{x}")
-            prev = x
-    if seen != mask:
-        raise InternalInconsistency("chains do not cover every element")
-    if cert_mask & ~mask:
+def _check_partition(chains: tuple[int, ...], mask: int) -> None:
+    if (sum([c.bit_count() for c in chains]) != mask.bit_count()
+            or reduce(or_, chains, 0) != mask):
+        raise InternalInconsistency("chains do not partition the subposet")
+
+
+def _check_antichain(up, mask: int, cert: int, width: int) -> None:
+    if cert & ~mask:
         raise InternalInconsistency("certificate leaves the subposet")
     # every comparable pair shows in the up-row of its lower element
-    for x in iter_bits(cert_mask):
-        if p.up[x] & cert_mask:
+    for x in iter_bits(cert):
+        if up[x] & cert:
             raise InternalInconsistency(f"certificate not an antichain at {x}")
-    size = cert_mask.bit_count()
-    if size != len(chains):
-        raise InternalInconsistency(
-            f"width {len(chains)} != antichain size {size}")
+    size = cert.bit_count()
+    if size != width:
+        raise InternalInconsistency(f"width {width} != antichain size {size}")

@@ -16,7 +16,7 @@ outcome whose selected subposet lost the threshold is labeled ``unreduced``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
 from .core import induced  # unused here: the reduction.induced tracer site
@@ -155,15 +155,29 @@ class ReductionOutcome:
     selected: int | None = None
 
 
+def _along_chains(p: Poset, cover: ChainCover, side: Callable[[int], int],
+                  downward: bool) -> dict[int, int]:
+    """Cov of ``side(x)`` for each x that ``cover`` covers.  Each chain of
+    ``cover`` is walked the way ``side`` shrinks along it, so each mask is
+    hinted with the cover of the one before it, the first with ``cover``."""
+    widths = {}
+    for chain in cover.chains:
+        hint = cover
+        for x in reversed(chain) if downward else chain:
+            hint = min_chain_cover(p, side(x), hint=hint)
+            widths[x] = hint.width
+    return widths
+
+
 def _profiles(p: Poset, q: int, inc_covs: dict[int, int],
               whole: ChainCover) -> dict[int, ElementProfile]:
     """Each x of the mask q profiled inside q, with Cov(Inc_x) from claim
-    1's certificate ``inc_covs``; ``whole`` covers q and hints every
-    sub-cover."""
-    return {x: ElementProfile(
-                inc_covs[x],
-                min_chain_cover(p, q & ~(p.up[x] | 1 << x), hint=whole).width,
-                min_chain_cover(p, q & ~(p.down[x] | 1 << x), hint=whole).width)
+    1's certificate ``inc_covs``; ``whole`` covers q."""
+    # q minus x's up-set shrinks as x goes down a chain, minus x's down-set up
+    minus_up = _along_chains(p, whole, lambda x: q & ~(p.up[x] | 1 << x), True)
+    minus_down = _along_chains(p, whole, lambda x: q & ~(p.down[x] | 1 << x),
+                               False)
+    return {x: ElementProfile(inc_covs[x], minus_up[x], minus_down[x])
             for x in iter_bits(q)}
 
 
@@ -182,10 +196,11 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     lowest index.  When the selected subposet itself drops below t the case
     is ``unreduced``.  Every subset is a mask over p's indices, cut to q
     where it comes from p's rows.  Claim 1's cover of q is the one cold
-    cover; it hints the component and profile sub-covers, the target
-    component's cover hints the pivot loop, and Cov(Inc_x) comes from the
-    restriction's certificate.  The outcome carries q and its profiles, the
-    component covers and, outside case2, x0 and the selected subposet.
+    cover.  It hints the component sub-covers, and the profile sub-covers
+    along its chains; the target component's cover does the same for the
+    pivot loop.  Cov(Inc_x) comes from the restriction's certificate.  The
+    outcome carries q and its profiles, the component covers and, outside
+    case2, x0 and the selected subposet.
     """
     q, antichain, inc_covs, whole = claim1_reduce(p, t)
     comps = inc_components(p, q)
@@ -198,13 +213,16 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
         return out
     comp, comp_cover = hit
     best = None
-    for case, rows in (("case1", p.up), ("case1_dual", p.down)):
+    # x's up-set shrinks as x goes up a chain, its down-set as x goes down
+    for case, rows, downward in (("case1", p.up, False),
+                                 ("case1_dual", p.down, True)):
+        widths = _along_chains(p, comp_cover,
+                               lambda x: (rows[x] | 1 << x) & comp, downward)
         for x in iter_bits(comp):
-            side = (rows[x] | 1 << x) & comp
-            width = min_chain_cover(p, side, hint=comp_cover).width
+            width = widths[x]
             if (width >= (t - inc_covs[x] + 1) // 2
                     and (best is None or width > best[0])):
-                best = (width, case, x, side)
+                best = (width, case, x, (rows[x] | 1 << x) & comp)
     if best is None:
         raise InternalInconsistency("subadditivity guarantees a qualifying pivot")
     width, case, x0, side = best

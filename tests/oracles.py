@@ -70,6 +70,37 @@ def brute_max_antichain(p: Poset) -> frozenset[int]:
     return frozenset(iter_bits(best[1]))
 
 
+def brute_extreme_antichains(p: Poset, mask: int) -> tuple[int, int]:
+    """The least and the greatest maximum antichain of the subposet on
+    ``mask`` (n <= 12), as masks, by scanning every subset of it.
+
+    Maximum antichains form a lattice under A <= B iff the down-closure of
+    A lies inside that of B; the extremes are the members whose
+    down-closure lies inside, or contains, every other one's.
+    """
+    assert p.n <= 12, "subset scan limited to n <= 12"
+    members = list(iter_bits(mask))
+    best, found = -1, []
+    for bits in range(1 << len(members)):
+        sub = mask_of(x for i, x in enumerate(members) if bits >> i & 1)
+        size = sub.bit_count()
+        if size < best or not is_antichain(p, iter_bits(sub)):
+            continue
+        if size > best:
+            best, found = size, []
+        found.append(sub)
+
+    def closure(a: int) -> int:
+        return a | mask_of(y for x in iter_bits(a) for y in range(p.n)
+                           if p.lt(y, x))
+
+    closures = {a: closure(a) for a in found}.items()
+    least = [a for a, ca in closures if all(ca & ~c == 0 for _, c in closures)]
+    greatest = [a for a, ca in closures if all(c & ~ca == 0 for _, c in closures)]
+    assert len(least) == len(greatest) == 1, "maximum antichains form a lattice"
+    return least[0], greatest[0]
+
+
 def brute_min_chain_partition(p: Poset) -> int:
     """Fewest blocks over all partitions into chains (n <= 9)."""
     assert p.n <= 9, "chain partition search limited to n <= 9"

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaincover import cover
 from chaincover.core import (InternalInconsistency, dual, from_relations,
@@ -196,7 +198,7 @@ class TestMaskKernel:
 
 # 0 < 1 < 2 and 3 < 4 < 5, with 1 < 5: width 2, covered by the hint below.
 N6 = from_relations(6, [(0, 1), (1, 2), (3, 4), (4, 5), (1, 5)])
-N6_HINT = ChainCover(((0, 1, 2), (3, 4, 5)), frozenset({0, 3}))
+N6_HINT = ChainCover((0b000111, 0b111000), 0b001001)
 
 
 def counting_matching(monkeypatch) -> list[list[int]]:
@@ -238,7 +240,7 @@ class TestHint:
         mask = 0b001011  # {0, 1, 3}: cut chains (0, 1), (3); cut antichain {0, 3}
         got = min_chain_cover(N6, mask, hint=N6_HINT)
         assert seeds == []
-        assert got == ChainCover(((0, 1), (3,)), frozenset({0, 3}))
+        assert got == ChainCover((0b000011, 0b001000), 0b001001)
         assert got.width == min_chain_cover(N6, mask).width
 
     def test_augments_from_cut_chains(self, monkeypatch):
@@ -273,6 +275,89 @@ class TestHint:
                     outcomes[misuse, outcome] = outcomes.get((misuse, outcome), 0) + 1
         # each misuse reaches both outcomes
         assert len(outcomes) == 4
+
+    def test_hinted_subcovers_hold_no_memory(self):
+        # 2,000 sub-covers, settled and matched, with the collector left
+        # alone: nothing they build outlives them
+        p = random_poset(60, 0.1, 4)
+        whole = min_chain_cover(p)
+        masks = [p.full_mask & ~(rows[x] | 1 << x)
+                 for rows in (p.up, p.down) for x in range(p.n)]
+        for mask in masks:
+            min_chain_cover(p, mask, hint=whole)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for i in range(2000):
+                min_chain_cover(p, masks[i % len(masks)], hint=whole)
+            end, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert end - start < 64 * 1024
+
+
+@given(n=st.integers(0, 40), prob=st.sampled_from((0.05, 0.1, 0.2, 0.3)),
+       seed=st.integers(0, 2 ** 32), picks=st.lists(st.integers(0, 2 ** 16),
+                                                  min_size=6, max_size=6),
+       derive=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_hints_chained_three_deep(n, prob, seed, picks, derive):
+    """Hints through settled cuts give the cold width, a Dilworth pair and
+    the cold A_min: along the chains of P's cover as reduce walks them, and
+    down three nested masks that each drop one or two elements."""
+    p = random_poset(n, prob, seed)
+    whole = min_chain_cover(p)
+    if derive:
+        whole.least_antichain  # derived first, so settled cuts inherit it
+    walks = []
+    for chain in whole.chains:
+        walks.append([p.full_mask & ~(p.up[x] | 1 << x) for x in reversed(chain)])
+        walks.append([p.full_mask & ~(p.down[x] | 1 << x) for x in chain])
+    mask, nested = p.full_mask, []
+    for a, b in zip(picks[::2], picks[1::2]):
+        if n:
+            mask &= ~(1 << a % n | 1 << b % n)
+        nested.append(mask)
+    walks.append(nested)
+    for walk in walks:
+        hint = whole
+        for mask in walk:
+            cold = min_chain_cover(p, mask)
+            hint = min_chain_cover(p, mask, hint=hint)
+            assert hint.width == cold.width
+            assert_dilworth_pair(p, mask, hint)
+            assert hint.least_antichain == cold.least_antichain
+
+
+class TestExtremeAntichains:
+    """A cold cover certifies A_max, the greatest maximum antichain, and
+    ``least_antichain`` is A_min, the least: the bounds a hint gives."""
+
+    def test_against_enumeration(self):
+        rng = random.Random(41)
+        for seed in range(120):
+            n = rng.randint(0, 12)
+            p = random_poset(n, (0.1, 0.2, 0.35, 0.5)[seed % 4], seed)
+            whole = min_chain_cover(p)
+            whole.least_antichain  # derived first, so settled cuts inherit it
+            for mask in random_masks(n, rng, 3):
+                least, greatest = oracles.brute_extreme_antichains(p, mask)
+                cold = min_chain_cover(p, mask)
+                assert cold.certificate_mask == greatest
+                assert cold.least_antichain == least
+                assert min_chain_cover(p, mask, hint=whole).least_antichain == least
+
+    def test_extremes_decide_full_width(self):
+        # a down-set keeps the width iff it holds A_min, an up-set iff A_max
+        for seed in range(40):
+            p = random_poset(12 + seed % 20, (0.1, 0.2, 0.35)[seed % 3], seed)
+            whole = min_chain_cover(p)
+            for x in range(p.n):
+                for rows, extreme in ((p.up, whole.least_antichain),
+                                      (p.down, whole.certificate_mask)):
+                    rest = p.full_mask & ~(rows[x] | 1 << x)
+                    assert ((min_chain_cover(p, rest).width == whole.width)
+                            == (extreme & ~rest == 0))
 
 
 class TestCovLaws:

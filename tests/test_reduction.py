@@ -6,6 +6,7 @@ from chaincover.generators import antichain, chain, grid_upper, lex_sum, random_
 from chaincover.reduction import (ElementProfile, claim1_reduce,
                                   cover_bound_report, reduce)
 from chaincover.selftest import LAWS
+from test_cover import counting_matching
 
 
 def cov(p) -> int:
@@ -231,6 +232,25 @@ class TestReduce:
             cold.clear()
             assert bool(reduce(p, t).antichain) == restricted
             assert cold == [None]
+
+    @pytest.mark.parametrize("t, expected", [
+        (2, dict(case="unreduced", antichain=frozenset(range(598)),
+                 q=0b11 << 598, component_covs=(2,), x0=598, selected=1 << 598,
+                 profiles={598: ElementProfile(1, 1, 1),
+                           599: ElementProfile(1, 1, 1)})),
+        (600, dict(case="unreduced", antichain=frozenset(), q=(1 << 600) - 1,
+                   component_covs=(600,), x0=0, selected=1,
+                   profiles={x: ElementProfile(599, 599, 599) for x in range(600)})),
+    ])
+    def test_wide_antichain_settles_every_hinted_subcover(self, t, expected,
+                                                          monkeypatch):
+        # every sub-cover of an antichain keeps the bounds of its hint, so
+        # the one matching is the cold cover of P; the outcome is pinned
+        seeds = counting_matching(monkeypatch)
+        out = reduce(antichain(600), t)
+        assert seeds == [[-1] * 600]
+        assert {name: getattr(out, name) for name in expected} == expected
+        assert list(out.profiles) == list(expected["profiles"])
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
