@@ -3,8 +3,8 @@
 A minimum chain cover of a poset equals ``n`` minus a maximum matching in the
 split bipartite graph whose edge (u_left, v_right) means u < v; because the
 relation is transitively closed, a path cover there is a chain cover here.
-The matching also yields a maximum antichain through the minimum-vertex-cover
-complement, so every result ships with a certificate pair whose sizes agree.
+The last layering of the matching also yields a maximum antichain (König),
+so every result ships with a certificate pair whose sizes agree.
 Everything runs on the up-rows restricted to a bitmask, so the subposet on
 any subset is covered in its parent's indices, without an induced copy, and
 a cover holds its chains and its antichain as bitmasks of those indices.
@@ -48,20 +48,32 @@ class ChainCover:
     @cached_property
     def least_antichain(self) -> int:
         """A_min, the least maximum antichain, as a mask (a cold cover's
-        certificate is the greatest, A_max).  König from the free right
-        vertices: A_max of the dual, on the ``down`` rows with the sides of
-        the chains' matching swapped.  Checked like the certificate."""
+        certificate is the greatest, A_max): A_max of the dual, from one
+        layering of ``_max_matching`` on the ``down`` rows with the chains'
+        matching, already maximum there, sides swapped.  Checked like the
+        certificate."""
         p = self.poset
         match_l, match_r = _links(p, self.chain_masks)
         rows = [row & self.mask for row in p.down]
-        least = _antichain_from_matching(rows, self.mask, match_r, match_l)
+        least = _max_matching(rows, self.mask, match_r, match_l)
         _check_antichain(p.up, self.mask, least, self.width)
         return least
 
 
 def _ordered(up, chain: int) -> list[int]:
-    """A chain mask's elements, lowest (most elements above it) first."""
-    return sorted(iter_bits(chain), key=lambda x: -up[x].bit_count())
+    """A chain mask's elements, lowest first: x sits popcount(up[x] & chain)
+    places from the end, one for each element of the chain above it.  Only
+    a chain fills every place, so a hand-built "chain" that is none raises."""
+    order = [None] * chain.bit_count()
+    rest = chain
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        x = bit.bit_length() - 1
+        order[~(up[x] & chain).bit_count()] = x
+    if None in order:
+        raise InternalInconsistency("chain mask is not a chain")
+    return order
 
 
 def _links(p: Poset, chains) -> tuple[list[int], list[int]]:
@@ -78,16 +90,21 @@ def _links(p: Poset, chains) -> tuple[list[int], list[int]]:
 
 
 def _max_matching(rows: list[int], mask: int, match_l: list[int],
-                  match_r: list[int]) -> tuple[list[int], list[int]]:
+                  match_r: list[int]) -> int:
     """Hopcroft-Karp on the split graph of ``mask``; lowest index first.
 
     ``rows[u]`` is the up-row of u already restricted to ``mask``.
     ``match_l`` and ``match_r`` hold a matching of that graph to start from
-    (all -1 for none) and are grown in place to a maximum one, which is
-    returned: match_l[u] = v iff u is immediately followed by v in some
-    chain; -1 where unmatched or outside the mask.  Hopcroft-Karp is correct
-    from any starting matching, and from one of size |mask| - k it needs at
-    most k - Cov(mask) augmentations.
+    (all -1 for none) and are grown in place to a maximum one:
+    match_l[u] = v iff u is immediately followed by v in some chain; -1
+    where unmatched or outside the mask.  Hopcroft-Karp is correct from any
+    starting matching, and from one of size |mask| - k it needs at most
+    k - Cov(mask) augmentations.
+
+    Returns König's antichain A_max from the last layering, which reaches
+    no free right vertex: the left vertices it layers minus the right ones
+    it reaches.  That is König's alternating reach, since the one matching
+    edge a layer also follows leads back to a mate already reached.
 
     Each phase layers the left vertices by a breadth-first search on
     bitmasks: a layer's reach is the OR of its rows, and the mates of the
@@ -107,24 +124,29 @@ def _max_matching(rows: list[int], mask: int, match_l: list[int],
     while True:
         dist = [-1] * n
         level = free_l
-        seen_r = 0
+        seen_l = seen_r = 0
         layer_r = [0]
         depth = 0
         while level:
+            seen_l |= level
             reach = 0
-            for u in iter_bits(level):
+            while level:
+                bit = level & -level
+                level ^= bit
+                u = bit.bit_length() - 1
                 dist[u] = depth
                 reach |= rows[u]
             reach &= ~seen_r
             seen_r |= reach
             matched = reach & ~free_r
             layer_r.append(matched)
-            level = 0
-            for v in iter_bits(matched):
-                level |= 1 << match_r[v]
+            while matched:
+                bit = matched & -matched
+                matched ^= bit
+                level |= 1 << match_r[bit.bit_length() - 1]
             depth += 1
         if not seen_r & free_r:
-            return match_l, match_r
+            return seen_l & ~seen_r
         for root in iter_bits(free_l):
             path = [root]
             rests = [rows[root]]
@@ -177,29 +199,6 @@ def _chains_from_matching(up, mask: int, match_l: list[int],
             u = v
         chains.append(chain)
     return tuple(chains)
-
-
-def _antichain_from_matching(rows: list[int], mask: int, match_l: list[int],
-                             match_r: list[int]) -> int:
-    # König: alternate from unmatched left vertices, take the cover complement.
-    z_left = 0
-    z_right = 0
-    stack = [u for u in iter_bits(mask) if match_l[u] < 0]
-    for u in stack:
-        z_left |= 1 << u
-    while stack:
-        u = stack.pop()
-        row = rows[u]
-        if match_l[u] >= 0:
-            row &= ~(1 << match_l[u])
-        fresh = row & ~z_right
-        z_right |= fresh
-        for v in iter_bits(fresh):
-            w = match_r[v]
-            if w >= 0 and not z_left >> w & 1:
-                z_left |= 1 << w
-                stack.append(w)
-    return z_left & ~z_right
 
 
 def min_chain_cover(p: Poset, mask: int | None = None,
@@ -255,10 +254,9 @@ def min_chain_cover(p: Poset, mask: int | None = None,
             return cover
     match_l, match_r = _links(p, cut)
     rows = [row & mask for row in up]
-    _max_matching(rows, mask, match_l, match_r)
+    cert = _max_matching(rows, mask, match_l, match_r)
     chains = _chains_from_matching(up, mask, match_l, match_r)
     _check_partition(chains, mask)
-    cert = _antichain_from_matching(rows, mask, match_l, match_r)
     _check_antichain(up, mask, cert, len(chains))
     return ChainCover(chains, cert, p, mask)
 

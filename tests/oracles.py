@@ -7,11 +7,12 @@ point is independence, not speed.
 
 The functions from ``XorShift64Star`` on are the plain reference forms of
 the library's kernels (the random stream one method call per draw, the text
-parser with ``int_field`` on every field, recursive Hopcroft-Karp, Warshall
-closure, per-bit transpose, per-bit cover pairs, the recursive embedding
-searches, the longest chain by Kahn order, the pairwise checks of embeddings
-and ideal chains); the kernels must return exactly what they return, down
-to the nodes a budgeted search spends.
+parser with ``int_field`` on every field, recursive Hopcroft-Karp, König's
+antichain by a second alternating search, Warshall closure, per-bit
+transpose, per-bit cover pairs, the recursive embedding searches, the
+longest chain by Kahn order, the pairwise checks of embeddings and ideal
+chains); the kernels must return exactly what they return, down to the
+nodes a budgeted search spends.
 """
 
 from __future__ import annotations
@@ -309,6 +310,32 @@ def reference_matching(rows: list[int], mask: int) -> tuple[list[int], list[int]
             if match_l[u] < 0:
                 dfs(u)
     return match_l, match_r
+
+
+def reference_konig(rows: list[int], mask: int, match_l: list[int],
+                    match_r: list[int]) -> int:
+    """König's antichain from a maximum matching, as a second search: from
+    the unmatched left vertices, alternate along non-matching edges to the
+    right and matching edges back, and take the reached left vertices minus
+    the reached right ones."""
+    z_left = 0
+    z_right = 0
+    stack = [u for u in iter_bits(mask) if match_l[u] < 0]
+    for u in stack:
+        z_left |= 1 << u
+    while stack:
+        u = stack.pop()
+        row = rows[u]
+        if match_l[u] >= 0:
+            row &= ~(1 << match_l[u])
+        fresh = row & ~z_right
+        z_right |= fresh
+        for v in iter_bits(fresh):
+            w = match_r[v]
+            if w >= 0 and not z_left >> w & 1:
+                z_left |= 1 << w
+                stack.append(w)
+    return z_left & ~z_right
 
 
 def reference_closure(n: int, pairs) -> list[int]:

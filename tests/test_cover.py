@@ -276,6 +276,12 @@ class TestHint:
         # each misuse reaches both outcomes
         assert len(outcomes) == 4
 
+    def test_hand_built_non_chain_raises(self):
+        # {0, 1} is no chain of the antichain, though the cut would settle
+        hint = ChainCover((0b11,), 0b01)
+        with pytest.raises(InternalInconsistency):
+            min_chain_cover(antichain(2), hint=hint)
+
     def test_hinted_subcovers_hold_no_memory(self):
         # 2,000 sub-covers, settled and matched, with the collector left
         # alone: nothing they build outlives them
@@ -360,6 +366,50 @@ class TestExtremeAntichains:
                             == (extreme & ~rest == 0))
 
 
+class TestKonigFromLastLayering:
+    """The certificate of a cover that ran a matching is König's A_max, and
+    ``least_antichain`` is König's A_min on the ``down`` rows with the
+    sides swapped, both against a second alternating search from the
+    cover's own matching."""
+
+    def test_against_reference_konig(self, monkeypatch):
+        seeds = counting_matching(monkeypatch)
+        rng = random.Random(31)
+        covers = 0
+        for seed in range(130):
+            n = rng.randint(0, 70)
+            p = random_poset(n, (0.02, 0.05, 0.1, 0.3)[seed % 4], seed)
+            whole = min_chain_cover(p)
+            # derived first, so only a cover's own matching counts
+            whole.least_antichain
+            hand_built = ChainCover(whole.chain_masks, whole.certificate_mask)
+            for mask in random_masks(n, rng, 1):
+                up_rows = [row & mask for row in p.up]
+                down_rows = [row & mask for row in p.down]
+                for hint in (None, whole, hand_built):
+                    calls = len(seeds)
+                    got = min_chain_cover(p, mask, hint=hint)
+                    matched = len(seeds) > calls
+                    assert matched or hint is not None
+                    assert_dilworth_pair(p, mask, got)
+                    match_l, match_r = cut_links(got, mask, p.n)
+                    if matched:
+                        assert got.certificate_mask == oracles.reference_konig(
+                            up_rows, mask, match_l, match_r)
+                    assert got.least_antichain == oracles.reference_konig(
+                        down_rows, mask, match_r, match_l)
+                    covers += 1
+        assert covers >= 1000
+
+    def test_cold_cover_leaves_down_unbuilt(self):
+        # what ``cov --witness`` and ``antichain`` run reads the up-rows only
+        for p in (random_poset(80, 0.1, 5), grid_upper(12), antichain(6),
+                  lex_sum([grid_upper(6), chain(4)])):
+            min_chain_cover(p).chains
+            max_antichain(p)
+            assert "down" not in vars(p)
+
+
 class TestCovLaws:
     def test_duality(self):
         for seed in range(30):
@@ -391,7 +441,8 @@ def test_internal_inconsistency_is_runtime_error():
 
 
 class TestMatchingKernel:
-    """_max_matching returns exactly the reference recursive Hopcroft-Karp."""
+    """_max_matching grows exactly the matching of the reference recursive
+    Hopcroft-Karp in place."""
 
     def test_same_matching_as_reference(self):
         rng = random.Random(17)
@@ -406,7 +457,9 @@ class TestMatchingKernel:
         for p in posets:
             for mask in random_masks(p.n, rng, 2):
                 rows = [row & mask for row in p.up]
-                assert (_max_matching(rows, mask, [-1] * p.n, [-1] * p.n)
+                match_l, match_r = [-1] * p.n, [-1] * p.n
+                _max_matching(rows, mask, match_l, match_r)
+                assert ((match_l, match_r)
                         == oracles.reference_matching(rows, mask))
                 instances += 1
         assert instances >= 1000
@@ -415,7 +468,9 @@ class TestMatchingKernel:
         p = random_poset(400, 0.05, 3)
         for mask in random_masks(p.n, random.Random(4), 2):
             rows = [row & mask for row in p.up]
-            assert (_max_matching(rows, mask, [-1] * p.n, [-1] * p.n)
+            match_l, match_r = [-1] * p.n, [-1] * p.n
+            _max_matching(rows, mask, match_l, match_r)
+            assert ((match_l, match_r)
                     == oracles.reference_matching(rows, mask))
 
     def test_warm_start_reaches_reference_size(self):
@@ -425,9 +480,9 @@ class TestMatchingKernel:
                              (0.02, 0.05, 0.1, 0.3, 0.6)[seed % 5], seed)
             for mask in random_masks(p.n, rng, 2):
                 sup = (mask | rng.getrandbits(p.n)) & p.full_mask
-                match_l, match_r = cut_links(min_chain_cover(p, sup), mask, p.n)
+                got_l, got_r = cut_links(min_chain_cover(p, sup), mask, p.n)
                 rows = [row & mask for row in p.up]
-                got_l, got_r = _max_matching(rows, mask, match_l, match_r)
+                _max_matching(rows, mask, got_l, got_r)
                 ref_l, _ = oracles.reference_matching(rows, mask)
                 assert (sum(v >= 0 for v in got_l)
                         == sum(v >= 0 for v in ref_l))
