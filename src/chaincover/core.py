@@ -2,17 +2,20 @@
 
 A poset is stored as its full reachability relation, one bitmask row per
 element: bit ``y`` of ``up[x]`` is set iff ``x < y``.  Construction takes
-the transitive closure (rows ORed together in reverse topological order) and
-rejects anything that is not a strict order.  A subset (an up-set, a
-down-set, an interval, an incomparability set) is a bitmask over the same
-indices; ``induced`` copies one out only where a caller needs it as a poset
-of its own.  ``down``, the transpose of ``up``, is built tile by tile on
-first use.  Values are immutable after construction; every operation here
-is a pure function, so concurrent use needs no coordination.
+the transitive closure (rows ORed together in reverse topological order:
+reverse index order when every pair rises, else Kahn's) and rejects
+anything that is not a strict order.  A text of plain pair lines is read in
+bulk; any other text line by line, which reports every error.  A subset (an
+up-set, a down-set, an interval, an incomparability set) is a bitmask over
+the same indices; ``induced`` copies one out only where a caller needs it
+as a poset of its own.  ``down``, the transpose of ``up``, is built tile by
+tile on first use.  Values are immutable after construction; every
+operation here is a pure function, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -279,31 +282,38 @@ def _on_cycles(adj: list[int], rest: int) -> int:
 def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     """Build a poset from generating pairs ``u < v``; closes transitively.
 
-    The closure runs in reverse topological order (Kahn's order on the
-    input edges): each row is its direct successors together with the OR of
-    their closed rows.  Raises CycleError if the pairs contain a cycle or a
-    reflexive pair, reporting the cycle through the smallest element that
-    lies on one; IndexError for out-of-range indices.
+    The closure runs in reverse topological order: each row is its direct
+    successors together with the OR of their closed rows.  When every pair
+    rises (u < v as integers) that order is reverse index order; otherwise
+    it is Kahn's order on the input edges.  Raises CycleError if the pairs
+    contain a cycle or a reflexive pair, reporting the cycle through the
+    smallest element that lies on one; IndexError for out-of-range indices.
     """
     if n < 0:
         raise ValueError("element count must be nonnegative")
     adj = [0] * n
-    indegree = [0] * n
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"pair ({u}, {v}) out of range for {n} elements")
-        if not adj[u] >> v & 1:
-            adj[u] |= 1 << v
-            indegree[v] += 1
-    order = [x for x in range(n) if not indegree[x]]
-    for u in order:
-        for v in iter_bits(adj[u]):
-            indegree[v] -= 1
-            if not indegree[v]:
-                order.append(v)
-    if len(order) < n:
-        cyclic = _on_cycles(adj, ((1 << n) - 1) & ~mask_of(order))
-        raise CycleError(_find_cycle(n, adj, (cyclic & -cyclic).bit_length() - 1))
+        adj[u] |= 1 << v
+    # only a falling or reflexive pair (a bit at or below the row's own
+    # index) allows a cycle, which Kahn's order finds
+    if any(row & ((2 << u) - 1) for u, row in enumerate(adj)):
+        indegree = [0] * n
+        for row in adj:
+            for v in iter_bits(row):
+                indegree[v] += 1
+        order = [x for x in range(n) if not indegree[x]]
+        for u in order:
+            for v in iter_bits(adj[u]):
+                indegree[v] -= 1
+                if not indegree[v]:
+                    order.append(v)
+        if len(order) < n:
+            cyclic = _on_cycles(adj, ((1 << n) - 1) & ~mask_of(order))
+            raise CycleError(_find_cycle(n, adj, (cyclic & -cyclic).bit_length() - 1))
+    else:
+        order = range(n)
     rows = [0] * n
     for u in reversed(order):
         rows[u] = adj[u] | closed_or(rows, adj[u])
@@ -332,15 +342,36 @@ def int_field(field: str) -> int:
 _SHORT_LINE = sys.int_info.str_digits_check_threshold
 
 
-def from_text(text: str) -> Poset:
-    """Parse the poset text format.
+# A plain line is two fields of ASCII digits among spaces and tabs, ended by
+# "\n".  A body is plain iff removing its plain lines leaves nothing: unlike
+# one match of the repeated line, that keeps no backtracking state per line,
+# and ``^`` scans a long run of digits once, not once per digit.
+_HEADER = re.compile(r"n ([0-9]+)\n")
+_PLAIN_LINE = re.compile(r"^[ \t]*[0-9]+[ \t]+[0-9]+[ \t]*\n", re.MULTILINE)
 
-    Line 1 is ``n <count>``, count <= MAX_TEXT_ELEMENTS; each later
-    non-comment line is ``<u> <v>`` asserting u < v, both below count.  Every
-    integer is ASCII decimal digits.  ``#`` starts a comment.
-    The closure is applied on load; a cycle raises CycleError with the cycle
-    in the message.
-    """
+
+def _read_plain(text: str) -> tuple[int, list[tuple[int, int]]] | None:
+    """The count and pairs of a plain text read in bulk, or None when the
+    text is not plain or holds an error, which ``_read_lines`` then reports."""
+    header = _HEADER.match(text)
+    if header is None:
+        return None
+    body = text[header.end():]
+    if _PLAIN_LINE.sub("", body):
+        return None
+    try:
+        n = int(header[1])
+        fields = list(map(int, body.split()))
+    except ValueError:  # int()'s digit limit
+        return None
+    if n > MAX_TEXT_ELEMENTS or (fields and max(fields) >= n):
+        return None
+    return n, list(zip(fields[::2], fields[1::2]))
+
+
+def _read_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The count and pairs of any text, line by line, raising ValueError
+    with the line of the first error."""
     n = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -372,7 +403,21 @@ def from_text(text: str) -> Poset:
             raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
         raise ValueError("missing 'n <count>' header line")
-    return from_relations(n, pairs)
+    return n, pairs
+
+
+def from_text(text: str) -> Poset:
+    """Parse the poset text format.
+
+    Line 1 is ``n <count>``, count <= MAX_TEXT_ELEMENTS; each later
+    non-comment line is ``<u> <v>`` asserting u < v, both below count.  Every
+    integer is ASCII decimal digits.  ``#`` starts a comment.
+    A text of plain pair lines (what ``Poset.to_text`` writes) is checked
+    by one regex pass and read with one split; any other text, and every
+    error, line by line.  The closure is applied on load; a cycle raises CycleError with
+    the cycle in the message.
+    """
+    return from_relations(*(_read_plain(text) or _read_lines(text)))
 
 
 def dual(p: Poset) -> Poset:

@@ -52,11 +52,12 @@ class ChainCover:
         layering of ``_max_matching`` on the ``down`` rows with the chains'
         matching, already maximum there, sides swapped.  Checked like the
         certificate."""
-        p = self.poset
-        match_l, match_r = _links(p, self.chain_masks)
-        rows = [row & self.mask for row in p.down]
-        least = _max_matching(rows, self.mask, match_r, match_l)
-        _check_antichain(p.up, self.mask, least, self.width)
+        p, mask = self.poset, self.mask
+        match_l, match_r, lefts, rights = _links(p, self.chain_masks)
+        rows = [row & mask for row in p.down]
+        least = _max_matching(rows, match_r, match_l, mask & ~rights,
+                              mask & ~lefts)
+        _check_antichain(p.up, mask, least, self.width)
         return least
 
 
@@ -76,28 +77,36 @@ def _ordered(up, chain: int) -> list[int]:
     return order
 
 
-def _links(p: Poset, chains) -> tuple[list[int], list[int]]:
-    """The matching of the split graph formed by the links of chain masks."""
+def _links(p: Poset, chains) -> tuple[list[int], list[int], int, int]:
+    """The matching of the split graph formed by the links of chain masks,
+    with the masks of its matched left and right vertices: each chain but
+    its top, and each chain but its bottom."""
     match_l = [-1] * p.n
     match_r = [-1] * p.n
+    lefts = rights = 0
     for c in chains:
         if c & (c - 1):
             chain = _ordered(p.up, c)
             for u, v in zip(chain, chain[1:]):
                 match_l[u] = v
                 match_r[v] = u
-    return match_l, match_r
+            lefts |= c ^ 1 << chain[-1]
+            rights |= c ^ 1 << chain[0]
+    return match_l, match_r, lefts, rights
 
 
-def _max_matching(rows: list[int], mask: int, match_l: list[int],
-                  match_r: list[int]) -> int:
-    """Hopcroft-Karp on the split graph of ``mask``; lowest index first.
+def _max_matching(rows: list[int], match_l: list[int], match_r: list[int],
+                  free_l: int, free_r: int) -> int:
+    """Hopcroft-Karp on the split graph of a mask; lowest index first.
 
-    ``rows[u]`` is the up-row of u already restricted to ``mask``.
+    ``rows[u]`` is the up-row of u already restricted to the mask.
     ``match_l`` and ``match_r`` hold a matching of that graph to start from
     (all -1 for none) and are grown in place to a maximum one:
     match_l[u] = v iff u is immediately followed by v in some chain; -1
-    where unmatched or outside the mask.  Hopcroft-Karp is correct from any
+    where unmatched or outside the mask.  ``free_l`` and ``free_r`` are the
+    vertices of the mask that this matching leaves free on the left and on
+    the right (both the whole mask for the empty matching): the tops and the
+    bottoms of the chains it links.  Hopcroft-Karp is correct from any
     starting matching, and from one of size |mask| - k it needs at most
     k - Cov(mask) augmentations.
 
@@ -116,11 +125,6 @@ def _max_matching(rows: list[int], mask: int, match_l: list[int],
     k; both masks are updated as vertices fail and paths augment.
     """
     n = len(rows)
-    free_l = free_r = mask
-    for u, v in enumerate(match_l):
-        if v >= 0:
-            free_l &= ~(1 << u)
-            free_r &= ~(1 << v)
     while True:
         dist = [-1] * n
         level = free_l
@@ -242,7 +246,7 @@ def min_chain_cover(p: Poset, mask: int | None = None,
             if not verified:
                 _check_partition(cut, mask)
                 # walking the cut chains checks every link
-                _chains_from_matching(up, mask, *_links(p, cut))
+                _chains_from_matching(up, mask, *_links(p, cut)[:2])
                 _check_antichain(up, mask, cert, len(cut))
             elif mask & ~hint.mask:
                 raise InternalInconsistency("hint does not cover the subposet")
@@ -252,9 +256,9 @@ def min_chain_cover(p: Poset, mask: int | None = None,
             if verified and least is not None and not least & ~mask:
                 vars(cover)["least_antichain"] = least
             return cover
-    match_l, match_r = _links(p, cut)
+    match_l, match_r, lefts, rights = _links(p, cut)
     rows = [row & mask for row in up]
-    cert = _max_matching(rows, mask, match_l, match_r)
+    cert = _max_matching(rows, match_l, match_r, mask & ~lefts, mask & ~rights)
     chains = _chains_from_matching(up, mask, match_l, match_r)
     _check_partition(chains, mask)
     _check_antichain(up, mask, cert, len(chains))

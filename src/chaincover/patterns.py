@@ -3,12 +3,15 @@
 Backtracking assigns pattern elements in a fixed linear extension order, so
 every already-assigned element is below or incomparable to the current one.
 Candidate targets are prefiltered by (up-set size, down-set size,
-incomparability degree) signatures, then constrained by bitmask intersection
-against the assigned prefix: the image of an earlier position y restricts a
-later one to ``up[f(y)]`` when y lies below it in the pattern and to
-``inc[f(y)]`` otherwise, read from one bitmask per position of the earlier
-positions below it.  Induced-subposet isomorphism is
-NP-hard in general; the signatures keep desk-scale instances fast.
+incomparability degree) signatures, each a popcount: per coordinate, one
+table over p maps a threshold t to the mask of the targets whose count is
+at least t, so a position's candidates are three ANDs.  They are then
+constrained by bitmask intersection against the assigned prefix: the image
+of an earlier position y restricts a later one to ``up[f(y)]`` when y lies
+below it in the pattern and to ``inc[f(y)]`` otherwise, read from one
+bitmask per position of the earlier positions below it.  Induced-subposet
+isomorphism is NP-hard in general; the signatures keep desk-scale instances
+fast.
 
 The search is an iterative depth-first search with its state in flat lists
 (no Python recursion, so patterns of any size).  On entering a position it
@@ -78,9 +81,23 @@ def linear_extension(p: Poset) -> list[int]:
     return order
 
 
-def _signatures(p: Poset) -> list[tuple[int, int, int]]:
-    return [(p.up[x].bit_count(), p.down[x].bit_count(), p.inc_mask(x).bit_count())
-            for x in range(p.n)]
+def _signatures(p: Poset) -> tuple[list[int], list[int], list[int]]:
+    """|up[x]|, |down[x]| and the number of elements incomparable to x, for
+    every x: n - 1 - |up[x]| - |down[x]|."""
+    ups = [row.bit_count() for row in p.up]
+    downs = [row.bit_count() for row in p.down]
+    return ups, downs, [p.n - 1 - u - d for u, d in zip(ups, downs)]
+
+
+def _at_least(counts: list[int]) -> list[int]:
+    """table[t]: the mask of the x with counts[x] >= t, for t < len(counts)
+    (every count is below it): one bucket per count, then a suffix OR."""
+    table = [0] * len(counts)
+    for x, c in enumerate(counts):
+        table[c] |= 1 << x
+    for t in range(len(table) - 2, -1, -1):
+        table[t] |= table[t + 1]
+    return table
 
 
 def embeds(p: Poset, q: Poset, budget: int | None = None) -> Embedding | None:
@@ -94,18 +111,13 @@ def embeds(p: Poset, q: Poset, budget: int | None = None) -> Embedding | None:
         return Embedding(q, p, ())
     if q.n > p.n:
         return None
-    sig_p = _signatures(p)
-    sig_q = _signatures(q)
+    ups, downs, incs = map(_at_least, _signatures(p))
+    uq, dq, iq = _signatures(q)
     order = linear_extension(q)
     # first[pos]: the targets whose signature admits position pos
     first = []
     for a in order:
-        ua, da, ia = sig_q[a]
-        mask = 0
-        for x in range(p.n):
-            ux, dx, ix = sig_p[x]
-            if ux >= ua and dx >= da and ix >= ia:
-                mask |= 1 << x
+        mask = ups[uq[a]] & downs[dq[a]] & incs[iq[a]]
         if not mask:
             return None
         first.append(mask)
@@ -199,8 +211,11 @@ def embeds_grid(p: Poset, k: int, want_dual: bool = False,
 
     Cheap structural bounds (size, height, width) prune before the generic
     search runs; they hold equally for the dual since all three are self-dual
-    quantities.  A budget of 0 answers from these bounds or raises
-    BudgetExhausted; a negative one is a PreconditionError.
+    quantities.  The width bound Cov(P) >= k // 2 is first read off the
+    maximal elements, an antichain, so their count bounds Cov(P) from below
+    (Dilworth); the full cover runs only when there are fewer of them.  A
+    budget of 0 answers from these bounds or raises BudgetExhausted; a
+    negative one is a PreconditionError.
     """
     if budget is not None and budget < 0:
         raise PreconditionError(f"budget must be nonnegative, got {budget}")
@@ -210,7 +225,8 @@ def embeds_grid(p: Poset, k: int, want_dual: bool = False,
         return None
     if _height(p) < 2 * k - 3:
         return None
-    if cover.min_chain_cover(p).width < k // 2:
+    if (cover.min_chain_cover(p, p.maximal_mask).width < k // 2
+            and cover.min_chain_cover(p).width < k // 2):
         return None
     grid = generators.grid_upper(k)
     pattern = dual(grid) if want_dual else grid

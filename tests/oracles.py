@@ -25,8 +25,7 @@ from chaincover.core import (MAX_TEXT_ELEMENTS, CycleError,
                              from_relations, int_field, iter_bits, mask_of)
 from chaincover.generators import grid_upper
 from chaincover.ideal_embed import ChainViolation, EmbedFailure, IdealChain
-from chaincover.patterns import (BudgetExhausted, Embedding, _signatures,
-                                 linear_extension)
+from chaincover.patterns import BudgetExhausted, Embedding, linear_extension
 
 
 def is_antichain(p: Poset, members) -> bool:
@@ -386,13 +385,19 @@ def reference_validate_embedding(e: Embedding) -> bool:
 
 def reference_embeds(p: Poset, q: Poset, budget: int | None = None) -> Embedding | None:
     """Recursive backtracking over the same candidates in the same order:
-    one node per candidate tried, BudgetExhausted past ``budget`` nodes."""
+    one node per candidate tried, BudgetExhausted past ``budget`` nodes.
+    The candidates compare every target's (|up|, |down|, |inc_mask|)
+    signature with every pattern element's, one pair at a time."""
     if q.n == 0:
         return Embedding(q, p, ())
     if q.n > p.n:
         return None
-    sig_p = _signatures(p)
-    sig_q = _signatures(q)
+    def signatures(r: Poset) -> list[tuple[int, int, int]]:
+        return [(r.up[x].bit_count(), r.down[x].bit_count(),
+                 r.inc_mask(x).bit_count()) for x in range(r.n)]
+
+    sig_p = signatures(p)
+    sig_q = signatures(q)
     cand = []
     for a in range(q.n):
         ua, da, ia = sig_q[a]

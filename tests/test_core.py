@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -210,6 +211,40 @@ _POSET_TEXT = st.builds(
         max_size=12))
 
 
+@st.composite
+def plain_texts(draw):
+    """Texts of the header and pair lines only, the form read in bulk: pairs
+    rising, falling, repeated, reflexive or closing cycles, fields with
+    leading zeros, and the rare line that leaves the bulk form or holds an
+    error: a field out of range or past int()'s digit limit, a CRLF end, a
+    last line without its newline."""
+    n = draw(st.integers(0, 12))
+    rising = draw(st.booleans())
+
+    def field() -> int | str:
+        if n and draw(st.integers(0, 40)):
+            return draw(st.integers(0, n - 1))
+        return draw(st.sampled_from([str(n), f"00{n + 3}", "20001", _DIGITS,
+                                     "0" * 5000 + "1"]))
+
+    text = draw(st.sampled_from(["n {}\n", "n 00{}\n"])).format(n)
+    for _ in range(draw(st.integers(0, 10))):
+        u, v = field(), field()
+        if rising and isinstance(u, int) and isinstance(v, int):
+            if u == v:
+                continue
+            u, v = min(u, v), max(u, v)
+        u, v = (draw(st.sampled_from(["", "0", "00"])) + str(x)
+                if isinstance(x, int) else x for x in (u, v))
+        text += "".join([draw(st.sampled_from(["", " ", "\t"])), u,
+                         draw(st.sampled_from([" ", "\t", " \t  "])), v,
+                         draw(st.sampled_from(["", " ", "\t"])),
+                         draw(st.sampled_from(["\n"] * 19 + ["\r\n"]))])
+    if draw(st.integers(0, 3)) == 0:
+        text = text.removesuffix("\n")
+    return text
+
+
 def _parsed(parse, text):
     try:
         return parse(text)
@@ -253,14 +288,46 @@ class TestTextFormat:
         # the inline ASCII-digit test gives what int_field on every field gives
         assert _parsed(from_text, text) == _parsed(oracles.reference_from_text, text)
 
+    @settings(max_examples=300, deadline=None)
+    @given(plain_texts())
+    def test_plain_text_equals_reference_parser(self, text):
+        assert _parsed(from_text, text) == _parsed(oracles.reference_from_text, text)
+
+    def test_plain_text_read_in_bulk(self):
+        assert core._read_plain("n 0\n") == (0, [])
+        assert core._read_plain("n 005\n3 1\n\t0  02 \n0 2\n4\t4\n") == (
+            5, [(3, 1), (0, 2), (0, 2), (4, 4)])
+        # anything else goes line by line, which names the line of an error
+        for text in ("n 3\n0 1\r\n", "n 3\n0 1", "n 3\n0 1 # c\n", "n 3\n0 3\n",
+                     f"n 3\n0 {_DIGITS}\n", f"n {_DIGITS}\n", "n 20001\n",
+                     "\nn 3\n", "n 3\n\n0 1\n", " n 3\n", "n\t3\n", "n 3\n0 1 2\n",
+                     "n 3\n+1 2\n", "n 3\n\u0661 2\n", "n 3\n0\u00a01\n"):
+            assert core._read_plain(text) is None, text
+
+    def test_plain_read_keeps_no_state_per_line(self):
+        # one match of the repeated line held ~600 bytes of backtracking
+        # state per line at its peak, 3.4 times what the line loop holds
+        text = grid_upper(120).to_text()
+        peaks = []
+        for read in (core._read_lines, core._read_plain):
+            tracemalloc.start()
+            try:
+                read(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
     def test_builds_through_from_relations(self, monkeypatch):
-        # the closure stays behind the module's from_relations, a traced name
+        # the closure stays behind the module's from_relations, a traced
+        # name, on the bulk route and on the line route
         calls = []
         real = core.from_relations
         monkeypatch.setattr(core, "from_relations",
                             lambda n, pairs: calls.append(n) or real(n, pairs))
-        assert from_text("n 3\n0 1\n1 2\n") == chain(3)
-        assert calls == [3]
+        for text in ("n 3\n0 1\n1 2\n", "n 3\n0 1\n1 2  # c\n"):
+            assert from_text(text) == chain(3)
+        assert calls == [3, 3]
 
 
 def test_iter_bits():
@@ -297,6 +364,21 @@ class TestClosureKernel:
             n = rng.randint(0, 40)
             pairs = random_pairs(rng, n, rng.randint(0, 3 * n), acyclic=True)
             assert list(from_relations(n, pairs).up) == oracles.reference_closure(n, pairs)
+
+    def test_rising_and_shuffled_equal_warshall(self):
+        # pairs that all rise take reverse index order; the same orders
+        # relabelled by a shuffle take Kahn's
+        rng = random.Random(10)
+        for _ in range(300):
+            n = rng.randint(0, 40)
+            pairs = [(u, v) for u, v in random_pairs(rng, n, rng.randint(0, 3 * n),
+                                                     acyclic=False) if u != v]
+            rising = [(min(u, v), max(u, v)) for u, v in pairs]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled = [(perm[u], perm[v]) for u, v in rising]
+            for case in (rising, shuffled):
+                assert list(from_relations(n, case).up) == oracles.reference_closure(n, case)
 
     def test_cycles_equal_warshall(self):
         rng = random.Random(9)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaincover import cover
 from chaincover.core import (InternalInconsistency, dual, from_relations,
-                             induced, iter_bits)
+                             induced, iter_bits, mask_of)
 from chaincover.cover import (ChainCover, _max_matching, max_antichain,
                               min_chain_cover)
 from chaincover.generators import (antichain, chain, grid_upper, lex_sum,
@@ -206,9 +206,9 @@ def counting_matching(monkeypatch) -> list[list[int]]:
     seeds = []
     real = cover._max_matching
 
-    def counted(rows, mask, match_l, match_r):
+    def counted(rows, match_l, match_r, free_l, free_r):
         seeds.append(list(match_l))
-        return real(rows, mask, match_l, match_r)
+        return real(rows, match_l, match_r, free_l, free_r)
 
     monkeypatch.setattr(cover, "_max_matching", counted)
     return seeds
@@ -458,7 +458,7 @@ class TestMatchingKernel:
             for mask in random_masks(p.n, rng, 2):
                 rows = [row & mask for row in p.up]
                 match_l, match_r = [-1] * p.n, [-1] * p.n
-                _max_matching(rows, mask, match_l, match_r)
+                _max_matching(rows, match_l, match_r, mask, mask)
                 assert ((match_l, match_r)
                         == oracles.reference_matching(rows, mask))
                 instances += 1
@@ -469,7 +469,7 @@ class TestMatchingKernel:
         for mask in random_masks(p.n, random.Random(4), 2):
             rows = [row & mask for row in p.up]
             match_l, match_r = [-1] * p.n, [-1] * p.n
-            _max_matching(rows, mask, match_l, match_r)
+            _max_matching(rows, match_l, match_r, mask, mask)
             assert ((match_l, match_r)
                     == oracles.reference_matching(rows, mask))
 
@@ -482,7 +482,10 @@ class TestMatchingKernel:
                 sup = (mask | rng.getrandbits(p.n)) & p.full_mask
                 got_l, got_r = cut_links(min_chain_cover(p, sup), mask, p.n)
                 rows = [row & mask for row in p.up]
-                _max_matching(rows, mask, got_l, got_r)
+                linked = [(u, v) for u, v in enumerate(got_l) if v >= 0]
+                _max_matching(rows, got_l, got_r,
+                              mask & ~mask_of(u for u, _ in linked),
+                              mask & ~mask_of(v for _, v in linked))
                 ref_l, _ = oracles.reference_matching(rows, mask)
                 assert (sum(v >= 0 for v in got_l)
                         == sum(v >= 0 for v in ref_l))

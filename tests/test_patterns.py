@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from chaincover.core import dual
+from chaincover import cover
+from chaincover.core import dual, from_relations
 from chaincover.generators import antichain, chain, grid_upper, random_poset
 from chaincover.patterns import (BudgetExhausted, Embedding, _height, embeds,
                                  embeds_grid, linear_extension,
@@ -110,6 +111,58 @@ class TestEmbedsGrid:
         # chain has width 1 < floor(6/2): prune must agree with search
         assert embeds_grid(chain(30), 6) is None
         assert not oracles.brute_embeds(chain(12), grid_upper(4))
+
+    def test_few_maximal_elements_take_the_full_cover(self, monkeypatch):
+        # fewer than k // 2 maximal elements, yet width >= k // 2: three
+        # chains under one top, and the dual grid (one maximal element)
+        masks = cover_masks(monkeypatch)
+        for p, k in ((chains_under_top(3, 9), 6), (dual(grid_upper(8)), 4),
+                     (dual(grid_upper(8)), 6)):
+            for want_dual in (False, True):
+                masks.clear()
+                got = embeds_grid(p, k, want_dual)
+                pattern = dual(grid_upper(k)) if want_dual else grid_upper(k)
+                want = oracles.reference_embeds(p, pattern)
+                assert masks == [p.maximal_mask, None]
+                assert (got and got.mapping) == (want and want.mapping)
+
+    def test_many_maximal_elements_skip_the_full_cover(self, monkeypatch):
+        masks = cover_masks(monkeypatch)
+        checked = 0
+        for seed in range(40):
+            p = random_poset(20 + seed, (0.1, 0.2)[seed % 2], 9700 + seed)
+            for k in (3, 4, 5, 6):
+                masks.clear()
+                try:
+                    embeds_grid(p, k, budget=0)
+                except BudgetExhausted:
+                    pass
+                if masks and p.maximal_mask.bit_count() >= k // 2:
+                    assert masks == [p.maximal_mask]
+                    checked += 1
+        assert checked > 50
+
+
+def chains_under_top(count: int, length: int):
+    """``count`` disjoint chains of ``length`` elements below one top."""
+    top = count * length
+    pairs = [(c * length + i, c * length + i + 1)
+             for c in range(count) for i in range(length - 1)]
+    pairs += [(c * length + length - 1, top) for c in range(count)]
+    return from_relations(top + 1, pairs)
+
+
+def cover_masks(monkeypatch) -> list:
+    """Patch cover.min_chain_cover to record the mask of each call."""
+    masks = []
+    real = cover.min_chain_cover
+
+    def recorded(p, mask=None, hint=None):
+        masks.append(mask)
+        return real(p, mask, hint)
+
+    monkeypatch.setattr(cover, "min_chain_cover", recorded)
+    return masks
 
 
 class TestValidateEmbedding:
