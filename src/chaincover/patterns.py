@@ -26,6 +26,7 @@ is the lexicographically least embedding in assignment order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (InternalInconsistency, Poset, PreconditionError, closed_or,
                    dual, iter_bits, mask_of)
@@ -215,7 +216,9 @@ def embeds_grid(p: Poset, k: int, want_dual: bool = False,
     maximal elements, an antichain, so their count bounds Cov(P) from below
     (Dilworth); the full cover runs only when there are fewer of them.  A
     budget of 0 answers from these bounds or raises BudgetExhausted; a
-    negative one is a PreconditionError.
+    negative one is a PreconditionError.  For finite k the half-grid is
+    self-dual, by (a, b) -> (k-1-b, k-1-a), so ``want_dual`` asks the same
+    yes/no question; only the embedding found can differ.
     """
     if budget is not None and budget < 0:
         raise PreconditionError(f"budget must be nonnegative, got {budget}")
@@ -228,6 +231,11 @@ def embeds_grid(p: Poset, k: int, want_dual: bool = False,
     if (cover.min_chain_cover(p, p.maximal_mask).width < k // 2
             and cover.min_chain_cover(p).width < k // 2):
         return None
+    return embeds(p, _grid_pattern(k, want_dual), budget)
+
+
+@lru_cache(maxsize=8)
+def _grid_pattern(k: int, want_dual: bool) -> Poset:
+    """The half-grid pattern of ``embeds_grid``, built once per (k, side)."""
     grid = generators.grid_upper(k)
-    pattern = dual(grid) if want_dual else grid
-    return embeds(p, pattern, budget)
+    return dual(grid) if want_dual else grid

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
 from .core import induced  # unused here: the reduction.induced tracer site
-from .cover import ChainCover, min_chain_cover
+from .cover import ChainCover, _links, min_chain_cover
 from .incgraph import inc_components, inc_distance_path, interval_cover
 
 
@@ -197,10 +197,17 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     is ``unreduced``.  Every subset is a mask over p's indices, cut to q
     where it comes from p's rows.  Claim 1's cover of q is the one cold
     cover.  It hints the component sub-covers, and the profile sub-covers
-    along its chains; the target component's cover does the same for the
-    pivot loop.  Cov(Inc_x) comes from the restriction's certificate.  The
-    outcome carries q and its profiles, the component covers and, outside
-    case2, x0 and the selected subposet.
+    along its chains.  Cov(Inc_x) comes from the restriction's certificate.
+
+    The pivot is picked bound-first: the chains of C's verified cover that
+    meet a side bound its width (an up-set of C meets a chain iff it holds
+    the chain's top, a down-set iff it holds its bottom), one popcount each.
+    Candidates whose bound misses their threshold are dropped.  The rest are
+    covered exactly, hinted with C's cover, by descending bound and then in
+    the tie order, until a bound falls below the best width, or equals it
+    later in the tie order: a width never exceeds its bound, so no candidate
+    from there on can win.  The outcome carries q and its profiles, the
+    component covers and, outside case2, x0 and the selected subposet.
     """
     q, antichain, inc_covs, whole = claim1_reduce(p, t)
     comps = inc_components(p, q)
@@ -212,19 +219,29 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     if hit is None:
         return out
     comp, comp_cover = hit
-    best = None
-    # x's up-set shrinks as x goes up a chain, its down-set as x goes down
-    for case, rows, downward in (("case1", p.up, False),
-                                 ("case1_dual", p.down, True)):
-        widths = _along_chains(p, comp_cover,
-                               lambda x: (rows[x] | 1 << x) & comp, downward)
+    # the tops of comp_cover's chains bound the up-sets, the bottoms the
+    # down-sets
+    _, _, lefts, rights = _links(p, comp_cover.chain_masks)
+    candidates = []
+    for case, rows, ends in (("case1", p.up, comp & ~lefts),
+                             ("case1_dual", p.down, comp & ~rights)):
         for x in iter_bits(comp):
-            width = widths[x]
-            if (width >= (t - inc_covs[x] + 1) // 2
-                    and (best is None or width > best[0])):
-                best = (width, case, x, (rows[x] | 1 << x) & comp)
+            side = (rows[x] | 1 << x) & comp
+            need = (t - inc_covs[x] + 1) // 2
+            bound = (side & ends).bit_count()
+            if bound >= need:
+                # rank falls along the tie order, so (width, rank) orders
+                # the candidates as the rule does
+                candidates.append((bound, -len(candidates), need, case, x, side))
+    best = None
+    for bound, rank, need, case, x, side in sorted(candidates, reverse=True):
+        if best is not None and (bound, rank) < best[:2]:
+            break
+        width = min_chain_cover(p, side, hint=comp_cover).width
+        if width >= need and (best is None or (width, rank) > best[:2]):
+            best = (width, rank, case, x, side)
     if best is None:
         raise InternalInconsistency("subadditivity guarantees a qualifying pivot")
-    width, case, x0, side = best
+    width, _, case, x0, side = best
     return replace(out, case=case if width >= t else "unreduced", x0=x0, selected=side)
 

@@ -11,8 +11,8 @@ parser with ``int_field`` on every field, recursive Hopcroft-Karp, König's
 antichain by a second alternating search, Warshall closure, per-bit
 transpose, per-bit cover pairs, the recursive embedding searches, the
 longest chain by Kahn order, the pairwise checks of embeddings and ideal
-chains); the kernels must return exactly what they return, down to the
-nodes a budgeted search spends.
+chains, the exhaustive pivot loop of ``reduce``); the kernels must return
+exactly what they return, down to the nodes a budgeted search spends.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ from itertools import combinations
 from chaincover.core import (MAX_TEXT_ELEMENTS, CycleError,
                              InternalInconsistency, Poset, _find_cycle,
                              from_relations, int_field, iter_bits, mask_of)
+from chaincover.cover import min_chain_cover
 from chaincover.generators import grid_upper
 from chaincover.ideal_embed import ChainViolation, EmbedFailure, IdealChain
+from chaincover.incgraph import inc_components
 from chaincover.patterns import BudgetExhausted, Embedding, linear_extension
+from chaincover.reduction import claim1_reduce
 
 
 def is_antichain(p: Poset, members) -> bool:
@@ -562,3 +565,28 @@ def reference_embed_from_ideal_chain(c: IdealChain, budget: int = 10 ** 6
     mapping = tuple(assignment[(a, b)]
                     for a in range(m) for b in range(a + 1, m))
     return Embedding(grid, p, mapping)
+
+
+def reference_pivot(p: Poset, t: int) -> tuple[str, int | None, int | None]:
+    """``reduce``'s case, pivot and selected mask by the exhaustive rule.
+
+    On the restricted q and its first Inc component C with Cov(C) >= t,
+    every up-set and down-set of C and every Cov(Inc_x(q)) is covered cold.
+    Among the x whose side reaches ceil((t - Cov(Inc_x)) / 2) the widest
+    side wins; a strict > leaves ties to the up side, then the lowest index.
+    """
+    q = claim1_reduce(p, t).q
+    comp = next((c for c in inc_components(p, q)
+                 if min_chain_cover(p, c).width >= t), None)
+    if comp is None:
+        return "case2", None, None
+    inc = {x: min_chain_cover(p, q & p.inc_mask(x)).width for x in iter_bits(comp)}
+    best = None
+    for case, rows in (("case1", p.up), ("case1_dual", p.down)):
+        for x in iter_bits(comp):
+            side = (rows[x] | 1 << x) & comp
+            width = min_chain_cover(p, side).width
+            if width >= (t - inc[x] + 1) // 2 and (best is None or width > best[0]):
+                best = (width, case, x, side)
+    width, case, x0, side = best
+    return case if width >= t else "unreduced", x0, side

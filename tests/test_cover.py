@@ -436,6 +436,28 @@ class TestCovLaws:
                 assert w <= total
 
 
+@pytest.mark.parametrize("p", [random_poset(400, 0.05, 1),
+                               random_poset(400, 0.3, 1), grid_upper(30)],
+                         ids=["random400-0.05", "random400-0.3", "grid30"])
+def test_relabelling_and_duality_laws_at_scale(p):
+    # sizes the kernels run at, on non-rising copies: a relabelled copy keeps
+    # Cov, the antichain size and the component sizes in chain order, and
+    # its certificate verifies; the dual keeps Cov, the antichain size and
+    # the component count
+    perm = list(range(p.n))
+    random.Random(p.n).shuffle(perm)
+    shuffled = oracles.relabel(p, perm)
+    width = min_chain_cover(p).width
+    sizes = [c.bit_count() for c in inc_components(p)]
+    cc = min_chain_cover(shuffled)
+    assert_dilworth_pair(shuffled, shuffled.full_mask, cc)
+    assert cc.width == width == len(max_antichain(shuffled))
+    assert [c.bit_count() for c in inc_components(shuffled)] == sizes
+    flipped = dual(p)
+    assert min_chain_cover(flipped).width == width == len(max_antichain(flipped))
+    assert len(inc_components(flipped)) == len(sizes)
+
+
 def test_internal_inconsistency_is_runtime_error():
     assert issubclass(InternalInconsistency, RuntimeError)
 

@@ -4,10 +4,11 @@ import pytest
 
 from chaincover import cover
 from chaincover.core import dual, from_relations
-from chaincover.generators import antichain, chain, grid_upper, random_poset
-from chaincover.patterns import (BudgetExhausted, Embedding, _height, embeds,
-                                 embeds_grid, linear_extension,
-                                 validate_embedding)
+from chaincover.generators import (antichain, chain, grid_index, grid_labels,
+                                   grid_upper, random_poset)
+from chaincover.patterns import (BudgetExhausted, Embedding, _grid_pattern,
+                                 _height, embeds, embeds_grid,
+                                 linear_extension, validate_embedding)
 
 import oracles
 
@@ -21,8 +22,9 @@ class TestEmbeds:
         assert embeds(chain(10), grid_upper(4)) is None
 
     def test_grid6_contains_dual_grid4(self):
-        # the 4-grid is self-dual (its component chain is palindromic), so
-        # this is Found; frozen from the brute-force matcher
+        # every finite half-grid is self-dual (see
+        # test_half_grid_is_self_dual), so this is Found; frozen from the
+        # brute-force matcher
         e = embeds(grid_upper(6), dual(grid_upper(4)))
         assert e is not None
         assert e.mapping == (7, 6, 2, 5, 1, 0)
@@ -98,6 +100,24 @@ class TestEmbedsGrid:
         e = embeds_grid(grid_upper(6), 4, want_dual=True)
         generic = embeds(grid_upper(6), dual(grid_upper(4)))
         assert (e is None) == (generic is None)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_half_grid_is_self_dual(self, k):
+        # (a, b) -> (k-1-b, k-1-a) reverses the componentwise order, so it
+        # maps dual(grid_upper(k)) onto grid_upper(k): for finite k,
+        # find-grid and find-grid --dual ask the same question
+        mapping = tuple(grid_index(k, k - 1 - b, k - 1 - a)
+                        for a, b in grid_labels(k))
+        assert validate_embedding(Embedding(dual(grid_upper(k)), grid_upper(k),
+                                            mapping))
+
+    def test_pattern_is_built_once(self):
+        for k in (2, 6, 7):
+            for want_dual in (False, True):
+                pattern = _grid_pattern(k, want_dual)
+                assert pattern is _grid_pattern(k, want_dual)
+                assert pattern == (dual(grid_upper(k)) if want_dual
+                                   else grid_upper(k))
 
     def test_agrees_with_generic_embeds(self):
         for seed in range(12):

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
-from chaincover.core import PreconditionError, induced, iter_bits
+from chaincover.core import PreconditionError, dual, induced, iter_bits
 from chaincover.cover import min_chain_cover
 from chaincover.generators import antichain, chain, grid_upper, lex_sum, random_poset
 from chaincover.reduction import (ElementProfile, claim1_reduce,
                                   cover_bound_report, reduce)
 from chaincover.selftest import LAWS
 from test_cover import counting_matching
+
+import oracles
 
 
 def cov(p) -> int:
@@ -27,6 +31,36 @@ def profiles_by_copies(p, back) -> dict:
         out[back[x]] = ElementProfile(cov_of(p, inc), cov_of(p, above),
                                       cov_of(p, below))
     return out
+
+
+def counting_covers(monkeypatch) -> list:
+    """(mask, hint, cover) of every ``min_chain_cover`` call ``reduction``
+    makes, in call order."""
+    from chaincover import reduction
+    calls = []
+
+    def counting(p, mask=None, hint=None):
+        cover = min_chain_cover(p, mask, hint=hint)
+        calls.append((mask, hint, cover))
+        return cover
+
+    monkeypatch.setattr(reduction, "min_chain_cover", counting)
+    return calls
+
+
+def pivot_instances():
+    """Random posets with relabelled copies and duals (not rising), grids,
+    and antichains, where every candidate pivot ties."""
+    for seed in range(48):
+        p = random_poset(4 + seed % 29, (0.05, 0.1, 0.2, 0.3)[seed % 4], seed)
+        perm = list(range(p.n))
+        random.Random(seed).shuffle(perm)
+        yield from (p, oracles.relabel(p, perm), dual(p))
+    for k in range(2, 10):
+        yield grid_upper(k)
+    yield oracles.relabel(grid_upper(7), list(range(20, -1, -1)))
+    for m in (1, 2, 3, 8, 25):
+        yield antichain(m)
 
 
 def three_chain_with_bridge():
@@ -218,20 +252,33 @@ class TestReduce:
     def test_one_cold_cover_per_reduce(self, monkeypatch):
         # claim 1's cover of q hints everything after it: the only cover
         # without a hint is P's own, on the early return and the greedy path
-        from chaincover import reduction
-        cold = []
-
-        def counting(p, mask=None, hint=None):
-            if hint is None:
-                cold.append(mask)
-            return min_chain_cover(p, mask, hint=hint)
-
-        monkeypatch.setattr(reduction, "min_chain_cover", counting)
+        calls = counting_covers(monkeypatch)
         for p, t, restricted in ((grid_upper(6), 3, False), (antichain(4), 3, True),
                                  (random_poset(20, 0.1, 1), 1, True)):
-            cold.clear()
+            calls.clear()
             assert bool(reduce(p, t).antichain) == restricted
-            assert cold == [None]
+            assert [mask for mask, hint, _ in calls if hint is None] == [None]
+
+    def test_pivot_matches_exhaustive_reference(self):
+        checked = 0
+        for p in pivot_instances():
+            for t in range(1, cov(p) + 1):
+                out = reduce(p, t)
+                assert (out.case, out.x0, out.selected) == \
+                    oracles.reference_pivot(p, t), (p, t)
+                checked += 1
+        assert checked > 500
+
+    def test_wide_antichain_runs_one_pivot_subcover(self, monkeypatch):
+        # every candidate pivot of an antichain ties at bound 1, so only the
+        # first, x = 0 on the up side, gets an exact cover (not all 1,200)
+        calls = counting_covers(monkeypatch)
+        out = reduce(antichain(600), 600)
+        # the component cover: the one hinted cover of the whole antichain
+        [comp_cover] = [cover for _, hint, cover in calls
+                        if hint is not None and cover.mask == out.q]
+        assert [mask for mask, hint, _ in calls if hint is comp_cover] == [1]
+        assert (out.case, out.x0, out.selected) == ("unreduced", 0, 1)
 
     @pytest.mark.parametrize("t, expected", [
         (2, dict(case="unreduced", antichain=frozenset(range(598)),
