@@ -22,15 +22,16 @@ from .core import InternalInconsistency, Poset, iter_bits
 @dataclass(frozen=True)
 class ChainCover:
     """A partition into chains plus a maximum-antichain certificate, as
-    bitmasks of ``poset``: the poset ``min_chain_cover`` verified them on,
-    for its subposet on ``mask``.  A cover built by hand has no poset, so
-    as a hint it takes the full check.
+    bitmasks of the ``poset`` and ``mask`` ``min_chain_cover`` verified them
+    on, with ``succ``, the matching they came from (shared by settled cuts).
+    Hand-built, it has none of these, so as a hint it takes the full check.
     """
 
     chain_masks: tuple[int, ...]
     certificate_mask: int
     poset: Poset | None = field(default=None, compare=False, repr=False)
     mask: int = field(default=0, compare=False, repr=False)
+    succ: list[int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def width(self) -> int:
@@ -45,15 +46,19 @@ class ChainCover:
     def certificate(self) -> frozenset[int]:
         return frozenset(iter_bits(self.certificate_mask))
 
+    def links(self) -> tuple[list[int], list[int], int, int]:
+        """``succ`` restricted to the mask: on a cut that meets each chain in
+        an interval, the chains' links, as ``_links`` gives them."""
+        return _restricted(self.succ, self.mask, self.poset.n)
+
     @cached_property
     def least_antichain(self) -> int:
         """A_min, the least maximum antichain, as a mask (a cold cover's
         certificate is the greatest, A_max): A_max of the dual, from one
         layering of ``_max_matching`` on the ``down`` rows with the chains'
-        matching, already maximum there, sides swapped.  Checked like the
-        certificate."""
+        matching, sides swapped.  Checked like the certificate."""
         p, mask = self.poset, self.mask
-        match_l, match_r, lefts, rights = _links(p, self.chain_masks)
+        match_l, match_r, lefts, rights = self.links()
         rows = [row & mask for row in p.down]
         least = _max_matching(rows, match_r, match_l, mask & ~rights,
                               mask & ~lefts)
@@ -92,6 +97,26 @@ def _links(p: Poset, chains) -> tuple[list[int], list[int], int, int]:
                 match_r[v] = u
             lefts |= c ^ 1 << chain[-1]
             rights |= c ^ 1 << chain[0]
+    return match_l, match_r, lefts, rights
+
+
+def _restricted(succ: list[int], mask: int, n: int
+                ) -> tuple[list[int], list[int], int, int]:
+    """The links (u, succ[u]) inside ``mask``, as ``_links`` returns them."""
+    match_l = [-1] * n
+    match_r = [-1] * n
+    lefts = rights = 0
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        u = bit.bit_length() - 1
+        v = succ[u]
+        if v >= 0 and mask >> v & 1:
+            match_l[u] = v
+            match_r[v] = u
+            lefts |= bit
+            rights |= 1 << v
     return match_l, match_r, lefts, rights
 
 
@@ -222,10 +247,11 @@ def min_chain_cover(p: Poset, mask: int | None = None,
     down-set of the hint's subposet keeps its width iff it holds A_min, an
     up-set iff it holds A_max, which a cold cover certifies.  When a bound
     meets the cut chain count, the cut pair is the answer and no matching
-    runs; otherwise the cut chains' links seed Hopcroft-Karp.  The settled
-    cut of a hint verified on p partitions ``mask`` iff ``mask`` lies inside
-    the hint's, and that word test is its whole check: sub-chains of
-    verified chains are chains, subsets of verified antichains antichains.
+    runs; otherwise the hint's ``succ`` cut to ``mask`` (the cut chains'
+    links where ``mask`` meets each chain in an interval) seeds
+    Hopcroft-Karp, and only a hint not verified on p is ordered by
+    placement.  The settled cut of a verified hint partitions ``mask`` iff
+    ``mask`` lies inside the hint's, and that word test is its whole check.
     Every other result takes the full check, so a hint from another poset
     or from a non-superset gives a verified cover or raises
     InternalInconsistency.
@@ -236,33 +262,36 @@ def min_chain_cover(p: Poset, mask: int | None = None,
         raise IndexError(f"mask has elements outside 0..{p.n - 1}")
     up = p.up
     cut = ()
+    verified = hint is not None and hint.poset is p
     if hint is not None:
         cut = tuple([c for chain in hint.chain_masks if (c := chain & mask)])
-        verified = hint.poset is p
         cert = hint.certificate_mask & mask
         if verified and cert.bit_count() < len(cut):
             cert = hint.least_antichain & mask
         if cert.bit_count() == len(cut):
+            succ = hint.succ
             if not verified:
                 _check_partition(cut, mask)
+                succ, match_r, _, _ = _links(p, cut)
                 # walking the cut chains checks every link
-                _chains_from_matching(up, mask, *_links(p, cut)[:2])
+                _chains_from_matching(up, mask, succ, match_r)
                 _check_antichain(up, mask, cert, len(cut))
             elif mask & ~hint.mask:
                 raise InternalInconsistency("hint does not cover the subposet")
-            cover = ChainCover(cut, cert, p, mask)
+            cover = ChainCover(cut, cert, p, mask, succ)
             # the hint's A_min, once derived, is the cut's if it lies inside
             least = vars(hint).get("least_antichain")
             if verified and least is not None and not least & ~mask:
                 vars(cover)["least_antichain"] = least
             return cover
-    match_l, match_r, lefts, rights = _links(p, cut)
+    match_l, match_r, lefts, rights = (
+        _restricted(hint.succ, mask, p.n) if verified else _links(p, cut))
     rows = [row & mask for row in up]
     cert = _max_matching(rows, match_l, match_r, mask & ~lefts, mask & ~rights)
     chains = _chains_from_matching(up, mask, match_l, match_r)
     _check_partition(chains, mask)
     _check_antichain(up, mask, cert, len(chains))
-    return ChainCover(chains, cert, p, mask)
+    return ChainCover(chains, cert, p, mask, match_l)
 
 
 def max_antichain(p: Poset) -> frozenset[int]:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
 from .core import induced  # unused here: the reduction.induced tracer site
-from .cover import ChainCover, _links, min_chain_cover
+from .cover import ChainCover, min_chain_cover
 from .incgraph import inc_components, inc_distance_path, interval_cover
 
 
@@ -221,7 +221,7 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     comp, comp_cover = hit
     # the tops of comp_cover's chains bound the up-sets, the bottoms the
     # down-sets
-    _, _, lefts, rights = _links(p, comp_cover.chain_masks)
+    _, _, lefts, rights = comp_cover.links()
     candidates = []
     for case, rows, ends in (("case1", p.up, comp & ~lefts),
                              ("case1_dual", p.down, comp & ~rights)):

@@ -283,12 +283,14 @@ class TestHint:
             min_chain_cover(antichain(2), hint=hint)
 
     def test_hinted_subcovers_hold_no_memory(self):
-        # 2,000 sub-covers, settled and matched, with the collector left
-        # alone: nothing they build outlives them
+        # 2,000 sub-covers, settled and matched, the matched ones also on
+        # random masks that cut the hint's chains apart, with the collector
+        # left alone: nothing they build outlives them
         p = random_poset(60, 0.1, 4)
         whole = min_chain_cover(p)
         masks = [p.full_mask & ~(rows[x] | 1 << x)
                  for rows in (p.up, p.down) for x in range(p.n)]
+        masks += random_masks(p.n, random.Random(4), 20)
         for mask in masks:
             min_chain_cover(p, mask, hint=whole)
         tracemalloc.start()

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from chaincover.core import PreconditionError, dual, induced, iter_bits
+from chaincover import cover, reduction
+from chaincover.core import (PreconditionError, dual, induced, is_pure,
+                             iter_bits)
 from chaincover.cover import min_chain_cover
 from chaincover.generators import antichain, chain, grid_upper, lex_sum, random_poset
+from chaincover.incgraph import inc_distance_path
 from chaincover.reduction import (ElementProfile, claim1_reduce,
                                   cover_bound_report, reduce)
 from chaincover.selftest import LAWS
-from test_cover import counting_matching
+from test_cover import counting_matching, cut_links
 
 import oracles
 
@@ -302,6 +305,84 @@ class TestReduce:
     def test_precondition(self):
         with pytest.raises(PreconditionError):
             reduce(chain(2), 2)
+
+
+class TestSeedFromHint:
+    """Sub-covers start Hopcroft-Karp from the hint's matching restricted to
+    the mask, which on every cut ``reduce`` makes is the cut chains' links."""
+
+    def test_every_seed_is_the_hints_cut_links(self, monkeypatch):
+        # Inc_x, up-sets, down-sets and Inc components each meet a chain of
+        # the hint in an interval; a derived A_min starts from all of the
+        # hint's links, sides swapped
+        seeds = counting_matching(monkeypatch)
+        checked = 0
+
+        def checking(p, mask=None, hint=None):
+            nonlocal checked
+            start = len(seeds)
+            underived = hint is not None and "least_antichain" not in vars(hint)
+            got = min_chain_cover(p, mask, hint=hint)
+            expected = []
+            if underived and "least_antichain" in vars(hint):
+                expected.append(cut_links(hint, hint.mask, p.n)[1])
+            if hint is None:
+                expected.append([-1] * p.n)
+            elif got.succ is not hint.succ:
+                expected.append(cut_links(hint, mask, p.n)[0])
+            assert seeds[start:] == expected
+            checked += len(expected)
+            return got
+
+        monkeypatch.setattr(reduction, "min_chain_cover", checking)
+        for p in pivot_instances():
+            for t in range(1, cov(p) + 1):
+                reduce(p, t)
+        assert checked > 1000
+
+    def test_no_subcover_orders_a_chain(self, monkeypatch):
+        # the only chains put in order are those of q's cover, which the
+        # profiles walk once in each direction
+        ordered = []
+        real = cover._ordered
+
+        def counting(up, chain_mask):
+            ordered.append(chain_mask)
+            return real(up, chain_mask)
+
+        monkeypatch.setattr(cover, "_ordered", counting)
+        for seed in range(3):
+            p = random_poset(80, 0.1, seed)
+            t = cov(p)
+            walked = list(claim1_reduce(p, t).cover.chain_masks)
+            ordered.clear()
+            reduce(p, t)
+            assert ordered == walked + walked
+
+
+@pytest.mark.parametrize("prob", [0.05, 0.1])
+def test_relabelling_laws_at_reduce_scale(prob):
+    # non-rising input at the size reduce runs at: a relabelled copy keeps
+    # claim 1's answer at t = Cov (all of P), the component covers, every
+    # profile, purity and the Inc distances of sampled pairs
+    rng = random.Random(prob)
+    p = random_poset(200, prob, 1)
+    perm = rng.sample(range(p.n), p.n)
+    shuffled = oracles.relabel(p, perm)
+    t = cov(p)
+    out, moved = reduce(p, t), reduce(shuffled, t)
+    assert out.q == moved.q == p.full_mask
+    assert moved.component_covs == out.component_covs
+    assert moved.profiles == {perm[x]: out.profiles[x] for x in range(p.n)}
+    topped = lex_sum([p, chain(1)])
+    for q, pure in ((p, False), (topped, True)):
+        assert is_pure(q) == pure
+        assert is_pure(oracles.relabel(q, rng.sample(range(q.n), q.n))) == pure
+    for x, y in (rng.sample(range(p.n), 2) for _ in range(20)):
+        hop = inc_distance_path(p, x, y)
+        moved_hop = inc_distance_path(shuffled, perm[x], perm[y])
+        assert (hop is None) == (moved_hop is None)
+        assert hop is None or hop[0] == moved_hop[0]
 
 
 class TestSetIdentity:
