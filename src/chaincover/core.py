@@ -338,10 +338,6 @@ def int_field(field: str) -> int:
         raise ValueError(f"integer literal longer than {limit} digits") from None
 
 
-# int()'s digit limit is 0 (off) or at least this: no shorter line reaches it.
-_SHORT_LINE = sys.int_info.str_digits_check_threshold
-
-
 # A plain line is two fields of ASCII digits among spaces and tabs, ended by
 # "\n".  A body is plain iff removing its plain lines leaves nothing: unlike
 # one match of the repeated line, that keeps no backtracking state per line,
@@ -390,12 +386,7 @@ def _read_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
                 continue
             if len(fields) != 2:
                 raise ValueError("expected '<u> <v>'")
-            a, b = fields
-            if (len(raw) <= _SHORT_LINE and raw.isascii() and a.isdigit()
-                    and b.isdigit()):
-                u, v = int(a), int(b)
-            else:
-                u, v = int_field(a), int_field(b)
+            u, v = map(int_field, fields)
             if u >= n or v >= n:
                 raise ValueError(f"pair ({u}, {v}) out of range for {n} elements")
             pairs.append((u, v))

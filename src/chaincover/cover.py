@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
 
-from .core import InternalInconsistency, Poset, iter_bits
+from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
 
 
 @dataclass(frozen=True)
@@ -24,14 +24,14 @@ class ChainCover:
     """A partition into chains plus a maximum-antichain certificate, as
     bitmasks of the ``poset`` and ``mask`` ``min_chain_cover`` verified them
     on, with ``succ``, the matching they came from (shared by settled cuts).
-    Hand-built, it has none of these, so as a hint it takes the full check.
+    Only ``min_chain_cover`` builds one.
     """
 
     chain_masks: tuple[int, ...]
     certificate_mask: int
-    poset: Poset | None = field(default=None, compare=False, repr=False)
-    mask: int = field(default=0, compare=False, repr=False)
-    succ: list[int] | None = field(default=None, compare=False, repr=False)
+    poset: Poset = field(compare=False, repr=False)
+    mask: int = field(compare=False, repr=False)
+    succ: list[int] = field(compare=False, repr=False)
 
     @property
     def width(self) -> int:
@@ -48,7 +48,7 @@ class ChainCover:
 
     def links(self) -> tuple[list[int], list[int], int, int]:
         """``succ`` restricted to the mask: on a cut that meets each chain in
-        an interval, the chains' links, as ``_links`` gives them."""
+        an interval, the chains' links."""
         return _restricted(self.succ, self.mask, self.poset.n)
 
     @cached_property
@@ -69,7 +69,7 @@ class ChainCover:
 def _ordered(up, chain: int) -> list[int]:
     """A chain mask's elements, lowest first: x sits popcount(up[x] & chain)
     places from the end, one for each element of the chain above it.  Only
-    a chain fills every place, so a hand-built "chain" that is none raises."""
+    a chain fills every place, so a mask that is none raises."""
     order = [None] * chain.bit_count()
     rest = chain
     while rest:
@@ -82,27 +82,11 @@ def _ordered(up, chain: int) -> list[int]:
     return order
 
 
-def _links(p: Poset, chains) -> tuple[list[int], list[int], int, int]:
-    """The matching of the split graph formed by the links of chain masks,
-    with the masks of its matched left and right vertices: each chain but
-    its top, and each chain but its bottom."""
-    match_l = [-1] * p.n
-    match_r = [-1] * p.n
-    lefts = rights = 0
-    for c in chains:
-        if c & (c - 1):
-            chain = _ordered(p.up, c)
-            for u, v in zip(chain, chain[1:]):
-                match_l[u] = v
-                match_r[v] = u
-            lefts |= c ^ 1 << chain[-1]
-            rights |= c ^ 1 << chain[0]
-    return match_l, match_r, lefts, rights
-
-
 def _restricted(succ: list[int], mask: int, n: int
                 ) -> tuple[list[int], list[int], int, int]:
-    """The links (u, succ[u]) inside ``mask``, as ``_links`` returns them."""
+    """The matching of the split graph on ``mask`` formed by the links
+    (u, succ[u]) inside it, with the masks of its matched left and right
+    vertices."""
     match_l = [-1] * n
     match_r = [-1] * n
     lefts = rights = 0
@@ -240,52 +224,43 @@ def min_chain_cover(p: Poset, mask: int | None = None,
     and adjacency are explored lowest index first, from the empty matching
     or from the hint's.
 
-    ``hint`` is a cover of p on a superset of ``mask``.  Its chains cut to
-    ``mask``, one AND each, are still chains (the relation is closed) and
-    bound the width from above; its antichains cut to ``mask`` bound it
-    from below: the certificate and, for a hint verified on p, A_min.  A
-    down-set of the hint's subposet keeps its width iff it holds A_min, an
-    up-set iff it holds A_max, which a cold cover certifies.  When a bound
-    meets the cut chain count, the cut pair is the answer and no matching
-    runs; otherwise the hint's ``succ`` cut to ``mask`` (the cut chains'
-    links where ``mask`` meets each chain in an interval) seeds
-    Hopcroft-Karp, and only a hint not verified on p is ordered by
-    placement.  The settled cut of a verified hint partitions ``mask`` iff
-    ``mask`` lies inside the hint's, and that word test is its whole check.
-    Every other result takes the full check, so a hint from another poset
-    or from a non-superset gives a verified cover or raises
-    InternalInconsistency.
+    ``hint`` is a cover this function returned for p itself (the same
+    object; any other raises PreconditionError), on a superset of ``mask``.
+    Its chains cut to ``mask``, one AND each, are still chains (the relation
+    is closed) and bound the width from above; its certificate A_max and its
+    A_min cut to ``mask`` bound it from below.  A down-set of the hint's
+    subposet keeps its width iff it holds A_min, an up-set iff it holds
+    A_max.  When a bound meets the cut chain count, the cut pair is the
+    answer and no matching runs; its check is one word test, ``mask`` inside
+    the hint's.  Otherwise the hint's ``succ`` cut to ``mask`` (the cut
+    chains' links where ``mask`` meets each chain in an interval) seeds
+    Hopcroft-Karp and the result takes the full check, so a hint on a
+    non-superset gives a verified cover or raises InternalInconsistency.
     """
     if mask is None:
         mask = p.full_mask
     elif mask & ~p.full_mask:
         raise IndexError(f"mask has elements outside 0..{p.n - 1}")
-    up = p.up
-    cut = ()
-    verified = hint is not None and hint.poset is p
-    if hint is not None:
+    if hint is None:
+        match_l, match_r, lefts, rights = [-1] * p.n, [-1] * p.n, 0, 0
+    else:
+        if hint.poset is not p:
+            raise PreconditionError("hint was not verified on this poset")
         cut = tuple([c for chain in hint.chain_masks if (c := chain & mask)])
         cert = hint.certificate_mask & mask
-        if verified and cert.bit_count() < len(cut):
+        if cert.bit_count() < len(cut):
             cert = hint.least_antichain & mask
         if cert.bit_count() == len(cut):
-            succ = hint.succ
-            if not verified:
-                _check_partition(cut, mask)
-                succ, match_r, _, _ = _links(p, cut)
-                # walking the cut chains checks every link
-                _chains_from_matching(up, mask, succ, match_r)
-                _check_antichain(up, mask, cert, len(cut))
-            elif mask & ~hint.mask:
+            if mask & ~hint.mask:
                 raise InternalInconsistency("hint does not cover the subposet")
-            cover = ChainCover(cut, cert, p, mask, succ)
+            cover = ChainCover(cut, cert, p, mask, hint.succ)
             # the hint's A_min, once derived, is the cut's if it lies inside
             least = vars(hint).get("least_antichain")
-            if verified and least is not None and not least & ~mask:
+            if least is not None and not least & ~mask:
                 vars(cover)["least_antichain"] = least
             return cover
-    match_l, match_r, lefts, rights = (
-        _restricted(hint.succ, mask, p.n) if verified else _links(p, cut))
+        match_l, match_r, lefts, rights = _restricted(hint.succ, mask, p.n)
+    up = p.up
     rows = [row & mask for row in up]
     cert = _max_matching(rows, match_l, match_r, mask & ~lefts, mask & ~rights)
     chains = _chains_from_matching(up, mask, match_l, match_r)

@@ -285,7 +285,7 @@ class TestTextFormat:
     @settings(max_examples=300, deadline=None)
     @given(_POSET_TEXT)
     def test_equals_reference_parser(self, text):
-        # the inline ASCII-digit test gives what int_field on every field gives
+        # texts with comments, blank lines or errors go line by line
         assert _parsed(from_text, text) == _parsed(oracles.reference_from_text, text)
 
     @settings(max_examples=300, deadline=None)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaincover import cover
-from chaincover.core import (InternalInconsistency, dual, from_relations,
-                             induced, iter_bits, mask_of)
+from chaincover.core import (InternalInconsistency, PreconditionError, dual,
+                             from_relations, induced, iter_bits, mask_of)
 from chaincover.cover import (ChainCover, _max_matching, max_antichain,
                               min_chain_cover)
 from chaincover.generators import (antichain, chain, grid_upper, lex_sum,
@@ -196,9 +196,12 @@ class TestMaskKernel:
             induced(p, [4])
 
 
-# 0 < 1 < 2 and 3 < 4 < 5, with 1 < 5: width 2, covered by the hint below.
+# 0 < 1 < 2 and 3 < 4 < 5, with 1 < 5: width 2.  Its cover, the hint below,
+# has chains {0, 1, 2} and {3, 4, 5}, A_max {2, 5} and A_min {0, 3}; A_min is
+# derived here, before any test patches the matching kernel.
 N6 = from_relations(6, [(0, 1), (1, 2), (3, 4), (4, 5), (1, 5)])
-N6_HINT = ChainCover((0b000111, 0b111000), 0b001001)
+N6_HINT = min_chain_cover(N6)
+N6_HINT.least_antichain
 
 
 def counting_matching(monkeypatch) -> list[list[int]]:
@@ -236,11 +239,15 @@ class TestHint:
                 assert min_chain_cover(p, mask, hint=cold) == cold
 
     def test_bounds_meet_without_matching(self, monkeypatch):
+        assert (N6_HINT.chain_masks, N6_HINT.certificate_mask,
+                N6_HINT.least_antichain) == ((0b000111, 0b111000), 0b100100,
+                                             0b001001)
         seeds = counting_matching(monkeypatch)
         mask = 0b001011  # {0, 1, 3}: cut chains (0, 1), (3); cut antichain {0, 3}
         got = min_chain_cover(N6, mask, hint=N6_HINT)
         assert seeds == []
-        assert got == ChainCover((0b000011, 0b001000), 0b001001)
+        assert (got.chain_masks, got.certificate_mask) == (
+            (0b000011, 0b001000), 0b001001)
         assert got.width == min_chain_cover(N6, mask).width
 
     def test_augments_from_cut_chains(self, monkeypatch):
@@ -254,32 +261,37 @@ class TestHint:
 
     def test_misuse_never_returns_a_wrong_width(self):
         rng = random.Random(9)
-        outcomes = {}
+        outcomes = set()
         for seed in range(40):
             n = rng.randint(2, 40)
             p = random_poset(n, (0.05, 0.1, 0.3)[seed % 3], seed)
-            other = random_poset(n, (0.3, 0.05, 0.1)[seed % 3], seed + 1000)
+            # another poset, and an equal one that is another object
+            others = (random_poset(n, (0.3, 0.05, 0.1)[seed % 3], seed + 1000),
+                      from_relations(n, p.relation_pairs()))
+            assert others[1] == p and others[1] is not p
             for mask in random_masks(n, rng, 3):
                 cold = min_chain_cover(p, mask).width
-                for misuse, hint in (
-                        ("other poset", min_chain_cover(other)),
-                        ("subset", min_chain_cover(p, mask & rng.getrandbits(n)))):
-                    try:
-                        got = min_chain_cover(p, mask, hint=hint)
-                    except InternalInconsistency:
-                        outcome = "raised"
-                    else:
-                        assert got.width == cold
-                        assert_dilworth_pair(p, mask, got)
-                        outcome = "cold width"
-                    outcomes[misuse, outcome] = outcomes.get((misuse, outcome), 0) + 1
-        # each misuse reaches both outcomes
-        assert len(outcomes) == 4
+                for other in others:
+                    with pytest.raises(PreconditionError):
+                        min_chain_cover(p, mask, hint=min_chain_cover(other))
+                hint = min_chain_cover(p, mask & rng.getrandbits(n))
+                try:
+                    got = min_chain_cover(p, mask, hint=hint)
+                except InternalInconsistency:
+                    outcome = "raised"
+                else:
+                    assert got.width == cold
+                    assert_dilworth_pair(p, mask, got)
+                    outcome = "cold width"
+                outcomes.add(outcome)
+        # a hint on a subset of the mask reaches both outcomes
+        assert outcomes == {"raised", "cold width"}
 
     def test_hand_built_non_chain_raises(self):
-        # {0, 1} is no chain of the antichain, though the cut would settle
-        hint = ChainCover((0b11,), 0b01)
-        with pytest.raises(InternalInconsistency):
+        # {0, 1} is no chain of the antichain, though its cut would settle;
+        # a hand-built hint is refused before any of its chains is read
+        hint = ChainCover((0b11,), 0b01, antichain(2), 0b11, [1, -1])
+        with pytest.raises(PreconditionError):
             min_chain_cover(antichain(2), hint=hint)
 
     def test_hinted_subcovers_hold_no_memory(self):
@@ -384,11 +396,10 @@ class TestKonigFromLastLayering:
             whole = min_chain_cover(p)
             # derived first, so only a cover's own matching counts
             whole.least_antichain
-            hand_built = ChainCover(whole.chain_masks, whole.certificate_mask)
-            for mask in random_masks(n, rng, 1):
+            for mask in random_masks(n, rng, 2):
                 up_rows = [row & mask for row in p.up]
                 down_rows = [row & mask for row in p.down]
-                for hint in (None, whole, hand_built):
+                for hint in (None, whole):
                     calls = len(seeds)
                     got = min_chain_cover(p, mask, hint=hint)
                     matched = len(seeds) > calls

@@ -319,3 +319,62 @@ class TestValidateByRows:
                 cand = Embedding(q, p, f)
                 assert validate_embedding(cand) == \
                     oracles.reference_validate_embedding(cand), (seed, f)
+
+
+# random_poset(30, 0.5, s) of width 2 (no other s below 1,520 gives one)
+NARROW = (8, 295, 507, 703, 1342, 1383, 1459, 1516)
+
+
+def disjoint_union(parts):
+    """The parts side by side, no element of one comparable to another's."""
+    pairs, offset = [], 0
+    for q in parts:
+        pairs += [(u + offset, v + offset) for u, v in q.relation_pairs()]
+        offset += q.n
+    return from_relations(offset, pairs)
+
+
+def grid_answer(p, k, want_dual=False, budget=200_000):
+    """True, False, or "unknown": a Found answer's embedding is validated."""
+    try:
+        e = embeds_grid(p, k, want_dual, budget)
+    except BudgetExhausted:
+        return "unknown"
+    assert e is None or validate_embedding(e)
+    return e is not None
+
+
+class TestFindGridAtScale:
+    def test_disjoint_narrow_pieces_are_not_found(self):
+        # the half-grid has a least element, so a copy lies in one
+        # comparability component, and each piece is narrower than k // 2;
+        # together the pieces pass the size, height and width bounds, so
+        # only the search can answer
+        for count in (2, 4, 8):
+            pieces = [random_poset(30, 0.5, s) for s in NARROW[-count:]]
+            assert all(cover.min_chain_cover(q).width == 2 for q in pieces)
+            host = disjoint_union(pieces)
+            for k in (6, 7):
+                with pytest.raises(BudgetExhausted):
+                    embeds_grid(host, k, budget=0)
+                assert embeds_grid(host, k, budget=10 ** 6) is None
+
+    def test_decided_answers_agree_under_relabelling_and_duality(self):
+        # for finite k the half-grid is self-dual, so find-grid on P, on P
+        # with --dual, on dual(P) and on a relabelled P ask one question
+        hosts = [random_poset(120 + 16 * seed, (0.1, 0.2)[seed % 2], seed)
+                 for seed in range(6)]
+        hosts.append(disjoint_union([random_poset(30, 0.5, s) for s in NARROW[:4]]))
+        seen, compared = set(), 0
+        for seed, p in enumerate(hosts):
+            perm = list(range(p.n))
+            random.Random(seed).shuffle(perm)
+            answers = [grid_answer(p, 6), grid_answer(p, 6, want_dual=True),
+                       grid_answer(dual(p), 6),
+                       grid_answer(oracles.relabel(p, perm), 6)]
+            decided = [a for a in answers if a != "unknown"]
+            assert len(set(decided)) <= 1, (seed, answers)
+            seen.update(decided)
+            compared += len(decided) >= 2
+        # both answers occur, and six of the seven hosts decide two or more
+        assert seen == {True, False} and compared >= 6
