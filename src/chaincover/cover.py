@@ -21,17 +21,18 @@ from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
 
 @dataclass(frozen=True)
 class ChainCover:
-    """A partition into chains plus a maximum-antichain certificate, as
-    bitmasks of the ``poset`` and ``mask`` ``min_chain_cover`` verified them
-    on, with ``succ``, the matching they came from (shared by settled cuts).
-    Only ``min_chain_cover`` builds one.
+    """Chains and a maximum-antichain certificate as bitmasks of the
+    ``poset`` and ``mask`` ``min_chain_cover`` verified them on, with the
+    ``matching`` read off: (succ, pred, base mask, matched lefts, matched
+    rights), shared by settled cuts.  Only ``min_chain_cover`` builds one.
     """
 
     chain_masks: tuple[int, ...]
     certificate_mask: int
     poset: Poset = field(compare=False, repr=False)
     mask: int = field(compare=False, repr=False)
-    succ: list[int] = field(compare=False, repr=False)
+    matching: tuple[list[int], list[int], int, int, int] = field(
+        compare=False, repr=False)
 
     @property
     def width(self) -> int:
@@ -47,9 +48,9 @@ class ChainCover:
         return frozenset(iter_bits(self.certificate_mask))
 
     def links(self) -> tuple[list[int], list[int], int, int]:
-        """``succ`` restricted to the mask: on a cut that meets each chain in
+        """The matching cut to the mask: on a cut that meets each chain in
         an interval, the chains' links."""
-        return _restricted(self.succ, self.mask, self.poset.n)
+        return _restricted(self.matching, self.mask)
 
     @cached_property
     def least_antichain(self) -> int:
@@ -61,7 +62,7 @@ class ChainCover:
         match_l, match_r, lefts, rights = self.links()
         rows = [row & mask for row in p.down]
         least = _max_matching(rows, match_r, match_l, mask & ~rights,
-                              mask & ~lefts)
+                              mask & ~lefts)[0]
         _check_antichain(p.up, mask, least, self.width)
         return least
 
@@ -82,30 +83,30 @@ def _ordered(up, chain: int) -> list[int]:
     return order
 
 
-def _restricted(succ: list[int], mask: int, n: int
-                ) -> tuple[list[int], list[int], int, int]:
-    """The matching of the split graph on ``mask`` formed by the links
-    (u, succ[u]) inside it, with the masks of its matched left and right
-    vertices."""
-    match_l = [-1] * n
-    match_r = [-1] * n
-    lefts = rights = 0
-    rest = mask
+def _restricted(matching, mask: int) -> tuple[list[int], list[int], int, int]:
+    """Copies of a matching's lists and masks keeping the links inside
+    ``mask``: one step per element of its base outside ``mask``, whose
+    links are undone; the lists are -1 outside the base."""
+    succ, pred, base, lefts, rights = matching
+    match_l, match_r = succ[:], pred[:]
+    rest = base & ~mask
     while rest:
         bit = rest & -rest
         rest ^= bit
-        u = bit.bit_length() - 1
-        v = succ[u]
-        if v >= 0 and mask >> v & 1:
-            match_l[u] = v
-            match_r[v] = u
-            lefts |= bit
-            rights |= 1 << v
-    return match_l, match_r, lefts, rights
+        r = bit.bit_length() - 1
+        v = match_l[r]
+        if v >= 0:
+            match_l[r] = match_r[v] = -1
+            rights &= ~(1 << v)
+        u = match_r[r]
+        if u >= 0:
+            match_r[r] = match_l[u] = -1
+            lefts &= ~(1 << u)
+    return match_l, match_r, lefts & mask, rights & mask
 
 
 def _max_matching(rows: list[int], match_l: list[int], match_r: list[int],
-                  free_l: int, free_r: int) -> int:
+                  free_l: int, free_r: int) -> tuple[int, int, int]:
     """Hopcroft-Karp on the split graph of a mask; lowest index first.
 
     ``rows[u]`` is the up-row of u already restricted to the mask.
@@ -113,25 +114,25 @@ def _max_matching(rows: list[int], match_l: list[int], match_r: list[int],
     (all -1 for none) and are grown in place to a maximum one:
     match_l[u] = v iff u is immediately followed by v in some chain; -1
     where unmatched or outside the mask.  ``free_l`` and ``free_r`` are the
-    vertices of the mask that this matching leaves free on the left and on
-    the right (both the whole mask for the empty matching): the tops and the
-    bottoms of the chains it links.  Hopcroft-Karp is correct from any
-    starting matching, and from one of size |mask| - k it needs at most
+    mask's vertices it leaves free on each side (the whole mask for none):
+    the tops and the bottoms of its chains.  Hopcroft-Karp is correct from
+    any starting matching, and from one of size |mask| - k it needs at most
     k - Cov(mask) augmentations.
 
-    Returns König's antichain A_max from the last layering, which reaches
-    no free right vertex: the left vertices it layers minus the right ones
-    it reaches.  That is König's alternating reach, since the one matching
-    edge a layer also follows leads back to a mate already reached.
+    Returns König's antichain A_max (the left vertices the last layering,
+    which reaches no free right vertex, layers minus the right ones it
+    reaches: the alternating reach, as the one matching edge a layer also
+    follows leads back to a mate already reached), then ``free_l, free_r``.
 
     Each phase layers the left vertices by a breadth-first search on
     bitmasks: a layer's reach is the OR of its rows, and the mates of the
-    newly reached matched right vertices form the next layer.  Then every
+    newly reached matched right vertices form the next layer.  Then each
     free left vertex, in index order, starts a depth-first search with an
-    explicit stack.  From u at layer d the next edge tried is the lowest v
-    above the last one tried in ``rows[u] & (free_r | layer_r[d + 1])``,
-    where ``layer_r[k]`` holds the right vertices whose mate sits at layer
-    k; both masks are updated as vertices fail and paths augment.
+    explicit stack, until every layered free right vertex is matched (a
+    search reaches no other).  From u at layer d the next edge tried is the
+    lowest v past the last in ``rows[u] & (free_r | layer_r[d + 1])``, where
+    ``layer_r[k]`` holds the right vertices whose mate sits at layer k;
+    both masks are updated as vertices fail and paths augment.
     """
     n = len(rows)
     while True:
@@ -159,8 +160,10 @@ def _max_matching(rows: list[int], match_l: list[int], match_r: list[int],
                 level |= 1 << match_r[bit.bit_length() - 1]
             depth += 1
         if not seen_r & free_r:
-            return seen_l & ~seen_r
+            return seen_l & ~seen_r, free_l, free_r
         for root in iter_bits(free_l):
+            if not seen_r & free_r:
+                break
             path = [root]
             rests = [rows[root]]
             while path:
@@ -194,14 +197,12 @@ def _max_matching(rows: list[int], match_l: list[int], match_r: list[int],
                 rests.append(rows[w])
 
 
-def _chains_from_matching(up, mask: int, match_l: list[int],
-                          match_r: list[int]) -> tuple[int, ...]:
+def _chains_from_matching(up, heads: int, match_l: list[int]
+                          ) -> tuple[int, ...]:
     """One mask per chain, walked from each head in index order, with each
     link checked against ``up`` as it is walked."""
     chains = []
-    for head in iter_bits(mask):
-        if match_r[head] >= 0:
-            continue
+    for head in iter_bits(heads):
         chain = 1 << head
         u = head
         while (v := match_l[u]) >= 0:
@@ -232,9 +233,9 @@ def min_chain_cover(p: Poset, mask: int | None = None,
     subposet keeps its width iff it holds A_min, an up-set iff it holds
     A_max.  When a bound meets the cut chain count, the cut pair is the
     answer and no matching runs; its check is one word test, ``mask`` inside
-    the hint's.  Otherwise the hint's ``succ`` cut to ``mask`` (the cut
-    chains' links where ``mask`` meets each chain in an interval) seeds
-    Hopcroft-Karp and the result takes the full check, so a hint on a
+    the hint's.  Otherwise the hint's matching less the links of the elements
+    ``mask`` drops (the cut chains' links if it meets each in an interval)
+    seeds Hopcroft-Karp and the result takes the full check, so a hint on a
     non-superset gives a verified cover or raises InternalInconsistency.
     """
     if mask is None:
@@ -253,20 +254,22 @@ def min_chain_cover(p: Poset, mask: int | None = None,
         if cert.bit_count() == len(cut):
             if mask & ~hint.mask:
                 raise InternalInconsistency("hint does not cover the subposet")
-            cover = ChainCover(cut, cert, p, mask, hint.succ)
+            cover = ChainCover(cut, cert, p, mask, hint.matching)
             # the hint's A_min, once derived, is the cut's if it lies inside
             least = vars(hint).get("least_antichain")
             if least is not None and not least & ~mask:
                 vars(cover)["least_antichain"] = least
             return cover
-        match_l, match_r, lefts, rights = _restricted(hint.succ, mask, p.n)
+        match_l, match_r, lefts, rights = _restricted(hint.matching, mask)
     up = p.up
     rows = [row & mask for row in up]
-    cert = _max_matching(rows, match_l, match_r, mask & ~lefts, mask & ~rights)
-    chains = _chains_from_matching(up, mask, match_l, match_r)
+    cert, free_l, free_r = _max_matching(rows, match_l, match_r,
+                                         mask & ~lefts, mask & ~rights)
+    chains = _chains_from_matching(up, free_r, match_l)
     _check_partition(chains, mask)
     _check_antichain(up, mask, cert, len(chains))
-    return ChainCover(chains, cert, p, mask, match_l)
+    return ChainCover(chains, cert, p, mask,
+                      (match_l, match_r, mask, mask & ~free_l, mask & ~free_r))
 
 
 def max_antichain(p: Poset) -> frozenset[int]:

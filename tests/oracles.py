@@ -11,7 +11,8 @@ parser with ``int_field`` on every field, recursive Hopcroft-Karp, König's
 antichain by a second alternating search, Warshall closure, per-bit
 transpose, per-bit cover pairs, the recursive embedding searches, the
 longest chain by Kahn order, the pairwise checks of embeddings and ideal
-chains, the exhaustive pivot loop of ``reduce``); the kernels must return
+chains, the exhaustive pivot loop of ``reduce``, the per-bit restriction
+of a successor list to a mask); the kernels must return
 exactly what they return, down to the nodes a budgeted search spends.
 """
 
@@ -590,3 +591,21 @@ def reference_pivot(p: Poset, t: int) -> tuple[str, int | None, int | None]:
                 best = (width, case, x, side)
     width, case, x0, side = best
     return case if width >= t else "unreduced", x0, side
+
+
+def reference_restricted(succ: list[int], mask: int, n: int
+                         ) -> tuple[list[int], list[int], int, int]:
+    """The matching of the split graph on ``mask`` formed by the links
+    (u, succ[u]) inside it, read one mask bit at a time, with the masks of
+    its matched left and right vertices."""
+    match_l = [-1] * n
+    match_r = [-1] * n
+    lefts = rights = 0
+    for u in iter_bits(mask):
+        v = succ[u]
+        if v >= 0 and mask >> v & 1:
+            match_l[u] = v
+            match_r[v] = u
+            lefts |= 1 << u
+            rights |= 1 << v
+    return match_l, match_r, lefts, rights

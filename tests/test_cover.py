@@ -204,6 +204,41 @@ N6_HINT = min_chain_cover(N6)
 N6_HINT.least_antichain
 
 
+def assert_seed_is_reference(hint, mask: int) -> None:
+    """The seed cut from the hint's matching by the elements it loses equals
+    the links inside the mask read bit by bit, masks included."""
+    assert cover._restricted(hint.matching, mask) == oracles.reference_restricted(
+        hint.matching[0], mask, hint.poset.n)
+
+
+def assert_carried_matching(got, hint=None) -> None:
+    """got's matching: mutually inverse successor and predecessor lists of
+    relations, -1 outside its base, with its matched masks.  A settled cut
+    (the hint's cut chains bounded by a cut antichain) holds its hint's
+    matching itself; a matched cover holds its own, on its mask."""
+    succ, pred, base, lefts, rights = got.matching
+    up, n = got.poset.up, got.poset.n
+    assert len(succ) == len(pred) == n
+    for u, v in enumerate(succ):
+        if v >= 0:
+            assert pred[v] == u and up[u] >> v & 1
+            assert base >> u & 1 and base >> v & 1
+    for v, u in enumerate(pred):
+        assert u < 0 or succ[u] == v
+    assert lefts == mask_of(u for u, v in enumerate(succ) if v >= 0)
+    assert rights == mask_of(v for v, u in enumerate(pred) if u >= 0)
+    if hint is not None:
+        mask = got.mask
+        cut = [c for c in hint.chain_masks if c & mask]
+        # a cut that A_max leaves short derives A_min, so it is set by now
+        bounds = [hint.certificate_mask, vars(hint).get("least_antichain", 0)]
+        if max((b & mask).bit_count() for b in bounds) == len(cut):
+            assert got.matching is hint.matching
+            return
+        assert succ is not hint.matching[0] and pred is not hint.matching[1]
+    assert base == got.mask
+
+
 def counting_matching(monkeypatch) -> list[list[int]]:
     """Patch cover._max_matching to record the matching each call starts from."""
     seeds = []
@@ -287,10 +322,41 @@ class TestHint:
         # a hint on a subset of the mask reaches both outcomes
         assert outcomes == {"raised", "cold width"}
 
+    def test_seed_is_the_per_bit_restriction(self):
+        # supersets, subsets, disjoint and empty masks, from whole covers,
+        # matched sub-covers and settled cuts, whose base is not their mask
+        rng = random.Random(12)
+        cuts = 0
+        for seed in range(40):
+            n = rng.randint(0, 60)
+            p = random_poset(n, (0.05, 0.1, 0.3)[seed % 3], seed)
+            full = p.full_mask
+            whole = min_chain_cover(p)
+            hints = [whole]
+            for x in rng.sample(range(n), min(n, 4)):
+                hints.append(min_chain_cover(p, full & ~(p.up[x] | 1 << x),
+                                             hint=whole))
+                hints.append(min_chain_cover(p, rng.getrandbits(n) & full,
+                                             hint=whole))
+            for hint in hints:
+                assert_carried_matching(hint, None if hint is whole else whole)
+                base = hint.matching[2]
+                cuts += base != hint.mask
+                for mask in (0, base, hint.mask, full & ~base,
+                             base | rng.getrandbits(n) & full,
+                             base & rng.getrandbits(n),
+                             rng.getrandbits(n) & full):
+                    assert_seed_is_reference(hint, mask)
+                    if not mask & ~hint.mask:
+                        assert_carried_matching(
+                            min_chain_cover(p, mask, hint=hint), hint)
+        assert cuts > 50
+
     def test_hand_built_non_chain_raises(self):
         # {0, 1} is no chain of the antichain, though its cut would settle;
         # a hand-built hint is refused before any of its chains is read
-        hint = ChainCover((0b11,), 0b01, antichain(2), 0b11, [1, -1])
+        hint = ChainCover((0b11,), 0b01, antichain(2), 0b11,
+                          ([1, -1], [-1, 0], 0b11, 0b01, 0b10))
         with pytest.raises(PreconditionError):
             min_chain_cover(antichain(2), hint=hint)
 
@@ -473,6 +539,36 @@ def test_relabelling_and_duality_laws_at_scale(p):
 
 def test_internal_inconsistency_is_runtime_error():
     assert issubclass(InternalInconsistency, RuntimeError)
+
+
+class RecordingRows(list):
+    """Up-rows that log the index of every row read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = []
+
+    def __getitem__(self, u):
+        self.reads.append(u)
+        return super().__getitem__(u)
+
+
+@pytest.mark.parametrize("m", [3, 5, 30])
+def test_dfs_stops_once_layered_free_vertices_are_matched(m):
+    # m incomparable elements below a 2-chain: the first layering reaches
+    # only the chain's two elements, and the first two roots match both, so
+    # none of the other m roots starts; the second layering, from the free
+    # left vertices and then the two mates, finds nothing free and ends it
+    p = lex_sum([antichain(m), chain(2)])
+    mask = p.full_mask
+    rows = RecordingRows([row & mask for row in p.up])
+    match_l, match_r = [-1] * p.n, [-1] * p.n
+    cert, free_l, free_r = _max_matching(rows, match_l, match_r, mask, mask)
+    layered = list(range(p.n))
+    assert rows.reads == layered + [0, 1] + layered[2:] + [0, 1]
+    assert (match_l, match_r) == oracles.reference_matching(list(rows), mask)
+    assert (cert, free_l, free_r) == (mask >> 2, mask & ~0b11,
+                                      mask & ~(0b11 << m))
 
 
 class TestMatchingKernel:

@@ -11,7 +11,9 @@ from chaincover.incgraph import inc_distance_path
 from chaincover.reduction import (ElementProfile, claim1_reduce,
                                   cover_bound_report, reduce)
 from chaincover.selftest import LAWS
-from test_cover import counting_matching, cut_links
+from test_cover import (assert_carried_matching, assert_dilworth_pair,
+                        assert_seed_is_reference, counting_matching,
+                        cut_links)
 
 import oracles
 
@@ -328,7 +330,7 @@ class TestSeedFromHint:
                 expected.append(cut_links(hint, hint.mask, p.n)[1])
             if hint is None:
                 expected.append([-1] * p.n)
-            elif got.succ is not hint.succ:
+            elif got.matching is not hint.matching:
                 expected.append(cut_links(hint, mask, p.n)[0])
             assert seeds[start:] == expected
             checked += len(expected)
@@ -339,6 +341,22 @@ class TestSeedFromHint:
             for t in range(1, cov(p) + 1):
                 reduce(p, t)
         assert checked > 1000
+
+    def test_every_seed_and_carried_matching(self, monkeypatch):
+        # every cover reduce makes (cold, claim 1, component, profile and
+        # pivot) carries a sound matching, and every hinted one is seeded as
+        # the per-bit restriction would; every hint is one of those covers
+        calls = counting_covers(monkeypatch)
+        for p in pivot_instances():
+            for t in range(1, cov(p) + 1):
+                reduce(p, t)
+        made = {id(got) for _, _, got in calls}
+        for mask, hint, got in calls:
+            assert_carried_matching(got, hint)
+            if hint is not None:
+                assert id(hint) in made
+                assert_seed_is_reference(hint, mask)
+        assert sum(hint is not None for _, hint, _ in calls) > 1000
 
     def test_no_subcover_orders_a_chain(self, monkeypatch):
         # the only chains put in order are those of q's cover, which the
@@ -383,6 +401,27 @@ def test_relabelling_laws_at_reduce_scale(prob):
         moved_hop = inc_distance_path(shuffled, perm[x], perm[y])
         assert (hop is None) == (moved_hop is None)
         assert hop is None or hop[0] == moved_hop[0]
+
+
+def test_hinted_subcovers_match_cold_on_non_rising_input(monkeypatch):
+    # relabelled copies and duals at the sizes reduce-sweep runs, at t = Cov
+    # and at t = Cov - 1, where claim 1's greedy loop runs as well
+    calls = counting_covers(monkeypatch)
+    checked = 0
+    for n, prob, seed in ((60, 0.1, 1), (80, 0.05, 2), (100, 0.1, 3)):
+        p = random_poset(n, prob, seed)
+        for q in (oracles.relabel(p, random.Random(seed).sample(range(n), n)),
+                  dual(p)):
+            width = cov(q)
+            for t in (width, width - 1):
+                calls.clear()
+                reduce(q, t)
+                for mask, hint, got in calls:
+                    if hint is not None:
+                        assert got.width == min_chain_cover(q, mask).width
+                        assert_dilworth_pair(q, mask, got)
+                        checked += 1
+    assert checked > 1000
 
 
 class TestSetIdentity:
