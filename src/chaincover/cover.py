@@ -40,17 +40,25 @@ class ChainCover:
 
     @property
     def chains(self) -> tuple[tuple[int, ...], ...]:
-        up = self.poset.up
-        return tuple([tuple(_ordered(up, c)) for c in self.chain_masks])
+        """The chains lowest first, walked along the matching's links from
+        the bottoms of its base in index order, keeping the mask's
+        elements: ``chain_masks``' order, settled cuts included."""
+        succ, _, base, _, rights = self.matching
+        mask = self.mask
+        chains = []
+        for u in iter_bits(base & ~rights):
+            chain = []
+            while u >= 0:
+                if mask >> u & 1:
+                    chain.append(u)
+                u = succ[u]
+            if chain:
+                chains.append(tuple(chain))
+        return tuple(chains)
 
     @property
     def certificate(self) -> frozenset[int]:
         return frozenset(iter_bits(self.certificate_mask))
-
-    def links(self) -> tuple[list[int], list[int], int, int]:
-        """The matching cut to the mask: on a cut that meets each chain in
-        an interval, the chains' links."""
-        return _restricted(self.matching, self.mask)
 
     @cached_property
     def least_antichain(self) -> int:
@@ -59,28 +67,12 @@ class ChainCover:
         layering of ``_max_matching`` on the ``down`` rows with the chains'
         matching, sides swapped.  Checked like the certificate."""
         p, mask = self.poset, self.mask
-        match_l, match_r, lefts, rights = self.links()
+        match_l, match_r, lefts, rights = _restricted(self.matching, mask)
         rows = [row & mask for row in p.down]
         least = _max_matching(rows, match_r, match_l, mask & ~rights,
                               mask & ~lefts)[0]
         _check_antichain(p.up, mask, least, self.width)
         return least
-
-
-def _ordered(up, chain: int) -> list[int]:
-    """A chain mask's elements, lowest first: x sits popcount(up[x] & chain)
-    places from the end, one for each element of the chain above it.  Only
-    a chain fills every place, so a mask that is none raises."""
-    order = [None] * chain.bit_count()
-    rest = chain
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        x = bit.bit_length() - 1
-        order[~(up[x] & chain).bit_count()] = x
-    if None in order:
-        raise InternalInconsistency("chain mask is not a chain")
-    return order
 
 
 def _restricted(matching, mask: int) -> tuple[list[int], list[int], int, int]:

@@ -95,18 +95,15 @@ def validate_ideal_chain(c: IdealChain) -> IdealChainReport:
         if any(mask & ~(p.down[g] | (1 << g)) == 0 for g in ideal):
             # a greatest element bounds every pair inside the ideal
             continue
+        # a finite up-directed set has a greatest element, so some pair
+        # has no upper bound in the ideal unless it is empty
         members = sorted(ideal)
-        directed = True
-        for i, x in enumerate(members):
-            for y in members[i + 1:]:
-                shared = (p.up[x] | (1 << x)) & (p.up[y] | (1 << y)) & mask
-                if not shared:
-                    violations.append(ChainViolation(
-                        "not up-directed", a, (x, y)))
-                    directed = False
-                    break
-            if not directed:
-                break
+        unbounded = next(((x, y) for i, x in enumerate(members)
+                          for y in members[i + 1:]
+                          if not (p.up[x] | 1 << x) & (p.up[y] | 1 << y) & mask),
+                         None)
+        if unbounded is not None:
+            violations.append(ChainViolation("not up-directed", a, unbounded))
         violations.append(ChainViolation(
             "no cofinal chain (no greatest element)", a, ()))
     for a in range(len(c.ideals) - 1):

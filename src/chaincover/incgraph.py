@@ -11,7 +11,6 @@ no edge list is materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
 from .core import induced  # unused here: the incgraph.induced tracer site
@@ -27,10 +26,11 @@ def inc_components(p: Poset, mask: int | None = None) -> list[int]:
     component lies below everything in a later one.  A bit at or beyond
     ``p.n`` raises IndexError.
 
-    The order is fixed by comparing one representative pair; the uniform
-    cross-component comparability is then rechecked exhaustively, and a
-    failure raises InternalInconsistency since it can only mean a bug in the
-    relation.
+    The order is fixed by the up-count of one representative each; the
+    uniform cross-component comparability is then rechecked exhaustively,
+    each element's down-row against everything before its component, and
+    a failure raises InternalInconsistency since it can only mean a bug in
+    the relation.
     """
     mask = p.full_mask if mask is None else mask
     seen = ~mask  # bits outside the mask count as seen
@@ -49,20 +49,16 @@ def inc_components(p: Poset, mask: int | None = None) -> list[int]:
             comp |= fresh
             frontier |= fresh
         comps.append(comp)
-
-    def cmp(a: int, b: int) -> int:
-        x = (a & -a).bit_length() - 1
-        y = (b & -b).bit_length() - 1
-        return -1 if p.lt(x, y) else 1
-
-    comps.sort(key=cmp_to_key(cmp))
-    for i, low in enumerate(comps):
-        for high in comps[i + 1:]:
-            for x in iter_bits(low):
-                if p.up[x] & high != high:
-                    raise InternalInconsistency(
-                        "component order is not uniform; the relation is "
-                        "not transitively closed")
+    # an earlier component's elements have strictly more elements above them
+    comps.sort(key=lambda c: -p.up[(c & -c).bit_length() - 1].bit_count())
+    below = 0
+    for comp in comps:
+        for x in iter_bits(comp):
+            if p.down[x] & below != below:
+                raise InternalInconsistency(
+                    "component order is not uniform; the relation is "
+                    "not transitively closed")
+        below |= comp
     return comps
 
 

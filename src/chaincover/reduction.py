@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
+from .core import (InternalInconsistency, Poset, PreconditionError,
+                   iter_bits, mask_of)
 from .core import induced  # unused here: the reduction.induced tracer site
 from .cover import ChainCover, min_chain_cover
 from .incgraph import inc_components, inc_distance_path, interval_cover
@@ -221,10 +222,10 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     comp, comp_cover = hit
     # the tops of comp_cover's chains bound the up-sets, the bottoms the
     # down-sets
-    _, _, lefts, rights = comp_cover.links()
+    chains = comp_cover.chains
+    tops, bottoms = mask_of(c[-1] for c in chains), mask_of(c[0] for c in chains)
     candidates = []
-    for case, rows, ends in (("case1", p.up, comp & ~lefts),
-                             ("case1_dual", p.down, comp & ~rights)):
+    for case, rows, ends in (("case1", p.up, tops), ("case1_dual", p.down, bottoms)):
         for x in iter_bits(comp):
             side = (rows[x] | 1 << x) & comp
             need = (t - inc_covs[x] + 1) // 2

@@ -12,8 +12,9 @@ antichain by a second alternating search, Warshall closure, per-bit
 transpose, per-bit cover pairs, the recursive embedding searches, the
 longest chain by Kahn order, the pairwise checks of embeddings and ideal
 chains, the exhaustive pivot loop of ``reduce``, the per-bit restriction
-of a successor list to a mask); the kernels must return
-exactly what they return, down to the nodes a budgeted search spends.
+of a successor list to a mask, a chain's order by placement); the kernels
+must return exactly what they return, down to the nodes a budgeted search
+spends.
 """
 
 from __future__ import annotations
@@ -609,3 +610,16 @@ def reference_restricted(succ: list[int], mask: int, n: int
             lefts |= 1 << u
             rights |= 1 << v
     return match_l, match_r, lefts, rights
+
+
+def reference_ordered(up, chain: int) -> list[int]:
+    """A chain mask's elements, lowest first, placed without the matching:
+    x sits popcount(up[x] & chain) places from the end, one for each element
+    of the chain above it.  Only a chain fills every place, so a mask that
+    is none raises."""
+    order = [None] * chain.bit_count()
+    for x in iter_bits(chain):
+        order[~(up[x] & chain).bit_count()] = x
+    if None in order:
+        raise InternalInconsistency("chain mask is not a chain")
+    return order

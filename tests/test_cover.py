@@ -135,11 +135,12 @@ def assert_dilworth_pair(p, mask: int, cc) -> None:
 
 
 def cut_links(hint, mask: int, n: int) -> tuple[list[int], list[int]]:
-    """The matching formed by the links of hint's chains cut to the mask."""
+    """The matching formed by the links of hint's chains cut to the mask,
+    each put in order by placement, not by the hint's own ``chains``."""
     match_l = [-1] * n
     match_r = [-1] * n
-    for chain in hint.chains:
-        kept = [x for x in chain if mask >> x & 1]
+    for chain in hint.chain_masks:
+        kept = oracles.reference_ordered(hint.poset.up, chain & mask)
         for u, v in zip(kept, kept[1:]):
             match_l[u] = v
             match_r[v] = u
@@ -535,6 +536,33 @@ def test_relabelling_and_duality_laws_at_scale(p):
     flipped = dual(p)
     assert min_chain_cover(flipped).width == width == len(max_antichain(flipped))
     assert len(inc_components(flipped)) == len(sizes)
+
+
+@pytest.mark.parametrize("p", [random_poset(400, 0.05, 1),
+                               random_poset(400, 0.3, 1), grid_upper(30)],
+                         ids=["random400-0.05", "random400-0.3", "grid30"])
+def test_chains_follow_placement_order_at_scale(p):
+    # on non-rising copies, a cold cover's chains, a settled cut's (which
+    # shares its hint's matching) and a matched sub-cover's, walked along
+    # the carried links, come out in chain_masks order, each as placement
+    # orders it
+    perm = list(range(p.n))
+    random.Random(p.n).shuffle(perm)
+    rng = random.Random(7)
+    for q in (oracles.relabel(p, perm), dual(p)):
+        cold = min_chain_cover(q)
+        covers = {"cold": [cold], "settled": [], "matched": []}
+        for x in rng.sample(range(q.n), 8):
+            for mask in (q.inc_mask(x), q.full_mask & ~(q.up[x] | 1 << x),
+                         q.full_mask & ~(q.down[x] | 1 << x)):
+                got = min_chain_cover(q, mask, hint=cold)
+                settled = got.matching is cold.matching
+                covers["settled" if settled else "matched"].append(got)
+        assert all(covers.values())
+        for got in sum(covers.values(), []):
+            assert got.chains == tuple(
+                tuple(oracles.reference_ordered(q.up, c))
+                for c in got.chain_masks)
 
 
 def test_internal_inconsistency_is_runtime_error():

@@ -11,6 +11,8 @@ from chaincover.incgraph import (MalformedDecomposition, check_metric_lemma,
                                  to_dot)
 from chaincover.selftest import LAWS
 
+from test_cover import RecordingRows
+
 import oracles
 
 
@@ -64,6 +66,19 @@ class TestIncComponents:
 
     def test_chain_singletons_in_order(self):
         assert parts(chain(5)) == [(0,), (1,), (2,), (3,), (4,)]
+
+    def test_order_check_reads_each_row_twice(self):
+        # one up-row read per element finds the components and one per
+        # component orders them; the order is checked on the down-rows,
+        # each against the OR of the components below.  300 singletons
+        # compared and checked pairwise on the up-rows read 45,449
+        p = chain(300)
+        rows = RecordingRows(p.up)
+        recorded = Poset(p.n, rows)
+        recorded.down
+        rows.reads.clear()
+        assert inc_components(recorded) == [1 << x for x in range(300)]
+        assert len(rows.reads) <= 2 * p.n
 
     def test_cross_part_comparability(self):
         for seed in range(20):

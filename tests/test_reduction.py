@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from chaincover import cover, reduction
+from chaincover import reduction
 from chaincover.core import (PreconditionError, dual, induced, is_pure,
                              iter_bits)
-from chaincover.cover import min_chain_cover
+from chaincover.cover import ChainCover, min_chain_cover
 from chaincover.generators import antichain, chain, grid_upper, lex_sum, random_poset
-from chaincover.incgraph import inc_distance_path
+from chaincover.incgraph import inc_components, inc_distance_path
 from chaincover.reduction import (ElementProfile, claim1_reduce,
                                   cover_bound_report, reduce)
 from chaincover.selftest import LAWS
@@ -358,24 +358,27 @@ class TestSeedFromHint:
                 assert_seed_is_reference(hint, mask)
         assert sum(hint is not None for _, hint, _ in calls) > 1000
 
-    def test_no_subcover_orders_a_chain(self, monkeypatch):
-        # the only chains put in order are those of q's cover, which the
-        # profiles walk once in each direction
-        ordered = []
-        real = cover._ordered
+    def test_chains_read_per_reduce(self, monkeypatch):
+        # the only chains read are q's cover's, which the profiles walk once
+        # in each direction, and the target component's cover's, whose ends
+        # bound the pivots
+        read = []
+        real = ChainCover.chains.fget
 
-        def counting(up, chain_mask):
-            ordered.append(chain_mask)
-            return real(up, chain_mask)
+        def counting(c):
+            read.append(c)
+            return real(c)
 
-        monkeypatch.setattr(cover, "_ordered", counting)
+        monkeypatch.setattr(ChainCover, "chains", property(counting))
         for seed in range(3):
             p = random_poset(80, 0.1, seed)
             t = cov(p)
-            walked = list(claim1_reduce(p, t).cover.chain_masks)
-            ordered.clear()
-            reduce(p, t)
-            assert ordered == walked + walked
+            read.clear()
+            out = reduce(p, t)
+            comp = next(c for c in inc_components(p, out.q)
+                        if cov_of(p, iter_bits(c)) >= t)
+            assert len(read) == 3 and read[0] is read[1]
+            assert (read[0].mask, read[2].mask) == (out.q, comp)
 
 
 @pytest.mark.parametrize("prob", [0.05, 0.1])
