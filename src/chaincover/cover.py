@@ -223,11 +223,12 @@ def min_chain_cover(p: Poset, mask: int | None = None,
     is closed) and bound the width from above; its certificate A_max and its
     A_min cut to ``mask`` bound it from below.  A down-set of the hint's
     subposet keeps its width iff it holds A_min, an up-set iff it holds
-    A_max.  When a bound meets the cut chain count, the cut pair is the
-    answer and no matching runs; its check is one word test, ``mask`` inside
-    the hint's.  Otherwise the hint's matching less the links of the elements
-    ``mask`` drops (the cut chains' links if it meets each in an interval)
-    seeds Hopcroft-Karp and the result takes the full check, so a hint on a
+    A_max, and one cut chain has any one element as its antichain.  When a
+    bound meets the cut chain count, the cut pair is the answer and no
+    matching runs; its check is one word test, ``mask`` inside the hint's.
+    Otherwise the hint's matching less the links of the elements ``mask``
+    drops (the cut chains' links if it meets each in an interval) seeds
+    Hopcroft-Karp and the result takes the full check, so a hint on a
     non-superset gives a verified cover or raises InternalInconsistency.
     """
     if mask is None:
@@ -242,7 +243,9 @@ def min_chain_cover(p: Poset, mask: int | None = None,
         cut = tuple([c for chain in hint.chain_masks if (c := chain & mask)])
         cert = hint.certificate_mask & mask
         if cert.bit_count() < len(cut):
-            cert = hint.least_antichain & mask
+            # one cut chain: any one element is a maximum antichain
+            cert = (mask & -mask if len(cut) == 1
+                    else hint.least_antichain & mask)
         if cert.bit_count() == len(cut):
             if mask & ~hint.mask:
                 raise InternalInconsistency("hint does not cover the subposet")

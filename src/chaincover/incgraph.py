@@ -99,31 +99,24 @@ def inc_distance_path(p: Poset, x: int, y: int) -> tuple[int, list[int]] | None:
     for v in (x, y):
         if not 0 <= v < p.n:
             raise IndexError(f"element {v} out of range")
-    if x == y:
-        return 0, [x]
-    # breadth-first from y so the path can be grown greedily from x
-    dist = {y: 0}
-    level = 1 << y
-    levels = [level]
-    seen = level
-    while level:
-        nxt = 0
+    # breadth-first from y, one level at a time until the level holding x,
+    # so the path can be grown greedily from x down the levels kept
+    level = seen = 1 << y
+    levels = []
+    while not level >> x & 1:
+        levels.append(level)
+        reach = 0
         for v in iter_bits(level):
-            nxt |= p.inc_mask(v) & ~seen
-        for v in iter_bits(nxt):
-            dist[v] = len(levels)
-        seen |= nxt
-        levels.append(nxt)
-        level = nxt
-    if x not in dist:
-        return None
+            reach |= p.inc_mask(v)
+        level = reach & ~seen
+        if not level:
+            return None
+        seen |= level
     path = [x]
-    current = x
-    while current != y:
-        step = p.inc_mask(current) & levels[dist[current] - 1]
-        current = (step & -step).bit_length() - 1
-        path.append(current)
-    return dist[x], path
+    for level in reversed(levels):
+        step = p.inc_mask(path[-1]) & level
+        path.append((step & -step).bit_length() - 1)
+    return len(levels), path
 
 
 def interval_cover(p: Poset, path) -> tuple[int, int]:

@@ -96,12 +96,16 @@ class OrdinalCNF:
     def is_limit(self) -> bool:
         return bool(self.terms) and not self.terms[-1][0].is_zero
 
-    def predecessor(self) -> "OrdinalCNF":
-        if not self.is_successor:
-            raise ValueError("only successor ordinals have a predecessor")
+    def _step_down(self) -> "OrdinalCNF":
+        """This ordinal with its last coefficient lowered by one."""
         e, c = self.terms[-1]
         head = self.terms[:-1]
         return OrdinalCNF(head + ((e, c - 1),) if c > 1 else head)
+
+    def predecessor(self) -> "OrdinalCNF":
+        if not self.is_successor:
+            raise ValueError("only successor ordinals have a predecessor")
+        return self._step_down()
 
     def __add__(self, other: "OrdinalCNF") -> "OrdinalCNF":
         if not isinstance(other, OrdinalCNF):
@@ -121,14 +125,12 @@ class OrdinalCNF:
         """The i-th member of the canonical fundamental sequence (limits only)."""
         if not self.is_limit:
             raise ValueError("fundamental sequences exist for limit ordinals only")
-        prefix = self.terms[:-1]
-        e, c = self.terms[-1]
-        base = OrdinalCNF(prefix + ((e, c - 1),) if c > 1 else prefix)
+        e = self.terms[-1][0]
         if e.is_successor:
             tail = OrdinalCNF(((e.predecessor(), i),)) if i > 0 else ZERO
         else:
             tail = OrdinalCNF(((e.fundamental(i), 1),))
-        return base + tail
+        return self._step_down() + tail
 
     def to_text(self) -> str:
         if not self.terms:
@@ -430,22 +432,18 @@ class _Parser:
         self.skip_ws()
         start = self.pos
         try:
+            # built after its ")", so a missing ")" is reported first
             if self.try_eat("grid("):
-                size = self.cardinal()
-                self.eat(")")
-                return Grid(size)
-            if self.try_eat("dual("):
-                inner = self.term()
-                self.eat(")")
-                return Dual(inner)
-            if self.try_eat("lexsum(["):
+                kind, args = Grid, (self.cardinal(),)
+            elif self.try_eat("dual("):
+                kind, args = Dual, (self.term(),)
+            elif self.try_eat("lexsum(["):
                 parts = [self.term()]
                 while self.try_eat(","):
                     parts.append(self.term())
                 self.eat("]")
-                self.eat(")")
-                return LexSum(tuple(parts))
-            if self.try_eat("lexsumfam("):
+                kind, args = LexSum, (tuple(parts),)
+            elif self.try_eat("lexsumfam("):
                 if self.try_eat("inc"):
                     direction = "inc"
                 elif self.try_eat("dec"):
@@ -455,43 +453,40 @@ class _Parser:
                 self.eat(",")
                 count = None if self.try_eat("w") else self.nat()
                 self.eat(",")
-                base = self.famspec()
-                self.eat(")")
-                return LexSumFam(direction, count, base)
-            if self.try_eat("chain("):
-                size = self.cardinal()
-                self.eat(")")
-                return Chain(size)
-            if self.try_eat("antichain("):
-                size = self.nat()
-                self.eat(")")
-                return Antichain(size)
+                kind, args = LexSumFam, (direction, count, self.famspec())
+            elif self.try_eat("chain("):
+                kind, args = Chain, (self.cardinal(),)
+            elif self.try_eat("antichain("):
+                kind, args = Antichain, (self.nat(),)
+            else:
+                raise ParseError("expected a term", self.pos)
+            self.eat(")")
+            return kind(*args)
         except ValueError as exc:
             if isinstance(exc, ParseError):
                 raise
             raise ParseError(str(exc), start) from exc
         finally:
             self.depth -= 1
-        raise ParseError("expected a term", self.pos)
+
+
+def _parse_whole(text: str, rule, what: str):
+    """``rule`` over the whole of ``text``; input left after it is an error."""
+    parser = _Parser(text)
+    value = rule(parser)
+    parser.skip_ws()
+    if parser.pos != len(text):
+        raise ParseError(f"trailing input after {what}", parser.pos)
+    return value
 
 
 def parse_term(text: str) -> PosetTerm:
     """Parse the term grammar; raises ParseError with the failing position."""
-    parser = _Parser(text)
-    term = parser.term()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise ParseError("trailing input after term", parser.pos)
-    return term
+    return _parse_whole(text, _Parser.term, "term")
 
 
 def parse_cardinal(text: str) -> Cardinal:
-    parser = _Parser(text)
-    card = parser.cardinal()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise ParseError("trailing input after cardinal", parser.pos)
-    return card
+    return _parse_whole(text, _Parser.cardinal, "cardinal")
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,12 @@ from chaincover.reduction import claim1_reduce
 
 
 def is_antichain(p: Poset, members) -> bool:
+    """No member repeats or lies below another.  x < y is bit y of x's
+    up-row, so every pair is read at once as one AND per member."""
     members = list(members)
-    return all(not p.comparable(x, y)
-               for i, x in enumerate(members) for y in members[i + 1:])
+    inside = mask_of(members)
+    return (inside.bit_count() == len(members)
+            and not any(p.up[x] & inside for x in members))
 
 
 def brute_max_antichain_size(p: Poset) -> int:

@@ -216,7 +216,8 @@ def assert_carried_matching(got, hint=None) -> None:
     """got's matching: mutually inverse successor and predecessor lists of
     relations, -1 outside its base, with its matched masks.  A settled cut
     (the hint's cut chains bounded by a cut antichain) holds its hint's
-    matching itself; a matched cover holds its own, on its mask."""
+    matching itself, as does a cut to one chain; a matched cover holds its
+    own, on its mask."""
     succ, pred, base, lefts, rights = got.matching
     up, n = got.poset.up, got.poset.n
     assert len(succ) == len(pred) == n
@@ -233,7 +234,8 @@ def assert_carried_matching(got, hint=None) -> None:
         cut = [c for c in hint.chain_masks if c & mask]
         # a cut that A_max leaves short derives A_min, so it is set by now
         bounds = [hint.certificate_mask, vars(hint).get("least_antichain", 0)]
-        if max((b & mask).bit_count() for b in bounds) == len(cut):
+        if (len(cut) == 1
+                or max((b & mask).bit_count() for b in bounds) == len(cut)):
             assert got.matching is hint.matching
             return
         assert succ is not hint.matching[0] and pred is not hint.matching[1]

@@ -1,9 +1,11 @@
 import random
 
+import networkx as nx
 import pytest
 
 from chaincover.core import (InternalInconsistency, Poset, PreconditionError,
-                             from_relations, induced, iter_bits, mask_of)
+                             dual, from_relations, induced, iter_bits,
+                             mask_of)
 from chaincover.generators import (antichain, chain, grid_index, grid_upper,
                                    lex_sum, random_poset)
 from chaincover.incgraph import (MalformedDecomposition, check_metric_lemma,
@@ -193,6 +195,67 @@ class TestIncDistance:
         p = from_relations(4, [(0, 3)])
         d, path = inc_distance_path(p, 0, 3)
         assert d == 2 and path == [0, 1, 3]
+
+    def test_out_of_range_endpoints(self):
+        for x, y in ((0, 3), (3, 0), (-1, 0)):
+            with pytest.raises(IndexError):
+                inc_distance_path(chain(3), x, y)
+
+    def test_search_stops_at_x(self, monkeypatch):
+        # (0,5) is two levels from (1,6): one row for y's level, 39 for the
+        # next, then one per path step; searching the whole component made 778
+        calls = []
+        real = Poset.inc_mask
+
+        def counting(p, x):
+            calls.append(x)
+            return real(p, x)
+
+        monkeypatch.setattr(Poset, "inc_mask", counting)
+        g = grid_upper(40)
+        x, y = grid_index(40, 0, 5), grid_index(40, 1, 6)
+        d, path = inc_distance_path(g, x, y)
+        assert (d, path[0], path[-1]) == (2, x, y)
+        assert len(calls) == 42
+
+    @pytest.mark.parametrize("base, parts", [(random_poset(400, 0.05, 1), 1),
+                                             (grid_upper(30), 5)],
+                             ids=["random400", "grid30"])
+    def test_matches_networkx_bfs_at_scale(self, base, parts):
+        # distance by networkx BFS from y, and the lexicographically least
+        # shortest path grown from x by least neighbour one step nearer y,
+        # on relabelled and dual copies; sampled pairs, x == y, and a pair
+        # each way between every smaller Inc component and the largest
+        # (grid30's other four are (0,1), (0,2), (27,29) and (28,29), each
+        # comparable to everything)
+        rng = random.Random(base.n)
+        for p in (oracles.relabel(base, rng.sample(range(base.n), base.n)),
+                  dual(base)):
+            g = nx.Graph()
+            g.add_nodes_from(range(p.n))
+            g.add_edges_from((u, v) for u in range(p.n)
+                             for v in range(u + 1, p.n)
+                             if p.incomparable(u, v))
+            *small, large = sorted(nx.connected_components(g), key=len)
+            assert len(small) + 1 == parts
+            pairs = [tuple(rng.sample(range(p.n), 2)) for _ in range(40)]
+            pairs.append((pairs[0][0], pairs[0][0]))
+            for comp in small:
+                pairs += [(min(comp), min(large)), (min(large), min(comp))]
+            unreachable = 0
+            for x, y in pairs:
+                got = inc_distance_path(p, x, y)
+                dist = nx.single_source_shortest_path_length(g, y)
+                if x not in dist:
+                    assert got is None
+                    unreachable += 1
+                    continue
+                path = [x]
+                while path[-1] != y:
+                    path.append(min(v for v in g[path[-1]]
+                                    if dist[v] == dist[path[-1]] - 1))
+                assert got == (dist[x], path)
+            assert unreachable >= 2 * len(small)
 
 
 class TestMetricLemma:

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from chaincover import reduction
-from chaincover.core import (PreconditionError, dual, induced, is_pure,
-                             iter_bits)
+from chaincover.core import (PreconditionError, dual, from_relations,
+                             induced, is_pure, iter_bits)
 from chaincover.cover import ChainCover, min_chain_cover
 from chaincover.generators import antichain, chain, grid_upper, lex_sum, random_poset
 from chaincover.incgraph import inc_components, inc_distance_path
@@ -406,6 +406,18 @@ def test_relabelling_laws_at_reduce_scale(prob):
         assert hop is None or hop[0] == moved_hop[0]
 
 
+def hinted_subcovers_checked(q, calls) -> int:
+    """Check every hinted cover in ``calls`` against a cold cover of its
+    mask and as a Dilworth pair; returns how many were checked."""
+    checked = 0
+    for mask, hint, got in calls:
+        if hint is not None:
+            assert got.width == min_chain_cover(q, mask).width
+            assert_dilworth_pair(q, mask, got)
+            checked += 1
+    return checked
+
+
 def test_hinted_subcovers_match_cold_on_non_rising_input(monkeypatch):
     # relabelled copies and duals at the sizes reduce-sweep runs, at t = Cov
     # and at t = Cov - 1, where claim 1's greedy loop runs as well
@@ -419,12 +431,33 @@ def test_hinted_subcovers_match_cold_on_non_rising_input(monkeypatch):
             for t in (width, width - 1):
                 calls.clear()
                 reduce(q, t)
-                for mask, hint, got in calls:
-                    if hint is not None:
-                        assert got.width == min_chain_cover(q, mask).width
-                        assert_dilworth_pair(q, mask, got)
-                        checked += 1
+                checked += hinted_subcovers_checked(q, calls)
     assert checked > 1000
+
+
+def ladder(rungs: int):
+    """``rungs`` two-element antichains stacked: 2i and 2i + 1 lie below
+    2i + 2 and 2i + 3."""
+    return from_relations(2 * rungs, [(2 * i + a, 2 * i + 2 + b)
+                                      for i in range(rungs - 1)
+                                      for a in (0, 1) for b in (0, 1)])
+
+
+@pytest.mark.parametrize("q, t, matchings", [
+    (chain(400), 1, 1), (ladder(200), 2, 200), (antichain(300), 300, 1),
+], ids=["chain400", "ladder200", "antichain300"])
+def test_hinted_subcovers_match_cold_on_long_thin_and_wide_input(
+        q, t, matchings, monkeypatch):
+    # a cut to one chain is settled, so the chain's only matching is its
+    # cold cover.  The ladder's rungs are its Inc components: the cold
+    # cover, one A_min layering and one matching per rung but the top
+    # (settled by A_max) and the bottom (by A_min); its one-element Inc_x
+    # profiles settle.  Every hinted cover of the antichain keeps its bounds
+    calls = counting_covers(monkeypatch)
+    seeds = counting_matching(monkeypatch)
+    reduce(q, t)
+    assert len(seeds) == matchings
+    assert hinted_subcovers_checked(q, calls) > 900
 
 
 class TestSetIdentity:

@@ -192,6 +192,26 @@ class TestParse:
                            match=f"integer literal longer than {limit} digits"):
             parse_term("grid(" + "9" * 5000 + ")")
 
+    @pytest.mark.parametrize("text, message, pos", [
+        ("grid(1", "expected ')'", 6),
+        ("lexsumfam(inc,0,aleph(succ_n)", "expected ')'", 29),
+        # the term is built, and rejected, before the trailing-input check
+        ("grid(1)x", "finite grids need size >= 2", 0),
+    ])
+    def test_error_precedence(self, text, message, pos):
+        # a term's closing ")" is read before its value is checked
+        with pytest.raises(ParseError) as info:
+            parse_term(text)
+        assert str(info.value) == f"{message} (at position {pos})"
+        assert info.value.pos == pos
+
+    def test_trailing_input(self):
+        for parse, text, what in ((parse_term, "grid(2) x", "term"),
+                                  (parse_cardinal, "aleph(1))", "cardinal")):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert str(info.value) == f"trailing input after {what} (at position 8)"
+
     def test_invalid_small_grid(self):
         with pytest.raises(ParseError):
             parse_term("grid(1)")
