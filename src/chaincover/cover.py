@@ -4,7 +4,8 @@ A minimum chain cover of a poset equals ``n`` minus a maximum matching in the
 split bipartite graph whose edge (u_left, v_right) means u < v; because the
 relation is transitively closed, a path cover there is a chain cover here.
 The last layering of the matching also yields a maximum antichain (König),
-so every result ships with a certificate pair whose sizes agree.
+the greatest one, A_max, so every result ships with a certificate pair
+whose sizes agree; the least, A_min, is A_max of the dual order.
 Everything runs on the up-rows restricted to a bitmask, so the subposet on
 any subset is covered in its parent's indices, without an induced copy, and
 a cover holds its chains and its antichain as bitmasks of those indices.
@@ -13,7 +14,7 @@ a cover holds its chains and its antichain as bitmasks of those indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 
 from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
@@ -59,20 +60,6 @@ class ChainCover:
     @property
     def certificate(self) -> frozenset[int]:
         return frozenset(iter_bits(self.certificate_mask))
-
-    @cached_property
-    def least_antichain(self) -> int:
-        """A_min, the least maximum antichain, as a mask (a cold cover's
-        certificate is the greatest, A_max): A_max of the dual, from one
-        layering of ``_max_matching`` on the ``down`` rows with the chains'
-        matching, sides swapped.  Checked like the certificate."""
-        p, mask = self.poset, self.mask
-        match_l, match_r, lefts, rights = _restricted(self.matching, mask)
-        rows = [row & mask for row in p.down]
-        least = _max_matching(rows, match_r, match_l, mask & ~rights,
-                              mask & ~lefts)[0]
-        _check_antichain(p.up, mask, least, self.width)
-        return least
 
 
 def _restricted(matching, mask: int) -> tuple[list[int], list[int], int, int]:
@@ -220,12 +207,12 @@ def min_chain_cover(p: Poset, mask: int | None = None,
     ``hint`` is a cover this function returned for p itself (the same
     object; any other raises PreconditionError), on a superset of ``mask``.
     Its chains cut to ``mask``, one AND each, are still chains (the relation
-    is closed) and bound the width from above; its certificate A_max and its
-    A_min cut to ``mask`` bound it from below.  A down-set of the hint's
-    subposet keeps its width iff it holds A_min, an up-set iff it holds
-    A_max, and one cut chain has any one element as its antichain.  When a
-    bound meets the cut chain count, the cut pair is the answer and no
-    matching runs; its check is one word test, ``mask`` inside the hint's.
+    is closed) and bound the width from above; its certificate A_max cut to
+    ``mask`` bounds it from below.  An up-set of the hint's subposet keeps
+    its width iff it holds A_max (a down-set is an up-set of ``dual(p)``),
+    and one cut chain has any one element as its antichain.  When a bound
+    meets the cut chain count, the cut pair is the answer and no matching
+    runs; its check is one word test, ``mask`` inside the hint's.
     Otherwise the hint's matching less the links of the elements ``mask``
     drops (the cut chains' links if it meets each in an interval) seeds
     Hopcroft-Karp and the result takes the full check, so a hint on a
@@ -242,19 +229,13 @@ def min_chain_cover(p: Poset, mask: int | None = None,
             raise PreconditionError("hint was not verified on this poset")
         cut = tuple([c for chain in hint.chain_masks if (c := chain & mask)])
         cert = hint.certificate_mask & mask
-        if cert.bit_count() < len(cut):
+        if cert.bit_count() < len(cut) == 1:
             # one cut chain: any one element is a maximum antichain
-            cert = (mask & -mask if len(cut) == 1
-                    else hint.least_antichain & mask)
+            cert = mask & -mask
         if cert.bit_count() == len(cut):
             if mask & ~hint.mask:
                 raise InternalInconsistency("hint does not cover the subposet")
-            cover = ChainCover(cut, cert, p, mask, hint.matching)
-            # the hint's A_min, once derived, is the cut's if it lies inside
-            least = vars(hint).get("least_antichain")
-            if least is not None and not least & ~mask:
-                vars(cover)["least_antichain"] = least
-            return cover
+            return ChainCover(cut, cert, p, mask, hint.matching)
         match_l, match_r, lefts, rights = _restricted(hint.matching, mask)
     up = p.up
     rows = [row & mask for row in up]

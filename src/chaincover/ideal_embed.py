@@ -141,7 +141,10 @@ def embed_from_ideal_chain(c: IdealChain) -> Embedding | EmbedFailure:
     positions = sorted(((a, b) for a in range(m) for b in range(a + 1, m)),
                        key=lambda ab: (ab[1], ab[0]))
     layer_masks = [mask_of(layer) for layer in c.layers]
-    rank = {x: i for i, x in enumerate(linear_extension(p))}
+    # the last ideal is the union of the nested ones, a down-set: ranked
+    # alone, it keeps the host's order
+    union = mask_of(c.ideals[-1])
+    rank = {x: i for i, x in enumerate(linear_extension(p, union))}
     by_rank = [sorted(iter_bits(mask), key=rank.__getitem__)
                for mask in layer_masks]
     # position (a, b) sits at index idx(a, b) = b(b - 1)/2 + a

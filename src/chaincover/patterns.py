@@ -69,9 +69,11 @@ def validate_embedding(e: Embedding) -> bool:
     return True
 
 
-def linear_extension(p: Poset) -> list[int]:
-    """Kahn's algorithm, lowest index first: a deterministic topological order."""
-    remaining = p.full_mask
+def linear_extension(p: Poset, mask: int | None = None) -> list[int]:
+    """Kahn's algorithm, lowest index first: a deterministic topological
+    order of ``mask``'s elements (default: all of them).  A down-set's order
+    is the whole poset's cut to it: its elements wait on none outside it."""
+    remaining = p.full_mask if mask is None else mask
     order = []
     while remaining:
         for x in iter_bits(remaining):

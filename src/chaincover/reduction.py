@@ -16,9 +16,9 @@ outcome whose selected subposet lost the threshold is labeled ``unreduced``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .core import (InternalInconsistency, Poset, PreconditionError,
+from .core import (InternalInconsistency, Poset, PreconditionError, dual,
                    iter_bits, mask_of)
 from .core import induced  # unused here: the reduction.induced tracer site
 from .cover import ChainCover, min_chain_cover
@@ -156,30 +156,19 @@ class ReductionOutcome:
     selected: int | None = None
 
 
-def _along_chains(p: Poset, cover: ChainCover, side: Callable[[int], int],
-                  downward: bool) -> dict[int, int]:
-    """Cov of ``side(x)`` for each x that ``cover`` covers.  Each chain of
-    ``cover`` is walked the way ``side`` shrinks along it, so each mask is
+def _minus_below(cover: ChainCover, below) -> dict[int, int]:
+    """Cov of ``cover``'s mask minus x and ``below[x]``, the elements below
+    x on ``cover.poset``, for each x it covers: an up-set, shrinking as x
+    climbs a chain.  So each chain is walked lowest first, and each mask is
     hinted with the cover of the one before it, the first with ``cover``."""
+    p, q = cover.poset, cover.mask
     widths = {}
     for chain in cover.chains:
         hint = cover
-        for x in reversed(chain) if downward else chain:
-            hint = min_chain_cover(p, side(x), hint=hint)
+        for x in chain:
+            hint = min_chain_cover(p, q & ~(below[x] | 1 << x), hint=hint)
             widths[x] = hint.width
     return widths
-
-
-def _profiles(p: Poset, q: int, inc_covs: dict[int, int],
-              whole: ChainCover) -> dict[int, ElementProfile]:
-    """Each x of the mask q profiled inside q, with Cov(Inc_x) from claim
-    1's certificate ``inc_covs``; ``whole`` covers q."""
-    # q minus x's up-set shrinks as x goes down a chain, minus x's down-set up
-    minus_up = _along_chains(p, whole, lambda x: q & ~(p.up[x] | 1 << x), True)
-    minus_down = _along_chains(p, whole, lambda x: q & ~(p.down[x] | 1 << x),
-                               False)
-    return {x: ElementProfile(inc_covs[x], minus_up[x], minus_down[x])
-            for x in iter_bits(q)}
 
 
 def reduce(p: Poset, t: int) -> ReductionOutcome:
@@ -196,9 +185,11 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     selection is made (case1_dual).  Ties go to the up side, then to the
     lowest index.  When the selected subposet itself drops below t the case
     is ``unreduced``.  Every subset is a mask over p's indices, cut to q
-    where it comes from p's rows.  Claim 1's cover of q is the one cold
-    cover.  It hints the component sub-covers, and the profile sub-covers
-    along its chains.  Cov(Inc_x) comes from the restriction's certificate.
+    where it comes from p's rows.  Claim 1's cover of q hints the component
+    sub-covers and, along its chains, q minus each down-set.  q minus each
+    up-set is an up-set of the dual order, covered there along the chains
+    of one cold cover of q.  Cov(Inc_x) comes from the restriction's
+    certificate.
 
     The pivot is picked bound-first: the chains of C's verified cover that
     meet a side bound its width (an up-set of C meets a chain iff it holds
@@ -214,8 +205,12 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     comps = inc_components(p, q)
     covers = [min_chain_cover(p, comp, hint=whole) for comp in comps]
     comp_covs = tuple(c.width for c in covers)
-    out = ReductionOutcome("case2", t, antichain, q,
-                           _profiles(p, q, inc_covs, whole), comp_covs)
+    # q minus x's up-set is an up-set of q in the dual order
+    minus_up = _minus_below(min_chain_cover(dual(p), q), p.up)
+    minus_down = _minus_below(whole, p.down)
+    profiles = {x: ElementProfile(inc_covs[x], minus_up[x], minus_down[x])
+                for x in iter_bits(q)}
+    out = ReductionOutcome("case2", t, antichain, q, profiles, comp_covs)
     hit = next(((m, c) for m, c in zip(comps, covers) if c.width >= t), None)
     if hit is None:
         return out

@@ -198,11 +198,12 @@ class TestMaskKernel:
 
 
 # 0 < 1 < 2 and 3 < 4 < 5, with 1 < 5: width 2.  Its cover, the hint below,
-# has chains {0, 1, 2} and {3, 4, 5}, A_max {2, 5} and A_min {0, 3}; A_min is
-# derived here, before any test patches the matching kernel.
+# has chains {0, 1, 2} and {3, 4, 5} and A_max {2, 5}; its dual's cover has
+# the same chains and A_max {0, 3}, which is N6's A_min.
 N6 = from_relations(6, [(0, 1), (1, 2), (3, 4), (4, 5), (1, 5)])
 N6_HINT = min_chain_cover(N6)
-N6_HINT.least_antichain
+N6_DUAL = dual(N6)
+N6_DUAL_HINT = min_chain_cover(N6_DUAL)
 
 
 def assert_seed_is_reference(hint, mask: int) -> None:
@@ -215,7 +216,7 @@ def assert_seed_is_reference(hint, mask: int) -> None:
 def assert_carried_matching(got, hint=None) -> None:
     """got's matching: mutually inverse successor and predecessor lists of
     relations, -1 outside its base, with its matched masks.  A settled cut
-    (the hint's cut chains bounded by a cut antichain) holds its hint's
+    (the hint's cut chains bounded by its cut A_max) holds its hint's
     matching itself, as does a cut to one chain; a matched cover holds its
     own, on its mask."""
     succ, pred, base, lefts, rights = got.matching
@@ -232,10 +233,8 @@ def assert_carried_matching(got, hint=None) -> None:
     if hint is not None:
         mask = got.mask
         cut = [c for c in hint.chain_masks if c & mask]
-        # a cut that A_max leaves short derives A_min, so it is set by now
-        bounds = [hint.certificate_mask, vars(hint).get("least_antichain", 0)]
         if (len(cut) == 1
-                or max((b & mask).bit_count() for b in bounds) == len(cut)):
+                or (hint.certificate_mask & mask).bit_count() == len(cut)):
             assert got.matching is hint.matching
             return
         assert succ is not hint.matching[0] and pred is not hint.matching[1]
@@ -278,15 +277,22 @@ class TestHint:
 
     def test_bounds_meet_without_matching(self, monkeypatch):
         assert (N6_HINT.chain_masks, N6_HINT.certificate_mask,
-                N6_HINT.least_antichain) == ((0b000111, 0b111000), 0b100100,
-                                             0b001001)
+                N6_DUAL_HINT.chain_masks, N6_DUAL_HINT.certificate_mask) == (
+                    (0b000111, 0b111000), 0b100100, (0b000111, 0b111000),
+                    0b001001)
         seeds = counting_matching(monkeypatch)
-        mask = 0b001011  # {0, 1, 3}: cut chains (0, 1), (3); cut antichain {0, 3}
-        got = min_chain_cover(N6, mask, hint=N6_HINT)
+        # the up-set {1, 2, 4, 5}: cut chains (1, 2), (4, 5); cut A_max {2, 5};
+        # the down-set {0, 1, 3}, an up-set of the dual: cut chains (0, 1),
+        # (3); cut A_min {0, 3}
+        for p, hint, mask, chains, cert in (
+                (N6, N6_HINT, 0b110110, (0b000110, 0b110000), 0b100100),
+                (N6_DUAL, N6_DUAL_HINT, 0b001011, (0b000011, 0b001000),
+                 0b001001)):
+            got = min_chain_cover(p, mask, hint=hint)
+            assert (got.chain_masks, got.certificate_mask) == (chains, cert)
         assert seeds == []
-        assert (got.chain_masks, got.certificate_mask) == (
-            (0b000011, 0b001000), 0b001001)
-        assert got.width == min_chain_cover(N6, mask).width
+        assert min_chain_cover(N6, 0b110110).width == min_chain_cover(
+            N6, 0b001011).width == 2
 
     def test_augments_from_cut_chains(self, monkeypatch):
         seeds = counting_matching(monkeypatch)
@@ -387,62 +393,55 @@ class TestHint:
 
 @given(n=st.integers(0, 40), prob=st.sampled_from((0.05, 0.1, 0.2, 0.3)),
        seed=st.integers(0, 2 ** 32), picks=st.lists(st.integers(0, 2 ** 16),
-                                                  min_size=6, max_size=6),
-       derive=st.booleans())
+                                                  min_size=6, max_size=6))
 @settings(max_examples=120, deadline=None)
-def test_hints_chained_three_deep(n, prob, seed, picks, derive):
-    """Hints through settled cuts give the cold width, a Dilworth pair and
-    the cold A_min: along the chains of P's cover as reduce walks them, and
-    down three nested masks that each drop one or two elements."""
+def test_hints_chained_three_deep(n, prob, seed, picks):
+    """Hints through settled cuts give the cold width and a Dilworth pair:
+    along the chains of the covers of P and of its dual as reduce walks
+    them, and down three nested masks that each drop one or two elements."""
     p = random_poset(n, prob, seed)
-    whole = min_chain_cover(p)
-    if derive:
-        whole.least_antichain  # derived first, so settled cuts inherit it
     walks = []
-    for chain in whole.chains:
-        walks.append([p.full_mask & ~(p.up[x] | 1 << x) for x in reversed(chain)])
-        walks.append([p.full_mask & ~(p.down[x] | 1 << x) for x in chain])
+    for q in (p, dual(p)):
+        whole = min_chain_cover(q)
+        for chain in whole.chains:
+            walks.append((q, whole, [q.full_mask & ~(q.down[x] | 1 << x)
+                                     for x in chain]))
     mask, nested = p.full_mask, []
     for a, b in zip(picks[::2], picks[1::2]):
         if n:
             mask &= ~(1 << a % n | 1 << b % n)
         nested.append(mask)
-    walks.append(nested)
-    for walk in walks:
-        hint = whole
+    walks.append((p, min_chain_cover(p), nested))
+    for q, hint, walk in walks:
         for mask in walk:
-            cold = min_chain_cover(p, mask)
-            hint = min_chain_cover(p, mask, hint=hint)
+            cold = min_chain_cover(q, mask)
+            hint = min_chain_cover(q, mask, hint=hint)
             assert hint.width == cold.width
-            assert_dilworth_pair(p, mask, hint)
-            assert hint.least_antichain == cold.least_antichain
+            assert_dilworth_pair(q, mask, hint)
 
 
 class TestExtremeAntichains:
-    """A cold cover certifies A_max, the greatest maximum antichain, and
-    ``least_antichain`` is A_min, the least: the bounds a hint gives."""
+    """A cold cover certifies A_max, the greatest maximum antichain, and a
+    cold cover of the dual A_min, the least: the bounds a hint gives."""
 
     def test_against_enumeration(self):
         rng = random.Random(41)
         for seed in range(120):
             n = rng.randint(0, 12)
             p = random_poset(n, (0.1, 0.2, 0.35, 0.5)[seed % 4], seed)
-            whole = min_chain_cover(p)
-            whole.least_antichain  # derived first, so settled cuts inherit it
             for mask in random_masks(n, rng, 3):
                 least, greatest = oracles.brute_extreme_antichains(p, mask)
-                cold = min_chain_cover(p, mask)
-                assert cold.certificate_mask == greatest
-                assert cold.least_antichain == least
-                assert min_chain_cover(p, mask, hint=whole).least_antichain == least
+                assert min_chain_cover(p, mask).certificate_mask == greatest
+                assert min_chain_cover(dual(p), mask).certificate_mask == least
 
     def test_extremes_decide_full_width(self):
         # a down-set keeps the width iff it holds A_min, an up-set iff A_max
         for seed in range(40):
             p = random_poset(12 + seed % 20, (0.1, 0.2, 0.35)[seed % 3], seed)
+            least = min_chain_cover(dual(p)).certificate_mask
             whole = min_chain_cover(p)
             for x in range(p.n):
-                for rows, extreme in ((p.up, whole.least_antichain),
+                for rows, extreme in ((p.up, least),
                                       (p.down, whole.certificate_mask)):
                     rest = p.full_mask & ~(rows[x] | 1 << x)
                     assert ((min_chain_cover(p, rest).width == whole.width)
@@ -450,10 +449,9 @@ class TestExtremeAntichains:
 
 
 class TestKonigFromLastLayering:
-    """The certificate of a cover that ran a matching is König's A_max, and
-    ``least_antichain`` is König's A_min on the ``down`` rows with the
-    sides swapped, both against a second alternating search from the
-    cover's own matching."""
+    """The certificate of a cover that ran a matching is König's A_max, on
+    P's ``up`` rows and, in the dual, A_min on its ``down`` rows, against a
+    second alternating search from the cover's own matching."""
 
     def test_against_reference_konig(self, monkeypatch):
         seeds = counting_matching(monkeypatch)
@@ -462,25 +460,21 @@ class TestKonigFromLastLayering:
         for seed in range(130):
             n = rng.randint(0, 70)
             p = random_poset(n, (0.02, 0.05, 0.1, 0.3)[seed % 4], seed)
-            whole = min_chain_cover(p)
-            # derived first, so only a cover's own matching counts
-            whole.least_antichain
-            for mask in random_masks(n, rng, 2):
-                up_rows = [row & mask for row in p.up]
-                down_rows = [row & mask for row in p.down]
-                for hint in (None, whole):
-                    calls = len(seeds)
-                    got = min_chain_cover(p, mask, hint=hint)
-                    matched = len(seeds) > calls
-                    assert matched or hint is not None
-                    assert_dilworth_pair(p, mask, got)
-                    match_l, match_r = cut_links(got, mask, p.n)
-                    if matched:
-                        assert got.certificate_mask == oracles.reference_konig(
-                            up_rows, mask, match_l, match_r)
-                    assert got.least_antichain == oracles.reference_konig(
-                        down_rows, mask, match_r, match_l)
-                    covers += 1
+            for q in (p, dual(p)):
+                whole = min_chain_cover(q)
+                for mask in random_masks(n, rng, 2):
+                    rows = [row & mask for row in q.up]
+                    for hint in (None, whole):
+                        calls = len(seeds)
+                        got = min_chain_cover(q, mask, hint=hint)
+                        matched = len(seeds) > calls
+                        assert matched or hint is not None
+                        assert_dilworth_pair(q, mask, got)
+                        if matched:
+                            match_l, match_r = cut_links(got, mask, n)
+                            assert got.certificate_mask == oracles.reference_konig(
+                                rows, mask, match_l, match_r)
+                        covers += 1
         assert covers >= 1000
 
     def test_cold_cover_leaves_down_unbuilt(self):

@@ -5,13 +5,15 @@ from collections import Counter
 import pytest
 
 from chaincover import ideal_embed
-from chaincover.core import iter_bits
+from chaincover.core import Poset, dual, iter_bits
 from chaincover.generators import (antichain, canonical_ideal_chain, chain,
                                    grid_index, grid_labels, grid_upper,
                                    random_poset)
 from chaincover.ideal_embed import (EmbedFailure, IdealChain, InvalidChain,
                                     embed_from_ideal_chain, validate_ideal_chain)
-from chaincover.patterns import BudgetExhausted, Embedding, validate_embedding
+from chaincover.patterns import (BudgetExhausted, Embedding, linear_extension,
+                                 validate_embedding)
+from test_cover import RecordingRows
 
 import oracles
 
@@ -221,6 +223,42 @@ class TestSearchKernel:
             tracemalloc.stop()
         assert got == want == EmbedFailure((0, 2), (("above", (0, 1), 0),))
         assert peak < ref_peak + 8 * 2 ** 20
+
+
+class TestRankedUnion:
+    """Candidates are ranked by an extension of the ideals' union alone."""
+
+    def test_down_sets_rank_as_the_whole_host(self):
+        # a down-set's own extension is the host's, cut to it, on relabelled
+        # and dual hosts too
+        rng = random.Random(23)
+        checked = 0
+        for seed in range(60):
+            p = random_poset(10 + seed % 40, (0.05, 0.15, 0.3)[seed % 3], seed)
+            perm = rng.sample(range(p.n), p.n)
+            for host in (p, oracles.relabel(p, perm), dual(p)):
+                whole = linear_extension(host)
+                for _ in range(3):
+                    union = 0
+                    for g in rng.sample(range(host.n), rng.randint(1, 4)):
+                        union |= host.down[g] | 1 << g
+                    assert linear_extension(host, union) == [
+                        x for x in whole if union >> x & 1]
+                    checked += 1
+        assert checked == 540
+
+    def test_reversed_chain_reads_only_the_union(self):
+        # 3999 < 3998 < ... < 0: ranking the whole host read a down-row per
+        # element scanned, over and over, for ideals of two elements
+        host = dual(chain(4000))
+        rows = RecordingRows(host.down)
+        recorded = Poset(host.n, host.up)
+        vars(recorded)["down"] = rows
+        c = IdealChain(recorded, (frozenset({3999}), frozenset({3999, 3998})))
+        result = embed_from_ideal_chain(c)
+        assert result == embed_from_ideal_chain(IdealChain(host, c.ideals))
+        assert result.mapping == (3999,)
+        assert len(rows.reads) <= 20
 
 
 class TestValidateFastPath:

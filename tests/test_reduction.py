@@ -254,15 +254,18 @@ class TestReduce:
                                     for x in range(q.n)}
                 assert profiles_by_copies(q, back) == out.profiles
 
-    def test_one_cold_cover_per_reduce(self, monkeypatch):
-        # claim 1's cover of q hints everything after it: the only cover
-        # without a hint is P's own, on the early return and the greedy path
+    def test_one_cold_cover_per_orientation(self, monkeypatch):
+        # claim 1's cover of q and one cover of q in the dual hint everything
+        # after them: the only covers without a hint are P's own (on the
+        # early return and the greedy path alike) and q's in the dual
         calls = counting_covers(monkeypatch)
         for p, t, restricted in ((grid_upper(6), 3, False), (antichain(4), 3, True),
                                  (random_poset(20, 0.1, 1), 1, True)):
             calls.clear()
-            assert bool(reduce(p, t).antichain) == restricted
-            assert [mask for mask, hint, _ in calls if hint is None] == [None]
+            out = reduce(p, t)
+            assert bool(out.antichain) == restricted
+            cold = [(mask, got.poset) for mask, hint, got in calls if hint is None]
+            assert cold == [(None, p), (out.q, dual(p))]
 
     def test_pivot_matches_exhaustive_reference(self):
         checked = 0
@@ -297,10 +300,11 @@ class TestReduce:
     def test_wide_antichain_settles_every_hinted_subcover(self, t, expected,
                                                           monkeypatch):
         # every sub-cover of an antichain keeps the bounds of its hint, so
-        # the one matching is the cold cover of P; the outcome is pinned
+        # the two matchings are the cold covers of P and of q in the dual;
+        # the outcome is pinned
         seeds = counting_matching(monkeypatch)
         out = reduce(antichain(600), t)
-        assert seeds == [[-1] * 600]
+        assert seeds == [[-1] * 600] * 2
         assert {name: getattr(out, name) for name in expected} == expected
         assert list(out.profiles) == list(expected["profiles"])
 
@@ -315,19 +319,15 @@ class TestSeedFromHint:
 
     def test_every_seed_is_the_hints_cut_links(self, monkeypatch):
         # Inc_x, up-sets, down-sets and Inc components each meet a chain of
-        # the hint in an interval; a derived A_min starts from all of the
-        # hint's links, sides swapped
+        # the hint in an interval
         seeds = counting_matching(monkeypatch)
         checked = 0
 
         def checking(p, mask=None, hint=None):
             nonlocal checked
             start = len(seeds)
-            underived = hint is not None and "least_antichain" not in vars(hint)
             got = min_chain_cover(p, mask, hint=hint)
             expected = []
-            if underived and "least_antichain" in vars(hint):
-                expected.append(cut_links(hint, hint.mask, p.n)[1])
             if hint is None:
                 expected.append([-1] * p.n)
             elif got.matching is not hint.matching:
@@ -359,9 +359,9 @@ class TestSeedFromHint:
         assert sum(hint is not None for _, hint, _ in calls) > 1000
 
     def test_chains_read_per_reduce(self, monkeypatch):
-        # the only chains read are q's cover's, which the profiles walk once
-        # in each direction, and the target component's cover's, whose ends
-        # bound the pivots
+        # the only chains read are those of q's covers in the dual and in P,
+        # which the profiles walk once each, and the target component's
+        # cover's, whose ends bound the pivots
         read = []
         real = ChainCover.chains.fget
 
@@ -377,8 +377,8 @@ class TestSeedFromHint:
             out = reduce(p, t)
             comp = next(c for c in inc_components(p, out.q)
                         if cov_of(p, iter_bits(c)) >= t)
-            assert len(read) == 3 and read[0] is read[1]
-            assert (read[0].mask, read[2].mask) == (out.q, comp)
+            assert [c.poset is p for c in read] == [False, True, True]
+            assert [c.mask for c in read] == [out.q, out.q, comp]
 
 
 @pytest.mark.parametrize("prob", [0.05, 0.1])
@@ -406,14 +406,15 @@ def test_relabelling_laws_at_reduce_scale(prob):
         assert hop is None or hop[0] == moved_hop[0]
 
 
-def hinted_subcovers_checked(q, calls) -> int:
+def hinted_subcovers_checked(calls) -> int:
     """Check every hinted cover in ``calls`` against a cold cover of its
-    mask and as a Dilworth pair; returns how many were checked."""
+    mask and as a Dilworth pair, on the poset it covers (the dual's covers
+    run their chains the other way); returns how many were checked."""
     checked = 0
     for mask, hint, got in calls:
         if hint is not None:
-            assert got.width == min_chain_cover(q, mask).width
-            assert_dilworth_pair(q, mask, got)
+            assert got.width == min_chain_cover(got.poset, mask).width
+            assert_dilworth_pair(got.poset, mask, got)
             checked += 1
     return checked
 
@@ -431,7 +432,7 @@ def test_hinted_subcovers_match_cold_on_non_rising_input(monkeypatch):
             for t in (width, width - 1):
                 calls.clear()
                 reduce(q, t)
-                checked += hinted_subcovers_checked(q, calls)
+                checked += hinted_subcovers_checked(calls)
     assert checked > 1000
 
 
@@ -444,21 +445,32 @@ def ladder(rungs: int):
 
 
 @pytest.mark.parametrize("q, t, matchings", [
-    (chain(400), 1, 1), (ladder(200), 2, 200), (antichain(300), 300, 1),
+    (chain(400), 1, 2), (ladder(200), 2, 201), (antichain(300), 300, 2),
 ], ids=["chain400", "ladder200", "antichain300"])
 def test_hinted_subcovers_match_cold_on_long_thin_and_wide_input(
         q, t, matchings, monkeypatch):
-    # a cut to one chain is settled, so the chain's only matching is its
-    # cold cover.  The ladder's rungs are its Inc components: the cold
-    # cover, one A_min layering and one matching per rung but the top
-    # (settled by A_max) and the bottom (by A_min); its one-element Inc_x
-    # profiles settle.  Every hinted cover of the antichain keeps its bounds
+    # each input runs two cold covers, P's and q's in the dual.  A cut to
+    # one chain is settled, so the chain runs no other matching.  The
+    # ladder's rungs are its Inc components: one matching per rung but the
+    # top (settled by A_max); its one-element Inc_x profiles settle.  Every
+    # hinted cover of the antichain keeps its bounds
     calls = counting_covers(monkeypatch)
     seeds = counting_matching(monkeypatch)
     reduce(q, t)
     assert len(seeds) == matchings
-    assert hinted_subcovers_checked(q, calls) > 900
+    assert hinted_subcovers_checked(calls) > 900
 
+
+def test_matchings_per_reduce_at_threshold_cov(monkeypatch):
+    # settled cuts run no matching: a change that loses some makes more.
+    # Down-sets are covered as up-sets of the dual, where A_min is A_max
+    instances = [random_poset(n, (0.05, 0.1)[n % 20 // 10], n)
+                 for n in range(60, 101, 10)]
+    thresholds = [cov(p) for p in instances]
+    seeds = counting_matching(monkeypatch)
+    for p, t in zip(instances, thresholds):
+        reduce(p, t)
+    assert len(seeds) == 480
 
 class TestSetIdentity:
     def test_holds_everywhere(self):
