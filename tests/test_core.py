@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -425,16 +426,55 @@ class TestClosureKernel:
 
 
 class TestTranspose:
-    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+    """``Poset.down`` (``core._transpose``) against the per-bit transpose, at
+    the edges of a byte, a 64-bit word and a block of ``core._BLOCK`` rows."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 255, 256, 257, 513, 800,
+                                   core._BLOCK - 1, core._BLOCK, core._BLOCK + 1])
     def test_down_equals_per_bit_transpose(self, n):
-        for prob in (0.01, 0.3):
-            p = random_poset(n, prob, n)
-            assert p.down == oracles.reference_down(p)
+        rng = random.Random(n)
+        for count in (n // 2, 3 * n):
+            pairs = random_pairs(rng, n, count, acyclic=False)
+            p = from_relations(n, [(min(u, v), max(u, v)) for u, v in pairs if u != v])
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for q in (p, oracles.relabel(p, perm), dual(p)):
+                assert q.down == oracles.reference_down(q)
 
     def test_dense_rows(self):
         p = chain(300)
         assert p.down == oracles.reference_down(p)
         assert p.down[299] == (1 << 299) - 1
+        n = core._BLOCK + 9
+        assert chain(n).down == tuple((1 << x) - 1 for x in range(n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 80).flatmap(lambda n: st.tuples(
+               st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+               st.sampled_from((1, 5, 8, 16, core._BLOCK)))))
+    def test_any_bit_matrix_in_any_block_size(self, case):
+        rows, block = case
+        n = len(rows)
+        want = [0] * n
+        for x in range(n):
+            for y in iter_bits(rows[x]):
+                want[y] |= 1 << x
+        with mock.patch.object(core, "_BLOCK", block):
+            got = core._transpose(tuple(rows), n)
+            assert got == tuple(want)
+            assert core._transpose(got, n) == tuple(rows)
+
+    def test_peak_memory_is_one_block(self):
+        # the packed rows of one block of an 8,000-element antichain take
+        # 2 MB; packing the whole matrix at once would take 8 MB
+        p = from_text("n 8000\n")
+        tracemalloc.start()
+        try:
+            p.down
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestCoverPairsKernel:
