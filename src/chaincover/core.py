@@ -187,12 +187,15 @@ def _transpose(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     of eight rows.  The strided slice ``packed[j::width]`` is column byte j
     of every row, so joining a band of them puts each 8 x 8 bit block in one
     64-bit word; three delta swaps on the band transpose them all, after
-    which byte c of each word is column 8j + c of its eight rows.
+    which byte c of each word is column 8j + c of its eight rows.  A block
+    whose rows are all zero adds nothing and is skipped.
     """
     width = (n + 7) // 8
     out = [0] * n
     for r0 in range(0, n, _BLOCK):
         block = rows[r0:r0 + _BLOCK]
+        if not any(block):
+            continue
         height = -len(block) % 8 + len(block)
         packed = b"".join(row.to_bytes(width, "little") for row in block)
         packed += bytes(width * (height - len(block)))

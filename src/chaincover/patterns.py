@@ -1,26 +1,16 @@
 """Induced-subposet embedding search.
 
 Backtracking assigns pattern elements in a fixed linear extension order, so
-every already-assigned element is below or incomparable to the current one.
-Candidate targets are prefiltered by (up-set size, down-set size,
-incomparability degree) signatures, each a popcount: per coordinate, one
-table over p maps a threshold t to the mask of the targets whose count is
-at least t, so a position's candidates are three ANDs.  They are then
-constrained by bitmask intersection against the assigned prefix: the image
-of an earlier position y restricts a later one to ``up[f(y)]`` when y lies
-below it in the pattern and to ``inc[f(y)]`` otherwise, read from one
-bitmask per position of the earlier positions below it.  Induced-subposet
-isomorphism is NP-hard in general; the signatures keep desk-scale instances
-fast.
-
-The search is an iterative depth-first search with its state in flat lists
-(no Python recursion, so patterns of any size).  On entering a position it
-ANDs the constraints of the positions before it into one prefix mask of the
-next position's candidates; each candidate then costs one AND.  A candidate
-tried is one node of the budget, also when it leads nowhere.
-
-The search is deterministic (lowest target index first), so a Found result
-is the lexicographically least embedding in assignment order.
+each assigned element is below or incomparable to the current one, and its
+image restricts the current position to its ``up`` or its ``inc`` row.
+Induced-subposet isomorphism is NP-hard in general; popcount signatures
+keep desk-scale instances fast.  The search is an iterative depth-first
+search on bitmasks.  Each position caches its candidates under the images
+of the earlier positions but the two just before it, rebuilt only when the
+one two before it is entered again, so entering a position costs one AND
+and each of its candidates one more.  A candidate tried is one node of the
+budget.  The search is deterministic (lowest target index first), so a
+Found result is the lexicographically least embedding in assignment order.
 """
 
 from __future__ import annotations
@@ -128,9 +118,7 @@ def embeds(p: Poset, q: Poset, budget: int | None = None) -> Embedding | None:
     up = p.up
     inc = [p.full_mask & ~(row | down | 1 << x)
            for x, (row, down) in enumerate(zip(up, p.down))]
-    # below[j]: bit i set when position i < j lies below position j in q;
-    # the image of position i then constrains position j to its up-row,
-    # and otherwise to its inc-row
+    # below[j]: bit i set when position i < j lies below position j in q
     at = [0] * q.n
     for i, qx in enumerate(order):
         at[qx] = i
@@ -140,14 +128,19 @@ def embeds(p: Poset, q: Poset, budget: int | None = None) -> Embedding | None:
         for qy in iter_bits(q.down[qx]):
             bits |= 1 << at[qy]
         below.append(bits)
+    # step[i], skip[i]: the rows position i's image restricts i + 1, i + 2 to
+    step = [up if below[i + 1] >> i & 1 else inc for i in range(last)]
+    skip = [up if below[i + 2] >> i & 1 else inc for i in range(last - 1)]
     img = [0] * q.n
     # rests[pos]: untried candidates of position pos; pre[pos]: the
-    # candidates of position pos + 1 under the images of positions < pos.
-    # Neither up[x] nor inc[x] contains x, so these masks never offer an
-    # image twice, and one AND with x's row gives the candidates of pos + 1
-    # once x is placed.
+    # candidates of position pos + 1 under the images of positions < pos;
+    # base[j]: those of position j under the images of positions < j - 2,
+    # None once position j - 2 is entered (no image it reads changes
+    # otherwise).  Neither up[x] nor inc[x] contains x, so these masks never
+    # offer an image twice.
     rests = [0] * q.n
     pre = [0] * q.n
+    base = [None] * (q.n + 1)
     rests[0] = first[0]
     if last:
         pre[0] = first[1]
@@ -168,17 +161,21 @@ def embeds(p: Poset, q: Poset, budget: int | None = None) -> Embedding | None:
         img[pos] = x = bit.bit_length() - 1
         if pos == last:
             break
-        nxt = pre[pos] & (up if below[pos + 1] >> pos & 1 else inc)[x]
+        nxt = pre[pos] & step[pos][x]
         if not nxt:
             continue
         pos += 1
         rests[pos] = nxt
         if pos < last:
-            rows = below[pos + 1]
-            mask = first[pos + 1]
-            for i in range(pos):
-                mask &= (up if rows >> i & 1 else inc)[img[i]]
-            pre[pos] = mask
+            base[pos + 2] = None
+            mask = base[pos + 1]
+            if mask is None:
+                mask = first[pos + 1]
+                rows = below[pos + 1]
+                for i in range(pos - 1):
+                    mask &= (up if rows >> i & 1 else inc)[img[i]]
+                base[pos + 1] = mask
+            pre[pos] = mask = mask & skip[pos - 1][img[pos - 1]]
             if not mask:
                 # every candidate of pos is a dead end: one node each
                 nodes += nxt.bit_count()

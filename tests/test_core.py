@@ -464,17 +464,36 @@ class TestTranspose:
             assert got == tuple(want)
             assert core._transpose(got, n) == tuple(rows)
 
-    def test_peak_memory_is_one_block(self):
-        # the packed rows of one block of an 8,000-element antichain take
-        # 2 MB; packing the whole matrix at once would take 8 MB
-        p = from_text("n 8000\n")
+    def test_zero_blocks_are_skipped(self):
+        # falling pairs into the first block leave its rows all zero, so
+        # only the later blocks are packed
+        rng = random.Random(7)
+        n = 2 * core._BLOCK + 300
+        pairs = [(rng.randrange(core._BLOCK, n), rng.randrange(core._BLOCK))
+                 for _ in range(3000)]
+        p = from_relations(n, pairs)
+        assert not any(p.up[:core._BLOCK]) and any(p.up[core._BLOCK:])
+        assert p.down == oracles.reference_down(p)
+
+    @staticmethod
+    def peak_of_down(p):
         tracemalloc.start()
         try:
             p.down
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8_000_000
+
+    def test_peak_memory_is_one_block(self):
+        # one pair in each block of 2,048 rows: the packed rows of one block
+        # take 2 MB at n = 8,000, those of the whole matrix 8 MB
+        text = "n 8000\n" + "".join(f"{u} {u + 1}\n" for u in range(0, 8000, 2048))
+        assert self.peak_of_down(from_text(text)) < 8_000_000
+
+    def test_zero_rows_pack_nothing(self):
+        # the largest antichain a text may hold: every block is skipped, so
+        # the peak is the result's 20,000 references, not 10 MB of packing
+        assert self.peak_of_down(from_text("n 20000\n")) < 1_000_000
 
 
 class TestCoverPairsKernel:

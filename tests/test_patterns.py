@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -279,6 +280,39 @@ class TestSearchKernel:
             e = embeds(p, q)
             if e is not None:
                 assert oracles.reference_validate_embedding(e)
+
+    def test_same_outcome_at_workload_scale(self):
+        # half-grid patterns of 15 and 21 positions in hosts and at budgets
+        # the size of the benchmark's find-grid queries; the last three
+        # hosts hold a copy found after 3,631 (k = 6), 4,556 (k = 7) and
+        # 9,954 (k = 6) nodes, deep enough for stale cached prefixes to show
+        kinds = set()
+        for n, prob, seed in ((120, 0.1, 1), (160, 0.2, 2), (200, 0.1, 3),
+                              (120, 0.1, 4), (160, 0.1, 15), (200, 0.2, 7)):
+            p = random_poset(n, prob, seed)
+            for k in (6, 7):
+                for want_dual in (False, True):
+                    q = _grid_pattern(k, want_dual)
+                    for budget in (2000, 20000):
+                        got = outcome(embeds, p, q, budget)
+                        assert got == outcome(oracles.reference_embeds, p, q, budget), \
+                            (n, prob, seed, k, want_dual, budget)
+                        kinds.add(got if got in (None, "unknown") else "found")
+        assert {"found", "unknown"} <= kinds
+
+    def test_state_is_linear_in_the_pattern(self):
+        # 400 positions: a table of q.n x q.n masks, or only of references
+        # to them, would pass 1 MB
+        p, q = chain(500), chain(400)
+        p.down, q.down  # the cached transposes are built before tracing
+        tracemalloc.start()
+        try:
+            e = embeds(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e is not None and e.mapping == tuple(range(400))
+        assert peak <= 1_000_000
 
     def test_deep_pattern(self):
         # 1,200 positions: the recursive search passes Python's recursion limit
