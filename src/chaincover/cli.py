@@ -3,7 +3,8 @@
 Exit codes: 0 success / Found / property holds; 1 NotFound / property fails;
 2 input or usage error; 3 Unknown (search budget exhausted).  ``-`` as a
 poset file means standard input.  ``--json`` switches machine-readable
-output; every JSON payload carries ``"schema": 1``.
+output on every verb but ``gen``, ``dot`` and ``selftest``, which have no
+JSON form; every JSON payload carries ``"schema": 1``.
 
 Exit 2 prints one ``error:`` line on stderr, for usage errors; unreadable
 or non-UTF-8 files and stdin; malformed poset, ideals, term and cardinal
@@ -32,6 +33,13 @@ SCHEMA = 1
 
 class _InputError(Exception):
     """Anything wrong with user input that the CLI itself finds."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise _InputError, so that they print as one line."""
+
+    def error(self, message):
+        raise _InputError(f"{self.prog}: {message}")
 
 
 # What input alone can raise.  Bare ValueError, IndexError and RuntimeError
@@ -260,16 +268,16 @@ def _cmd_selftest(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="chaincover",
-        description="chain covers, antichains and decompositions of finite posets")
+    top = _Parser(prog="chaincover", description="chain covers, antichains and "
+                  "decompositions of finite posets")
     sub = top.add_subparsers(dest="verb", required=True)
 
     def add(name, fn, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--json", action="store_true",
-                        help="machine readable output")
+        if name not in ("gen", "dot", "selftest"):  # verbs with a JSON form
+            sp.add_argument("--json", action="store_true",
+                            help="machine readable output")
         return sp
 
     sp = add("cov", _cmd_cov, help="minimum chain cover width")
@@ -340,10 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         return args.fn(args)
+    except SystemExit:  # -h, once its help is printed
+        return 0
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

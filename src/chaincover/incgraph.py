@@ -119,6 +119,17 @@ def inc_distance_path(p: Poset, x: int, y: int) -> tuple[int, list[int]] | None:
     return len(levels), path
 
 
+def inc_path_below(p: Poset, x: int, y: int) -> tuple[int, list[int]]:
+    """inc_distance_path(p, x, y), for x < y in one Inc component only."""
+    if not p.lt(x, y):
+        raise PreconditionError(f"{x} < {y} must hold in the poset")
+    hop = inc_distance_path(p, x, y)
+    if hop is None:
+        raise PreconditionError(
+            f"{x} and {y} lie in different incomparability components")
+    return hop
+
+
 def interval_cover(p: Poset, path) -> tuple[int, int]:
     """The interval [path[0], path[-1]] as a bitmask, and the part of it
     incomparable to no interior vertex of ``path`` (0 when the interior's
@@ -158,13 +169,7 @@ def check_metric_lemma(p: Poset, x: int, y: int) -> MetricReport:
 
     Both are finite theorems; a False anywhere signals an implementation bug.
     """
-    if not p.lt(x, y):
-        raise PreconditionError(f"{x} < {y} must hold in the poset")
-    hop = inc_distance_path(p, x, y)
-    if hop is None:
-        raise PreconditionError(
-            f"{x} and {y} lie in different incomparability components")
-    d, path = hop
+    d, path = inc_path_below(p, x, y)
     violations = []
     for i in range(len(path)):
         for j in range(i + 2, len(path)):

@@ -191,15 +191,16 @@ def embeds(p: Poset, q: Poset, budget: int | None = None) -> Embedding | None:
     return e
 
 
-def _height(p: Poset) -> int:
-    """Number of elements on a longest chain.
+def _height(p: Poset, at_most: int) -> int:
+    """Number of elements on a longest chain, or ``at_most`` if that is less.
 
     Level k + 1 is the set of elements above some element of level k, level
-    1 being everything; the height is the number of nonempty levels.
+    1 being everything; the height is the number of nonempty levels.  The
+    walk stops after ``at_most`` levels.
     """
     height = 0
     level = p.full_mask
-    while level:
+    while level and height < at_most:
         height += 1
         level = closed_or(p.up, level)
     return height
@@ -225,7 +226,7 @@ def embeds_grid(p: Poset, k: int, want_dual: bool = False,
     # falls through to grid_upper, which rejects it)
     if k >= 2 and k * (k - 1) // 2 > p.n:
         return None
-    if _height(p) < 2 * k - 3:
+    if _height(p, 2 * k - 3) < 2 * k - 3:
         return None
     if (cover.min_chain_cover(p, p.maximal_mask).width < k // 2
             and cover.min_chain_cover(p).width < k // 2):

@@ -22,7 +22,8 @@ from .core import (InternalInconsistency, Poset, PreconditionError, dual,
                    iter_bits, mask_of)
 from .core import induced  # unused here: the reduction.induced tracer site
 from .cover import ChainCover, min_chain_cover
-from .incgraph import inc_components, inc_distance_path, interval_cover
+from .incgraph import inc_components, inc_path_below, interval_cover
+from .incgraph import inc_distance_path  # unused here: a tracer site
 
 
 class Claim1Result(NamedTuple):
@@ -35,49 +36,40 @@ class Claim1Result(NamedTuple):
 def claim1_reduce(p: Poset, t: int) -> Claim1Result:
     """Restrict to the incomparability set of a maximal antichain.
 
-    Q is a mask of p: all of it, with an empty antichain, if no single x
-    has Cov(Inc_x) >= t; otherwise Inc_L for a greedy inclusion-maximal
-    antichain L with Cov(Inc_L) >= t (lowest index first, from the first x
-    that qualifies).  Both postconditions, Cov(Q) >= t and Cov(Inc_x(Q)) < t
-    for every x in Q, are exact finite theorems (maximality of L forbids
-    extending it by any x in Q), so they are asserted.  ``inc_covs[x]`` is
-    Cov(Inc_x(Q)) for each x of Q, the second one's certificate; ``cover``
-    is the verified cover of Q: P's, or the last accepted one of Inc_L.
-    Each sub-cover is hinted with P's cover or the last accepted one.
+    One greedy loop: Q starts as all of p with P's cover, and each pass
+    covers Q ∩ Inc_x for each x of Q in index order, hinted with Q's cover.
+    The first x with Cov(Q ∩ Inc_x) >= t joins the antichain L, and Q and
+    its cover become that cut and its cover; a pass that accepts nothing
+    ends the loop, with its widths as ``inc_covs``.  So Q is Inc_L for a
+    greedy inclusion-maximal L, or all of p with L empty.  Both
+    postconditions, Cov(Q) >= t and Cov(Inc_x(Q)) < t for every x in Q,
+    are exact finite theorems (maximality of L forbids extending it by any
+    x in Q) and are asserted; ``inc_covs`` certifies the second, and
+    ``cover`` is Q's verified cover.
     """
     if t < 1:
         raise PreconditionError("threshold must be at least 1")
-    whole = min_chain_cover(p)
-    if whole.width < t:
+    q, cover, chosen = p.full_mask, min_chain_cover(p), []
+    if cover.width < t:
         raise PreconditionError(f"Cov(P) < {t}")
-    inc_covs = {}
-    for seed in range(p.n):
-        inc_l = p.inc_mask(seed)
-        cover_l = min_chain_cover(p, inc_l, hint=whole)
-        if cover_l.width >= t:
-            break
-        inc_covs[seed] = cover_l.width
-    else:
-        return Claim1Result(p.full_mask, frozenset(), inc_covs, whole)
-    chosen = [seed]
     while True:
-        for y in iter_bits(inc_l):
-            tightened = inc_l & p.inc_mask(y)
-            cover = min_chain_cover(p, tightened, hint=cover_l)
-            if cover.width >= t:
-                chosen.append(y)
-                inc_l, cover_l = tightened, cover
+        inc_covs = {}
+        for x in iter_bits(q):
+            cut = q & p.inc_mask(x)
+            cut_cover = min_chain_cover(p, cut, hint=cover)
+            if cut_cover.width >= t:
+                chosen.append(x)
+                q, cover = cut, cut_cover
                 break
+            inc_covs[x] = cut_cover.width
         else:
             break
-    if cover_l.width < t:
+    if cover.width < t:
         raise InternalInconsistency("antichain restriction lost the threshold")
-    inc_covs = {x: min_chain_cover(p, inc_l & p.inc_mask(x), hint=cover_l).width
-                for x in iter_bits(inc_l)}
     if max(inc_covs.values()) >= t:
         raise InternalInconsistency(
             "restriction left an element violating the antichain maximality")
-    return Claim1Result(inc_l, frozenset(chosen), inc_covs, cover_l)
+    return Claim1Result(q, frozenset(chosen), inc_covs, cover)
 
 
 @dataclass(frozen=True)
@@ -108,13 +100,7 @@ def cover_bound_report(p: Poset, x0: int, y: int) -> Claim2Report:
     and that Cov of that remainder is bounded by the summed incomparability
     covers.  The inclusions are finite theorems; the bound is subadditivity.
     """
-    if not p.lt(x0, y):
-        raise PreconditionError(f"{x0} < {y} must hold")
-    hop = inc_distance_path(p, x0, y)
-    if hop is None:
-        raise PreconditionError(
-            f"{x0} and {y} lie in different incomparability components")
-    _, path = hop
+    _, path = inc_path_below(p, x0, y)
     interval_mask, uncovered = interval_cover(p, path)
     inclusion1_ok = uncovered == 0
     rest = (p.up[x0] | (1 << x0)) & ~(p.up[y] | (1 << y))
@@ -188,8 +174,8 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     where it comes from p's rows.  Claim 1's cover of q hints the component
     sub-covers and, along its chains, q minus each down-set.  q minus each
     up-set is an up-set of the dual order, covered there along the chains
-    of one cold cover of q.  Cov(Inc_x) comes from the restriction's
-    certificate.
+    of one cold cover of q.  Cov(Inc_x) is read off the restriction loop's
+    last pass, its certificate.
 
     The pivot is picked bound-first: the chains of C's verified cover that
     meet a side bound its width (an up-set of C meets a chain iff it holds

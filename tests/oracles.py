@@ -11,10 +11,10 @@ parser with ``int_field`` on every field, recursive Hopcroft-Karp, König's
 antichain by a second alternating search, Warshall closure, per-bit
 transpose, per-bit cover pairs, the recursive embedding searches, the
 longest chain by Kahn order, the pairwise checks of embeddings and ideal
-chains, the exhaustive pivot loop of ``reduce``, the per-bit restriction
-of a successor list to a mask, a chain's order by placement); the kernels
-must return exactly what they return, down to the nodes a budgeted search
-spends.
+chains, claim 1's greedy rule on induced copies, the exhaustive pivot loop
+of ``reduce``, the per-bit restriction of a successor list to a mask, a
+chain's order by placement); the kernels must return exactly what they
+return, down to the nodes a budgeted search spends.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from itertools import combinations
 
 from chaincover.core import (MAX_TEXT_ELEMENTS, CycleError,
                              InternalInconsistency, Poset, _find_cycle,
-                             from_relations, int_field, iter_bits, mask_of)
+                             from_relations, induced, int_field, iter_bits,
+                             mask_of)
 from chaincover.cover import min_chain_cover
 from chaincover.generators import grid_upper
 from chaincover.ideal_embed import ChainViolation, EmbedFailure, IdealChain
@@ -595,6 +596,23 @@ def reference_pivot(p: Poset, t: int) -> tuple[str, int | None, int | None]:
                 best = (width, case, x, side)
     width, case, x0, side = best
     return case if width >= t else "unreduced", x0, side
+
+
+def reference_claim1(p: Poset, t: int) -> tuple[int, frozenset[int], dict[int, int]]:
+    """Claim 1's (q, antichain, inc_covs) by its greedy rule, every width a
+    cold cover of an induced copy: while some x of Q, lowest first, has
+    Cov(Q ∩ Inc_x) >= t, x joins the antichain and Q becomes Q ∩ Inc_x;
+    then inc_covs maps each x of Q to Cov(Q ∩ Inc_x)."""
+    q, chosen = list(range(p.n)), []
+    while True:
+        cuts = {x: [y for y in q if p.incomparable(x, y)] for x in q}
+        widths = {x: min_chain_cover(induced(p, cut)[0]).width
+                  for x, cut in cuts.items()}
+        x = next((x for x in q if widths[x] >= t), None)
+        if x is None:
+            return mask_of(q), frozenset(chosen), widths
+        chosen.append(x)
+        q = cuts[x]
 
 
 def reference_restricted(succ: list[int], mask: int, n: int

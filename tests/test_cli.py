@@ -540,6 +540,29 @@ def test_unknown_verb_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cov"], "chaincover cov: the following arguments are required: file"),
+    (["frobnicate"], "chaincover: argument verb: invalid choice: 'frobnicate'"),
+    (["cov", "{f}", "--bogus"], "chaincover: unrecognized arguments: --bogus"),
+    (["dist", "{f}", "a", "1"], "chaincover dist: argument x: invalid int value"),
+])
+def test_usage_error_is_one_line(grid6_file, capsys, argv, message):
+    assert run([a.format(f=grid6_file) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and one_error_line(err)
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [["gen", "chain", "-n", "3"], ["dot", "{f}"],
+                                  ["selftest", "--rounds", "1"]])
+def test_json_only_on_verbs_with_a_json_form(grid6_file, capsys, argv):
+    argv = [a.format(f=grid6_file) for a in argv]
+    assert run(argv + ["--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and one_error_line(err)
+    assert err == "error: chaincover: unrecognized arguments: --json\n"
+
+
 # -- one parser per process ----------------------------------------------------
 #
 # run() reuses one argparse tree; each query must still answer as the first
@@ -611,11 +634,9 @@ class TestEntryPoint:
 
     def test_unknown_verb(self):
         out, err, code = fresh_process(["nope"])
-        assert (code, out) == (2, "")
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert errors == [err.splitlines()[-1]]
-        assert errors[0].startswith(
-            "chaincover: error: argument verb: invalid choice: 'nope'")
+        assert (code, out) == (2, "") and one_error_line(err)
+        assert err.startswith(
+            "error: chaincover: argument verb: invalid choice: 'nope'")
 
     def test_unreadable_file(self, tmp_path):
         out, err, code = fresh_process(["cov", str(tmp_path / "absent.poset")])

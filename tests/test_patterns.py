@@ -1,10 +1,11 @@
+import contextlib
 import random
 import tracemalloc
 
 import pytest
 
-from chaincover import cover
-from chaincover.core import dual, from_relations
+from chaincover import cover, patterns
+from chaincover.core import closed_or, dual, from_relations
 from chaincover.generators import (antichain, chain, grid_index, grid_labels,
                                    grid_upper, random_poset)
 from chaincover.patterns import (BudgetExhausted, Embedding, _grid_pattern,
@@ -330,11 +331,23 @@ class TestHeight:
             posets += [dual(p), shuffled(p, p.n),
                        oracles.relabel(p, list(range(p.n))[::-1])]
         for p in posets:
-            assert _height(p) == oracles.reference_height(p), p
+            height = oracles.reference_height(p)
+            assert _height(p, p.n + 1) == height, p
+            assert _height(p, height - 1) == max(height - 1, 0), p
 
     def test_reversed_chain(self):
         p = oracles.relabel(chain(300), list(range(299, -1, -1)))
-        assert _height(p) == 300
+        assert _height(p, p.n + 1) == 300
+
+    def test_find_grid_walks_at_most_the_levels_it_needs(self, monkeypatch):
+        levels = []
+        monkeypatch.setattr(patterns, "closed_or",
+                            lambda rows, m: levels.append(m) or closed_or(rows, m))
+        for k in (3, 5, 7):
+            levels.clear()
+            with contextlib.suppress(BudgetExhausted):
+                embeds_grid(chain(300), k, budget=0)
+            assert len(levels) == 2 * k - 3
 
 
 class TestValidateByRows:

@@ -87,7 +87,7 @@ class TestClaim1:
         g = grid_upper(6)
         q, label, inc_covs, _ = claim1_reduce(g, 3)
         assert label == frozenset() and q == g.full_mask
-        # the early return's seed scan visited every element
+        # nothing qualifies, so the one pass covered every element
         assert len(inc_covs) == g.n and max(inc_covs.values()) < 3
 
     def test_chain_trivial(self):
@@ -96,7 +96,7 @@ class TestClaim1:
         assert inc_covs == {0: 0, 1: 0, 2: 0, 3: 0}
 
     def test_cover_is_a_verified_cover_of_q(self):
-        # the early return hands back P's cover, the greedy path Inc_L's
+        # P's cover when nothing qualifies, else the last accepted Inc_L's
         for seed in range(20):
             p = random_poset(10, 0.15, seed)
             for t in range(1, cov(p) + 1):
@@ -104,6 +104,37 @@ class TestClaim1:
                 assert sorted(x for c in cover.chains for x in c) == list(iter_bits(q))
                 assert cover.certificate <= set(iter_bits(q))
                 assert cover.width == cov_of(p, iter_bits(q)) >= t
+
+    def test_matches_the_greedy_rule_on_induced_copies(self):
+        instances = [lex_sum([antichain(3), random_poset(8, 0.2, 5), chain(2),
+                              antichain(4)])]
+        for seed in range(24):
+            p = random_poset(6 + seed % 13, (0.05, 0.1, 0.2)[seed % 3], seed)
+            perm = list(range(p.n))
+            random.Random(seed).shuffle(perm)
+            instances += [p, oracles.relabel(p, perm), dual(p)]
+        restricted = 0
+        for p in instances:
+            for t in range(1, cov(p) + 1):
+                got = claim1_reduce(p, t)
+                assert got[:3] == oracles.reference_claim1(p, t), (p, t)
+                restricted += bool(got.antichain)
+        assert restricted > 50
+
+    def test_the_last_pass_is_the_certificate(self, monkeypatch):
+        # after the last accepted element, one pass over Q hinted with the
+        # returned cover gives inc_covs: |Q| covers, not a second pass
+        calls = counting_covers(monkeypatch)
+        restricted = 0
+        for seed in range(20):
+            p = random_poset(10, 0.15, seed)
+            for t in range(1, cov(p) + 1):
+                calls.clear()
+                got = claim1_reduce(p, t)
+                hinted = [mask for mask, hint, _ in calls if hint is got.cover]
+                assert hinted == [got.q & p.inc_mask(x) for x in iter_bits(got.q)]
+                restricted += bool(got.antichain)
+        assert restricted > 10
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):

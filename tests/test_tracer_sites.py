@@ -54,7 +54,8 @@ def test_find_grid_reaches_the_cover_layer(monkeypatch):
                 patterns.embeds_grid(p, k, budget=0)
             except patterns.BudgetExhausted:
                 pass
-            passes = k * (k - 1) // 2 <= p.n and patterns._height(p) >= 2 * k - 3
+            need = 2 * k - 3
+            passes = k * (k - 1) // 2 <= p.n and patterns._height(p, need) >= need
             assert any(c is p for c in calls) == passes, (p.n, k)
             reached += passes
     assert reached > 30
