@@ -9,16 +9,16 @@ bulk; any other text line by line, which reports every error.  A subset (an
 up-set, a down-set, an interval, an incomparability set) is a bitmask over
 the same indices; ``induced`` copies one out only where a caller needs it
 as a poset of its own.  ``down``, the transpose of ``up``, is built a block
-of rows at a time on first use.  Values are immutable after construction;
-every operation here is a pure function, so concurrent use needs no
-coordination.
+of rows at a time on first use.  Posets compare and hash by ``(n, up)``
+only, never by labels.  Values are immutable after construction; every
+operation here is a pure function, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -71,17 +71,17 @@ def closed_or(rows, mask: int) -> int:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Poset:
     """Strict partial order on elements 0..n-1, relation reachability-closed.
 
-    ``labels`` is presentation metadata (e.g. grid coordinates); it never
-    participates in equality.
+    Posets compare and hash by ``(n, up)`` only: ``labels`` is presentation
+    metadata (e.g. grid coordinates) and never takes part.
     """
 
     n: int
     up: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.up) != self.n:
@@ -152,14 +152,6 @@ class Poset:
         lines = [f"n {self.n}"]
         lines += [f"{u} {v}" for u, v in self.cover_pairs()]
         return "\n".join(lines) + "\n"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poset):
-            return NotImplemented
-        return self.n == other.n and self.up == other.up
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.up))
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, lt={self.relation_pairs()!r})"
@@ -429,15 +421,10 @@ def induced(p: Poset, subset: Iterable[int]) -> tuple[Poset, tuple[int, ...]]:
         if not 0 <= x < p.n:
             raise IndexError(f"element {x} out of range")
     back = {orig: new for new, orig in enumerate(chosen)}
-    rows = []
-    for orig in chosen:
-        row = 0
-        for other in iter_bits(p.up[orig]):
-            if other in back:
-                row |= 1 << back[other]
-        rows.append(row)
+    mask = mask_of(chosen)
+    rows = tuple(mask_of(back[y] for y in iter_bits(p.up[x] & mask)) for x in chosen)
     labels = tuple(p.labels[i] for i in chosen) if p.labels is not None else None
-    return Poset(len(chosen), tuple(rows), labels), tuple(chosen)
+    return Poset(len(chosen), rows, labels), tuple(chosen)
 
 
 def is_pure(p: Poset) -> bool:

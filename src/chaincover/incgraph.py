@@ -186,14 +186,11 @@ def check_metric_lemma(p: Poset, x: int, y: int) -> MetricReport:
 def to_dot(p: Poset, include_inc: bool = False) -> str:
     """DOT rendering of the Hasse diagram; incomparability edges dashed."""
     lines = ["digraph poset {", "  rankdir=BT;"]
-    for x in range(p.n):
-        lines.append(f'  v{x} [label="{p.label(x)}"];')
-    for u, v in p.cover_pairs():
-        lines.append(f"  v{u} -> v{v};")
+    lines += [f'  v{x} [label="{p.label(x)}"];' for x in range(p.n)]
+    lines += [f"  v{u} -> v{v};" for u, v in p.cover_pairs()]
     if include_inc:
         for x in range(p.n):
-            for y in iter_bits(p.inc_mask(x)):
-                if y > x:
-                    lines.append(f"  v{x} -> v{y} [style=dashed, dir=none];")
+            for y in iter_bits(p.inc_mask(x) >> x + 1 << x + 1):
+                lines.append(f"  v{x} -> v{y} [style=dashed, dir=none];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -30,7 +30,6 @@ aleph(l[n]+1) along the canonical fundamental sequence of a limit ordinal l.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -60,13 +59,13 @@ class CapMissing(LookupError):
 # ordinals
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class OrdinalCNF:
     """An ordinal below epsilon_0 in Cantor normal form.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs with exponents
-    strictly decreasing and coefficients >= 1; the empty tuple is 0.
+    strictly decreasing and coefficients >= 1; the empty tuple is 0.  Tuple
+    order on ``terms`` is CNF order, so ordinals compare as their terms.
     """
 
     terms: tuple[tuple["OrdinalCNF", int], ...] = ()
@@ -75,7 +74,7 @@ class OrdinalCNF:
         for i, (e, c) in enumerate(self.terms):
             if c < 1:
                 raise ValueError("CNF coefficients must be positive")
-            if i and not _cmp(self.terms[i - 1][0], e) > 0:
+            if i and not self.terms[i - 1][0] > e:
                 raise ValueError("CNF exponents must strictly decrease")
 
     @staticmethod
@@ -113,13 +112,10 @@ class OrdinalCNF:
         if not other.terms:
             return self
         lead = other.terms[0][0]
-        kept = tuple(t for t in self.terms if _cmp(t[0], lead) > 0)
+        kept = tuple(t for t in self.terms if t[0] > lead)
         carry = sum(c for e, c in self.terms if e == lead)
         merged = ((lead, other.terms[0][1] + carry),) + other.terms[1:]
         return OrdinalCNF(kept + merged)
-
-    def __lt__(self, other: "OrdinalCNF") -> bool:
-        return _cmp(self, other) < 0
 
     def fundamental(self, i: int) -> "OrdinalCNF":
         """The i-th member of the canonical fundamental sequence (limits only)."""
@@ -146,18 +142,6 @@ class OrdinalCNF:
 
     def __repr__(self) -> str:
         return f"OrdinalCNF({self.to_text()})"
-
-
-def _cmp(a: OrdinalCNF, b: OrdinalCNF) -> int:
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        sub = _cmp(ea, eb)
-        if sub:
-            return sub
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
 
 
 ZERO = OrdinalCNF()
@@ -376,10 +360,9 @@ class _Parser:
         if self.pos == start:
             raise ParseError("expected a natural number", self.pos)
         try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # past int()'s digit limit
-            raise ParseError("integer literal longer than "
-                             f"{sys.get_int_max_str_digits()} digits", start) from None
+            return core.int_field(self.text[start:self.pos])
+        except ValueError as exc:  # past int()'s digit limit
+            raise ParseError(str(exc), start) from None
 
     def exponent(self) -> OrdinalCNF:
         # the ordinal VALUE of a tower expression: "w^exp" | "w" | nat

@@ -13,8 +13,9 @@ transpose, per-bit cover pairs, the recursive embedding searches, the
 longest chain by Kahn order, the pairwise checks of embeddings and ideal
 chains, claim 1's greedy rule on induced copies, the exhaustive pivot loop
 of ``reduce``, the per-bit restriction of a successor list to a mask, a
-chain's order by placement); the kernels must return exactly what they
-return, down to the nodes a budgeted search spends.
+chain's order by placement, the recursive comparison of CNF ordinals); the
+kernels must return exactly what they return, down to the nodes a budgeted
+search spends.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from chaincover.ideal_embed import ChainViolation, EmbedFailure, IdealChain
 from chaincover.incgraph import inc_components
 from chaincover.patterns import BudgetExhausted, Embedding, linear_extension
 from chaincover.reduction import claim1_reduce
+from chaincover.symbolic import OrdinalCNF
 
 
 def is_antichain(p: Poset, members) -> bool:
@@ -644,3 +646,18 @@ def reference_ordered(up, chain: int) -> list[int]:
     if None in order:
         raise InternalInconsistency("chain mask is not a chain")
     return order
+
+
+def cnf_cmp(a: OrdinalCNF, b: OrdinalCNF) -> int:
+    """-1, 0 or 1 as a is below, equal to or above b, by CNF order spelled
+    out: the first differing exponent decides (compared recursively), then
+    its coefficient, and a proper prefix is smaller."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        sub = cnf_cmp(ea, eb)
+        if sub:
+            return sub
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0

@@ -94,6 +94,27 @@ class TestDual:
             assert a == dual(b)
 
 
+class TestEquality:
+    """Posets compare and hash by (n, up); labels never take part."""
+
+    def test_labels_ignored(self):
+        g = grid_upper(5)
+        plain = from_text(g.to_text())
+        assert g.labels is not None and plain.labels is None
+        assert g == plain and hash(g) == hash(plain)
+        assert len({g, plain}) == 1
+
+    def test_dual_involution_hashes_equal(self):
+        for seed in range(5):
+            p = random_poset(12, 0.3, seed)
+            assert dual(dual(p)) == p and hash(dual(dual(p))) == hash(p)
+
+    def test_differs_from_its_rows(self):
+        p = grid_upper(4)
+        assert p != p.up and p.up != p
+        assert p != chain(p.n) and from_relations(2, []) != from_relations(3, [])
+
+
 class TestInduced:
     def test_identity(self):
         g = grid_upper(4)
@@ -187,6 +208,15 @@ def relabelled_posets(draw):
     perm = draw(st.permutations(range(n)))
     return from_relations(n, [(perm[min(u, v)], perm[max(u, v)])
                               for u, v in pairs if u != v])
+
+
+@given(relabelled_posets(), st.data())
+def test_induced_keeps_exactly_the_pairs_inside(p, data):
+    subset = data.draw(st.sets(st.integers(0, p.n - 1))) if p.n else set()
+    sub, back = induced(p, subset)
+    assert back == tuple(sorted(subset))
+    assert all(sub.lt(i, j) == p.lt(x, y)
+               for i, x in enumerate(back) for j, y in enumerate(back))
 
 
 # Poset texts mixing valid and duplicate pairs, comments, blank lines, every

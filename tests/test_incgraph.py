@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -301,3 +302,16 @@ class TestDot:
     def test_inc_edges_dashed(self):
         out = to_dot(grid_upper(4), include_inc=True)
         assert "style=dashed" in out
+
+    def test_dashed_edges_are_the_incomparable_pairs(self):
+        for seed in range(6):
+            p = random_poset(15, 0.2, seed)
+            perm = list(range(p.n))
+            random.Random(seed).shuffle(perm)
+            for q in (p, oracles.relabel(p, perm), grid_upper(5)):
+                dashed = [(int(x), int(y)) for x, y in re.findall(
+                    r"^  v(\d+) -> v(\d+) \[style=dashed, dir=none\];$",
+                    to_dot(q, include_inc=True), re.MULTILINE)]
+                expected = [(x, y) for x in range(q.n) for y in range(x + 1, q.n)
+                            if q.incomparable(x, y)]
+                assert dashed == expected and expected

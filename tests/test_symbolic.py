@@ -12,6 +12,8 @@ from chaincover.symbolic import (ALEPH0, MAX_DEPTH, OMEGA, ONE, ZERO, Antichain,
                                  parse_cardinal, parse_term, realize,
                                  term_to_text)
 
+import oracles
+
 
 def nat(k: int) -> OrdinalCNF:
     return OrdinalCNF.from_nat(k)
@@ -109,6 +111,25 @@ class TestOrdinalCNF:
             OrdinalCNF(((ZERO, 0),))
         with pytest.raises(ValueError):
             OrdinalCNF(((ZERO, 1), (ONE, 1)))
+
+    @given(st.one_of(small_ordinals, text_ordinals()),
+           st.one_of(small_ordinals, text_ordinals()))
+    def test_order_matches_reference(self, a, b):
+        # nested exponents included: small_ordinals raises exponents to
+        # ordinals of its own, text_ordinals to towers
+        ref = oracles.cnf_cmp(a, b)
+        assert (a < b, a == b, a > b) == (ref < 0, ref == 0, ref > 0)
+        assert (a <= b, a >= b) == (ref <= 0, ref >= 0)
+        if ref == 0:
+            assert hash(a) == hash(b)
+
+    @given(small_ordinals, small_ordinals)
+    def test_exponents_must_strictly_decrease(self, a, b):
+        low, high = sorted((a, b))
+        with pytest.raises(ValueError, match="CNF exponents must strictly decrease"):
+            OrdinalCNF(((low, 1), (high, 1)))
+        if low != high:
+            assert OrdinalCNF(((high, 1), (low, 2))).terms == ((high, 1), (low, 2))
 
 
 # -- cardinals ---------------------------------------------------------------
