@@ -1,10 +1,11 @@
 """Finite strict partial orders held as bitmask rows.
 
 A poset is stored as its full reachability relation, one bitmask row per
-element: bit ``y`` of ``up[x]`` is set iff ``x < y``.  Construction takes
-the transitive closure (rows ORed together in reverse topological order:
-reverse index order when every pair rises, else Kahn's) and rejects
-anything that is not a strict order.  A text of plain pair lines is read in
+element: bit ``y`` of ``up[x]`` is set iff ``x < y``.  Construction lists
+each element's direct successors in one pass over the pairs, takes the
+transitive closure over those lists (in reverse topological order: reverse
+index order when every pair rises, else Kahn's) and rejects anything that
+is not a strict order.  A text of plain pair lines is read in
 bulk; any other text line by line, which reports every error.  A subset (an
 up-set, a down-set, an interval, an incomparability set) is a bitmask over
 the same indices; ``induced`` copies one out only where a caller needs it
@@ -19,7 +20,8 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 
@@ -276,41 +278,46 @@ def _on_cycles(adj: list[int], rest: int) -> int:
 def from_relations(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
     """Build a poset from generating pairs ``u < v``; closes transitively.
 
-    The closure runs in reverse topological order: each row is its direct
-    successors together with the OR of their closed rows.  When every pair
-    rises (u < v as integers) that order is reverse index order; otherwise
-    it is Kahn's order on the input edges.  Raises CycleError if the pairs
-    contain a cycle or a reflexive pair, reporting the cycle through the
-    smallest element that lies on one; IndexError for out-of-range indices.
+    One pass over the pairs checks their range and lists each element's
+    direct successors.  The closure then runs in reverse topological order:
+    each row is the OR of its successors' rows, each with its own bit.  When
+    every pair rises (u < v as integers) that order is reverse index order;
+    otherwise it is Kahn's order on the lists.  Raises CycleError if the
+    pairs contain a cycle or a reflexive pair, reporting the cycle through
+    the smallest element that lies on one; IndexError naming the first
+    out-of-range pair.
     """
     if n < 0:
         raise ValueError("element count must be nonnegative")
-    adj = [0] * n
+    succ = [[] for _ in range(n)]
+    falling = False
     for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexError(f"pair ({u}, {v}) out of range for {n} elements")
-        adj[u] |= 1 << v
-    # only a falling or reflexive pair (a bit at or below the row's own
-    # index) allows a cycle, which Kahn's order finds
-    if any(row & ((2 << u) - 1) for u, row in enumerate(adj)):
+        if not 0 <= u < v < n:
+            if not (0 <= u < n and 0 <= v < n):
+                raise IndexError(f"pair ({u}, {v}) out of range for {n} elements")
+            falling = True  # only a falling or reflexive pair allows a cycle
+        succ[u].append(v)
+    order = range(n)
+    if falling:
         indegree = [0] * n
-        for row in adj:
-            for v in iter_bits(row):
+        for vs in succ:
+            for v in vs:
                 indegree[v] += 1
         order = [x for x in range(n) if not indegree[x]]
         for u in order:
-            for v in iter_bits(adj[u]):
+            for v in succ[u]:
                 indegree[v] -= 1
                 if not indegree[v]:
                     order.append(v)
         if len(order) < n:
+            adj = [mask_of(vs) for vs in succ]
             cyclic = _on_cycles(adj, ((1 << n) - 1) & ~mask_of(order))
             raise CycleError(_find_cycle(n, adj, (cyclic & -cyclic).bit_length() - 1))
-    else:
-        order = range(n)
     rows = [0] * n
+    closed = [0] * n
     for u in reversed(order):
-        rows[u] = adj[u] | closed_or(rows, adj[u])
+        rows[u] = row = reduce(or_, map(closed.__getitem__, succ[u]), 0)
+        closed[u] = row | 1 << u
     return Poset(n, tuple(rows))
 
 

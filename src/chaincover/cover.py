@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
-from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
+from .core import (InternalInconsistency, Poset, PreconditionError, closed_or,
+                   iter_bits)
 
 
 @dataclass(frozen=True)
@@ -88,56 +89,34 @@ def _max_matching(rows: list[int], match_l: list[int], match_r: list[int],
                   free_l: int, free_r: int) -> tuple[int, int, int]:
     """Hopcroft-Karp on the split graph of a mask; lowest index first.
 
-    ``rows[u]`` is the up-row of u already restricted to the mask.
-    ``match_l`` and ``match_r`` hold a matching of that graph to start from
-    (all -1 for none) and are grown in place to a maximum one:
-    match_l[u] = v iff u is immediately followed by v in some chain; -1
-    where unmatched or outside the mask.  ``free_l`` and ``free_r`` are the
-    mask's vertices it leaves free on each side (the whole mask for none):
-    the tops and the bottoms of its chains.  Hopcroft-Karp is correct from
-    any starting matching, and from one of size |mask| - k it needs at most
-    k - Cov(mask) augmentations.
+    ``rows[u]`` is the closed up-row of u restricted to the mask.
+    ``match_l`` and ``match_r`` hold a matching to start from (all -1 for
+    none; match_l[u] = v iff v follows u in a chain) and are grown in place
+    to a maximum one.  ``free_l`` and ``free_r`` are the mask's vertices it
+    leaves free on each side.  Returns König's antichain A_max (the left
+    vertices the last layering reaches minus the right ones), then
+    ``free_l, free_r``.
 
-    Returns König's antichain A_max (the left vertices the last layering,
-    which reaches no free right vertex, layers minus the right ones it
-    reaches: the alternating reach, as the one matching edge a layer also
-    follows leads back to a mate already reached), then ``free_l, free_r``.
-
-    Each phase layers the left vertices by a breadth-first search on
-    bitmasks: a layer's reach is the OR of its rows, and the mates of the
-    newly reached matched right vertices form the next layer.  Then each
-    free left vertex, in index order, starts a depth-first search with an
-    explicit stack, until every layered free right vertex is matched (a
-    search reaches no other).  From u at layer d the next edge tried is the
-    lowest v past the last in ``rows[u] & (free_r | layer_r[d + 1])``, where
-    ``layer_r[k]`` holds the right vertices whose mate sits at layer k;
-    both masks are updated as vertices fail and paths augment.
+    A layer's reach is ``closed_or`` of its rows.  A depth-first search
+    steps from path depth d only to a free right vertex or one whose mate
+    sits at layer d + 1 (``layer_r[d + 1]``), so depth is layer, and roots
+    stop once every layered free right vertex is matched.
     """
-    n = len(rows)
     while True:
-        dist = [-1] * n
         level = free_l
         seen_l = seen_r = 0
         layer_r = [0]
-        depth = 0
         while level:
             seen_l |= level
-            reach = 0
-            while level:
-                bit = level & -level
-                level ^= bit
-                u = bit.bit_length() - 1
-                dist[u] = depth
-                reach |= rows[u]
-            reach &= ~seen_r
+            reach = closed_or(rows, level) & ~seen_r
             seen_r |= reach
             matched = reach & ~free_r
             layer_r.append(matched)
+            level = 0
             while matched:
                 bit = matched & -matched
                 matched ^= bit
                 level |= 1 << match_r[bit.bit_length() - 1]
-            depth += 1
         if not seen_r & free_r:
             return seen_l & ~seen_r, free_l, free_r
         for root in iter_bits(free_l):
@@ -145,35 +124,35 @@ def _max_matching(rows: list[int], match_l: list[int], match_r: list[int],
                 break
             path = [root]
             rests = [rows[root]]
-            while path:
-                u = path[-1]
-                cand = rests[-1] & (free_r | layer_r[dist[u] + 1])
+            d = 0
+            while d >= 0:
+                cand = rests[d] & (free_r | layer_r[d + 1])
                 if not cand:
-                    if match_l[u] >= 0:
-                        layer_r[dist[u]] &= ~(1 << match_l[u])
-                    dist[u] = -1
+                    if d:
+                        layer_r[d] &= ~(1 << match_l[path[d]])
                     path.pop()
                     rests.pop()
+                    d -= 1
                     continue
                 bit = cand & -cand
-                rests[-1] &= ~(2 * bit - 1)
+                rests[d] &= ~(2 * bit - 1)
                 v = bit.bit_length() - 1
                 if free_r & bit:
+                    free_r &= ~bit
                     for u in reversed(path):
-                        w = match_r[v]
-                        if w >= 0:
-                            layer_r[dist[w]] &= ~bit
-                        else:
-                            free_r &= ~bit
-                        layer_r[dist[u]] |= bit
+                        layer_r[d] |= bit
                         match_r[v] = u
                         match_l[u], v = v, match_l[u]
-                        bit = 1 << v if v >= 0 else 0
+                        if v >= 0:
+                            bit = 1 << v
+                            layer_r[d] &= ~bit
+                        d -= 1
                     free_l &= ~(1 << root)
                     break
                 w = match_r[v]
                 path.append(w)
                 rests.append(rows[w])
+                d += 1
 
 
 def _chains_from_matching(up, heads: int, match_l: list[int]

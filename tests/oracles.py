@@ -275,13 +275,15 @@ def reference_from_text(text: str) -> Poset:
     return from_relations(n, pairs)
 
 
-def reference_matching(rows: list[int], mask: int) -> tuple[list[int], list[int]]:
+def reference_matching(rows: list[int], mask: int,
+                       start: tuple[list[int], list[int]] | None = None
+                       ) -> tuple[list[int], list[int]]:
     """Hopcroft-Karp with a recursive depth-first search, adjacency visited
-    bit by bit, lowest index first."""
+    bit by bit, lowest index first, grown from copies of the matching
+    ``start`` (default: the empty one)."""
     n = len(rows)
     inf = n + 1
-    match_l = [-1] * n
-    match_r = [-1] * n
+    match_l, match_r = ([-1] * n, [-1] * n) if start is None else map(list, start)
     dist = [0] * n
     left = list(iter_bits(mask))
 

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -51,6 +52,30 @@ class TestFromRelations:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             from_relations(2, [(0, 5)])
+
+    @pytest.mark.parametrize("pairs, bad", [
+        ([(-1, 2)], "(-1, 2)"),
+        ([(0, 1), (2, 0), (1, 2), (1, 3), (-1, 0)], "(1, 3)"),
+    ])
+    def test_first_bad_pair_is_named(self, pairs, bad):
+        # a negative index would otherwise wrap to the last element
+        with pytest.raises(IndexError,
+                           match=re.escape(f"pair {bad} out of range for 3 elements")):
+            from_relations(3, pairs)
+
+    def test_duplicate_and_transitive_pairs_close_as_reference(self):
+        rng = random.Random(11)
+        for seed in range(20):
+            p = random_poset(25, 0.2, seed)
+            rising = p.relation_pairs() + p.cover_pairs()
+            assert all(u < v for u, v in rising)
+            perm = list(range(p.n))
+            rng.shuffle(perm)
+            shuffled = [(perm[u], perm[v]) for u, v in rising]
+            rng.shuffle(shuffled)
+            for pairs in (rising, shuffled):
+                assert (list(from_relations(p.n, pairs).up)
+                        == oracles.reference_closure(p.n, pairs))
 
     def test_grid_cover_relation_closes_to_grid(self):
         # the cover relation of the 4-grid regenerates the grid itself

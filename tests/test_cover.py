@@ -582,13 +582,15 @@ def test_dfs_stops_once_layered_free_vertices_are_matched(m):
     # m incomparable elements below a 2-chain: the first layering reaches
     # only the chain's two elements, and the first two roots match both, so
     # none of the other m roots starts; the second layering, from the free
-    # left vertices and then the two mates, finds nothing free and ends it
+    # left vertices and then the two mates, finds nothing free and ends it.
+    # A layering skips the rows of the chain's two elements, already inside
+    # its reach.
     p = lex_sum([antichain(m), chain(2)])
     mask = p.full_mask
     rows = RecordingRows([row & mask for row in p.up])
     match_l, match_r = [-1] * p.n, [-1] * p.n
     cert, free_l, free_r = _max_matching(rows, match_l, match_r, mask, mask)
-    layered = list(range(p.n))
+    layered = list(range(m))
     assert rows.reads == layered + [0, 1] + layered[2:] + [0, 1]
     assert (match_l, match_r) == oracles.reference_matching(list(rows), mask)
     assert (cert, free_l, free_r) == (mask >> 2, mask & ~0b11,
@@ -635,7 +637,8 @@ class TestMatchingKernel:
                              (0.02, 0.05, 0.1, 0.3, 0.6)[seed % 5], seed)
             for mask in random_masks(p.n, rng, 2):
                 sup = (mask | rng.getrandbits(p.n)) & p.full_mask
-                got_l, got_r = cut_links(min_chain_cover(p, sup), mask, p.n)
+                seed_links = cut_links(min_chain_cover(p, sup), mask, p.n)
+                got_l, got_r = map(list, seed_links)
                 rows = [row & mask for row in p.up]
                 linked = [(u, v) for u, v in enumerate(got_l) if v >= 0]
                 _max_matching(rows, got_l, got_r,
@@ -644,6 +647,8 @@ class TestMatchingKernel:
                 ref_l, _ = oracles.reference_matching(rows, mask)
                 assert (sum(v >= 0 for v in got_l)
                         == sum(v >= 0 for v in ref_l))
+                assert ((got_l, got_r)
+                        == oracles.reference_matching(rows, mask, seed_links))
                 for u, v in enumerate(got_l):
                     if v >= 0:
                         assert rows[u] >> v & 1 and got_r[v] == u
