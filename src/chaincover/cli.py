@@ -167,7 +167,7 @@ def _cmd_reduce(args) -> int:
                      for x, pr in sorted(out.profiles.items())},
         "component_covs": list(out.component_covs),
         "x0": out.x0,
-        "selected": list(core.iter_bits(out.selected)) if out.selected else None,
+        "selected": list(core.iter_bits(out.selected)),
     }
     if args.json:
         _emit(payload, True, "")
@@ -175,9 +175,8 @@ def _cmd_reduce(args) -> int:
         print(f"case {out.case}")
         print("antichain " + " ".join(str(x) for x in sorted(out.antichain)))
         print("q " + " ".join(map(str, payload["q"])))
-        if out.x0 is not None:
-            print(f"x0 {out.x0}")
-            print("selected " + " ".join(map(str, payload["selected"])))
+        print(f"x0 {out.x0}")
+        print("selected " + " ".join(map(str, payload["selected"])))
     return 0
 
 

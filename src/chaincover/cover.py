@@ -6,9 +6,10 @@ relation is transitively closed, a path cover there is a chain cover here.
 The last layering of the matching also yields a maximum antichain (König),
 the greatest one, A_max, so every result ships with a certificate pair
 whose sizes agree; the least, A_min, is A_max of the dual order.
-Everything runs on the up-rows restricted to a bitmask, so the subposet on
-any subset is covered in its parent's indices, without an induced copy, and
-a cover holds its chains and its antichain as bitmasks of those indices.
+Everything reads the parent's up-rows and cuts what it uses to a bitmask,
+so the subposet on any subset is covered in its parent's indices with no
+copy, and a cover holds its chains and its antichain as bitmasks of those
+indices.
 """
 
 from __future__ import annotations
@@ -85,22 +86,23 @@ def _restricted(matching, mask: int) -> tuple[list[int], list[int], int, int]:
     return match_l, match_r, lefts & mask, rights & mask
 
 
-def _max_matching(rows: list[int], match_l: list[int], match_r: list[int],
+def _max_matching(up, mask: int, match_l: list[int], match_r: list[int],
                   free_l: int, free_r: int) -> tuple[int, int, int]:
-    """Hopcroft-Karp on the split graph of a mask; lowest index first.
+    """Hopcroft-Karp on the split graph of ``mask``; lowest index first.
 
-    ``rows[u]`` is the closed up-row of u restricted to the mask.
-    ``match_l`` and ``match_r`` hold a matching to start from (all -1 for
-    none; match_l[u] = v iff v follows u in a chain) and are grown in place
-    to a maximum one.  ``free_l`` and ``free_r`` are the mask's vertices it
-    leaves free on each side.  Returns König's antichain A_max (the left
-    vertices the last layering reaches minus the right ones), then
-    ``free_l, free_r``.
+    ``up[u]`` is the closed up-row of u, read only for u in ``mask``.
+    ``match_l`` and ``match_r`` hold a matching inside the mask to start
+    from (all -1 for none; match_l[u] = v iff v follows u in a chain) and
+    are grown in place to a maximum one.  ``free_l`` and ``free_r`` are the
+    mask's vertices it leaves free on each side.  Returns König's antichain
+    A_max (the left vertices the last layering reaches minus the right
+    ones), then ``free_l, free_r``.
 
-    A layer's reach is ``closed_or`` of its rows.  A depth-first search
+    A layer's reach is ``closed_or`` of its rows, cut to the mask (the rows
+    are closed, so that equals ORing the cut rows).  A depth-first search
     steps from path depth d only to a free right vertex or one whose mate
-    sits at layer d + 1 (``layer_r[d + 1]``), so depth is layer, and roots
-    stop once every layered free right vertex is matched.
+    sits at layer d + 1 (``layer_r[d + 1]``), both in the mask, so depth is
+    layer, and roots stop once every layered free right vertex is matched.
     """
     while True:
         level = free_l
@@ -108,7 +110,7 @@ def _max_matching(rows: list[int], match_l: list[int], match_r: list[int],
         layer_r = [0]
         while level:
             seen_l |= level
-            reach = closed_or(rows, level) & ~seen_r
+            reach = closed_or(up, level) & mask & ~seen_r
             seen_r |= reach
             matched = reach & ~free_r
             layer_r.append(matched)
@@ -123,7 +125,7 @@ def _max_matching(rows: list[int], match_l: list[int], match_r: list[int],
             if not seen_r & free_r:
                 break
             path = [root]
-            rests = [rows[root]]
+            rests = [up[root]]
             d = 0
             while d >= 0:
                 cand = rests[d] & (free_r | layer_r[d + 1])
@@ -151,7 +153,7 @@ def _max_matching(rows: list[int], match_l: list[int], match_r: list[int],
                     break
                 w = match_r[v]
                 path.append(w)
-                rests.append(rows[w])
+                rests.append(up[w])
                 d += 1
 
 
@@ -178,10 +180,11 @@ def min_chain_cover(p: Poset, mask: int | None = None,
     """Minimum chain cover of the subposet on ``mask``, with a Dilworth witness.
 
     ``mask`` is a bitmask of p's elements (default: all of them); chains and
-    certificate use p's own indices, so no induced copy is made.  A bit at or
-    beyond ``p.n`` raises IndexError.  The result is deterministic: vertices
-    and adjacency are explored lowest index first, from the empty matching
-    or from the hint's.
+    certificate use p's own indices, so no induced copy is made, and only
+    the mask's rows of ``p.up`` are read, uncopied.  A bit at or beyond
+    ``p.n`` raises IndexError.  The result is deterministic: vertices and
+    adjacency are explored lowest index first, from the empty matching or
+    from the hint's.
 
     ``hint`` is a cover this function returned for p itself (the same
     object; any other raises PreconditionError), on a superset of ``mask``.
@@ -217,8 +220,7 @@ def min_chain_cover(p: Poset, mask: int | None = None,
             return ChainCover(cut, cert, p, mask, hint.matching)
         match_l, match_r, lefts, rights = _restricted(hint.matching, mask)
     up = p.up
-    rows = [row & mask for row in up]
-    cert, free_l, free_r = _max_matching(rows, match_l, match_r,
+    cert, free_l, free_r = _max_matching(up, mask, match_l, match_r,
                                          mask & ~lefts, mask & ~rights)
     chains = _chains_from_matching(up, free_r, match_l)
     _check_partition(chains, mask)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InternalInconsistency, Poset, PreconditionError, iter_bits
+from .core import (InternalInconsistency, Poset, PreconditionError, iter_bits,
+                   mask_of)
 from .core import induced  # unused here: the incgraph.induced tracer site
 
 
@@ -81,10 +82,8 @@ def recompose(n: int, parts: list[int], part_posets: list[Poset]) -> Poset:
         later &= ~pm
         members = list(iter_bits(pm))
         for local, orig in enumerate(members):
-            row = later
-            for other in iter_bits(sub.up[local]):
-                row |= 1 << members[other]
-            rows[orig] = row
+            rows[orig] = later | mask_of(members[other]
+                                         for other in iter_bits(sub.up[local]))
     return Poset(n, tuple(rows))
 
 

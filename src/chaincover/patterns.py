@@ -50,13 +50,8 @@ def validate_embedding(e: Embedding) -> bool:
     if any(not 0 <= x < p.n for x in f):
         return False
     image = mask_of(f)
-    for a in range(q.n):
-        want = 0
-        for b in iter_bits(q.up[a]):
-            want |= 1 << f[b]
-        if p.up[f[a]] & image != want:
-            return False
-    return True
+    return all(p.up[f[a]] & image == mask_of(f[b] for b in iter_bits(q.up[a]))
+               for a in range(q.n))
 
 
 def linear_extension(p: Poset, mask: int | None = None) -> list[int]:
@@ -122,12 +117,7 @@ def embeds(p: Poset, q: Poset, budget: int | None = None) -> Embedding | None:
     at = [0] * q.n
     for i, qx in enumerate(order):
         at[qx] = i
-    below = []
-    for qx in order:
-        bits = 0
-        for qy in iter_bits(q.down[qx]):
-            bits |= 1 << at[qy]
-        below.append(bits)
+    below = [mask_of(at[qy] for qy in iter_bits(q.down[qx])) for qx in order]
     # step[i], skip[i]: the rows position i's image restricts i + 1, i + 2 to
     step = [up if below[i + 1] >> i & 1 else inc for i in range(last)]
     skip = [up if below[i + 2] >> i & 1 else inc for i in range(last - 1)]

@@ -15,7 +15,7 @@ outcome whose selected subposet lost the threshold is labeled ``unreduced``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (InternalInconsistency, Poset, PreconditionError, dual,
@@ -127,9 +127,9 @@ class ReductionOutcome:
     ``q`` is the antichain-restricted subposet as a mask of the original
     poset, and ``antichain`` the antichain it restricts to.  ``profiles``
     measures every element of q inside q, and ``component_covs`` is Cov of
-    each Inc component of q in chain order.  For the up/down cases, ``x0``
-    is the pivot and ``selected`` the chosen subposet as a mask.  Every
-    index is the original poset's.
+    each Inc component of q in chain order.  ``x0`` is the pivot and
+    ``selected`` the chosen subposet as a mask.  Every index is the original
+    poset's.
     """
 
     case: str
@@ -138,8 +138,8 @@ class ReductionOutcome:
     q: int
     profiles: dict[int, ElementProfile]
     component_covs: tuple[int, ...]
-    x0: int | None = None
-    selected: int | None = None
+    x0: int
+    selected: int
 
 
 def _minus_below(cover: ChainCover, below) -> dict[int, int]:
@@ -160,22 +160,23 @@ def _minus_below(cover: ChainCover, below) -> dict[int, int]:
 def reduce(p: Poset, t: int) -> ReductionOutcome:
     """Antichain restriction, component split, then profiled up/down selection.
 
-    case2 means every Inc component of the restricted poset has Cov < t.
-    Finitely that branch never fires (the covering number is the attained
-    maximum over components and the restriction step keeps it at or above t)
-    but it is kept because the infinite analog reaches it whenever the
-    supremum is not attained.  Otherwise a pivot x0 is chosen inside the
-    first component C still at or above the threshold: among elements whose
-    up-set cover Cov(↑x ∩ C) reaches ceil((t - Cov(Inc_x)) / 2) the one
-    maximizing it wins (case1); if the down side dominates strictly the dual
-    selection is made (case1_dual).  Ties go to the up side, then to the
-    lowest index.  When the selected subposet itself drops below t the case
-    is ``unreduced``.  Every subset is a mask over p's indices, cut to q
-    where it comes from p's rows.  Claim 1's cover of q hints the component
-    sub-covers and, along its chains, q minus each down-set.  q minus each
-    up-set is an up-set of the dual order, covered there along the chains
-    of one cold cover of q.  Cov(Inc_x) is read off the restriction loop's
-    last pass, its certificate.
+    The infinite analog has a case2, where every Inc component of the
+    restricted poset has Cov < t because the supremum is not attained.
+    Finitely it never fires: an antichain lies inside one component, so the
+    covering number is the maximum over components, and the restriction
+    step keeps it at or above t; reaching it raises InternalInconsistency.
+    A pivot x0 is chosen inside the first component C at or above the
+    threshold: among elements whose up-set cover Cov(↑x ∩ C) reaches
+    ceil((t - Cov(Inc_x)) / 2) the one maximizing it wins (case1); if the
+    down side dominates strictly the dual selection is made (case1_dual).
+    Ties go to the up side, then to the lowest index.  When the selected
+    subposet itself drops below t the case is ``unreduced``.  Every subset
+    is a mask over p's indices, cut to q where it comes from p's rows.
+    Claim 1's cover of q hints the component sub-covers and, along its
+    chains, q minus each down-set.  q minus each up-set is an up-set of the
+    dual order, covered there along the chains of one cold cover of q.
+    Cov(Inc_x) is read off the restriction loop's last pass, its
+    certificate.
 
     The pivot is picked bound-first: the chains of C's verified cover that
     meet a side bound its width (an up-set of C meets a chain iff it holds
@@ -185,7 +186,7 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     the tie order, until a bound falls below the best width, or equals it
     later in the tie order: a width never exceeds its bound, so no candidate
     from there on can win.  The outcome carries q and its profiles, the
-    component covers and, outside case2, x0 and the selected subposet.
+    component covers, x0 and the selected subposet.
     """
     q, antichain, inc_covs, whole = claim1_reduce(p, t)
     comps = inc_components(p, q)
@@ -196,10 +197,9 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     minus_down = _minus_below(whole, p.down)
     profiles = {x: ElementProfile(inc_covs[x], minus_up[x], minus_down[x])
                 for x in iter_bits(q)}
-    out = ReductionOutcome("case2", t, antichain, q, profiles, comp_covs)
     hit = next(((m, c) for m, c in zip(comps, covers) if c.width >= t), None)
     if hit is None:
-        return out
+        raise InternalInconsistency("Cov(q) >= t puts a component at t")
     comp, comp_cover = hit
     # the tops of comp_cover's chains bound the up-sets, the bottoms the
     # down-sets
@@ -225,5 +225,6 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     if best is None:
         raise InternalInconsistency("subadditivity guarantees a qualifying pivot")
     width, _, case, x0, side = best
-    return replace(out, case=case if width >= t else "unreduced", x0=x0, selected=side)
+    return ReductionOutcome(case if width >= t else "unreduced", t, antichain,
+                            q, profiles, comp_covs, x0, side)
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaincover import cover
-from chaincover.core import (InternalInconsistency, PreconditionError, dual,
-                             from_relations, induced, iter_bits, mask_of)
+from chaincover.core import (InternalInconsistency, Poset, PreconditionError,
+                             dual, from_relations, induced, iter_bits, mask_of)
 from chaincover.cover import (ChainCover, _max_matching, max_antichain,
                               min_chain_cover)
 from chaincover.generators import (antichain, chain, grid_upper, lex_sum,
@@ -246,9 +246,9 @@ def counting_matching(monkeypatch) -> list[list[int]]:
     seeds = []
     real = cover._max_matching
 
-    def counted(rows, match_l, match_r, free_l, free_r):
+    def counted(up, mask, match_l, match_r, free_l, free_r):
         seeds.append(list(match_l))
-        return real(rows, match_l, match_r, free_l, free_r)
+        return real(up, mask, match_l, match_r, free_l, free_r)
 
     monkeypatch.setattr(cover, "_max_matching", counted)
     return seeds
@@ -565,16 +565,22 @@ def test_internal_inconsistency_is_runtime_error():
     assert issubclass(InternalInconsistency, RuntimeError)
 
 
-class RecordingRows(list):
-    """Up-rows that log the index of every row read."""
+class RecordingRows(tuple):
+    """Up-rows that log the index of every row read, all of them when
+    iterated."""
 
-    def __init__(self, rows):
-        super().__init__(rows)
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
         self.reads = []
+        return self
 
     def __getitem__(self, u):
         self.reads.append(u)
         return super().__getitem__(u)
+
+    def __iter__(self):
+        self.reads.extend(range(len(self)))
+        return super().__iter__()
 
 
 @pytest.mark.parametrize("m", [3, 5, 30])
@@ -589,12 +595,27 @@ def test_dfs_stops_once_layered_free_vertices_are_matched(m):
     mask = p.full_mask
     rows = RecordingRows([row & mask for row in p.up])
     match_l, match_r = [-1] * p.n, [-1] * p.n
-    cert, free_l, free_r = _max_matching(rows, match_l, match_r, mask, mask)
+    cert, free_l, free_r = _max_matching(rows, mask, match_l, match_r, mask,
+                                         mask)
     layered = list(range(m))
     assert rows.reads == layered + [0, 1] + layered[2:] + [0, 1]
     assert (match_l, match_r) == oracles.reference_matching(list(rows), mask)
     assert (cert, free_l, free_r) == (mask >> 2, mask & ~0b11,
                                       mask & ~(0b11 << m))
+
+
+def test_subcover_reads_only_its_masks_rows():
+    # each rung of a 500-rung ladder, hinted with the ladder's cover, reads
+    # the up-rows of its own two elements and no others
+    ladder = lex_sum([antichain(2)] * 500)
+    up = RecordingRows(ladder.up)
+    p = Poset(ladder.n, up)
+    whole = min_chain_cover(p)
+    for rung in range(500):
+        mask = 0b11 << 2 * rung
+        up.reads.clear()
+        assert min_chain_cover(p, mask, hint=whole).width == 2
+        assert not mask_of(up.reads) & ~mask
 
 
 class TestMatchingKernel:
@@ -615,9 +636,14 @@ class TestMatchingKernel:
             for mask in random_masks(p.n, rng, 2):
                 rows = [row & mask for row in p.up]
                 match_l, match_r = [-1] * p.n, [-1] * p.n
-                _max_matching(rows, match_l, match_r, mask, mask)
+                cut = _max_matching(rows, mask, match_l, match_r, mask, mask)
                 assert ((match_l, match_r)
                         == oracles.reference_matching(rows, mask))
+                # the uncut rows, read through the mask, give the same run
+                up_l, up_r = [-1] * p.n, [-1] * p.n
+                assert (_max_matching(p.up, mask, up_l, up_r, mask, mask)
+                        == cut)
+                assert (up_l, up_r) == (match_l, match_r)
                 instances += 1
         assert instances >= 1000
 
@@ -626,7 +652,7 @@ class TestMatchingKernel:
         for mask in random_masks(p.n, random.Random(4), 2):
             rows = [row & mask for row in p.up]
             match_l, match_r = [-1] * p.n, [-1] * p.n
-            _max_matching(rows, match_l, match_r, mask, mask)
+            _max_matching(rows, mask, match_l, match_r, mask, mask)
             assert ((match_l, match_r)
                     == oracles.reference_matching(rows, mask))
 
@@ -641,7 +667,7 @@ class TestMatchingKernel:
                 got_l, got_r = map(list, seed_links)
                 rows = [row & mask for row in p.up]
                 linked = [(u, v) for u, v in enumerate(got_l) if v >= 0]
-                _max_matching(rows, got_l, got_r,
+                _max_matching(rows, mask, got_l, got_r,
                               mask & ~mask_of(u for u, _ in linked),
                               mask & ~mask_of(v for _, v in linked))
                 ref_l, _ = oracles.reference_matching(rows, mask)
