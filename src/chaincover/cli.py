@@ -13,6 +13,10 @@ unmet preconditions; invalid ideal chains; countable cardinals; ``gen``
 sizes out of range; a negative ``--budget``; and ``--rounds`` below 1.
 :func:`run` alone maps errors to exit codes; any other exception is a bug.
 
+Each ``_cmd_*`` verb maps its parsed arguments to ``(exit code, JSON
+payload or None, plain lines)`` and prints nothing; :func:`run` alone
+prints, the payload under ``--json`` and otherwise each line and a newline.
+
 The argparse tree is built once per process, by the first :func:`run`, and
 only read after that; each call parses into a fresh Namespace.  It binds
 the ``_cmd_*`` functions as they are when it is built.
@@ -62,102 +66,85 @@ def _read_text(path: str, stream=None) -> str:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _read_poset(path: str) -> core.Poset:
+def _read_poset(path: str, *elements: int) -> core.Poset:
+    """The poset in file ``path``, after checking ``elements`` are in range."""
     text = _read_text(path, sys.stdin if path == "-" else None)
     try:
-        return core.from_text(text)
+        p = core.from_text(text)
     except (ValueError, IndexError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
+    for x in elements:
+        if not 0 <= x < p.n:
+            raise _InputError(f"element {x} out of range for {p.n} elements")
+    return p
 
 
-def _emit(payload: dict, as_json: bool, plain: str) -> None:
-    if as_json:
-        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
-    else:
-        print(plain)
+# A verb's answer: exit code, JSON payload (None without a JSON form), lines.
+_Answer = tuple[int, dict | None, list[str]]
 
 
-def _cmd_cov(args) -> int:
-    p = _read_poset(args.file)
-    cc = cover.min_chain_cover(p)
-    if args.json:
-        _emit({"width": cc.width,
-               "chains": [list(c) for c in cc.chains],
-               "certificate": sorted(cc.certificate)}, True, "")
-        return 0
-    print(cc.width)
+def _words(xs) -> str:
+    return " ".join(map(str, xs))
+
+
+def _cmd_cov(args) -> _Answer:
+    cc = cover.min_chain_cover(_read_poset(args.file))
+    certificate = sorted(cc.certificate)
+    lines = [str(cc.width)]
     if args.witness:
-        for chain in cc.chains:
-            print(" ".join(str(x) for x in chain))
-        print("antichain: " + " ".join(str(x) for x in sorted(cc.certificate)))
-    return 0
+        lines += [_words(chain) for chain in cc.chains]
+        lines.append("antichain: " + _words(certificate))
+    return 0, {"width": cc.width, "chains": [list(c) for c in cc.chains],
+               "certificate": certificate}, lines
 
 
-def _cmd_antichain(args) -> int:
-    p = _read_poset(args.file)
-    members = sorted(cover.max_antichain(p))
-    _emit({"antichain": members}, args.json, " ".join(str(x) for x in members))
-    return 0
+def _cmd_antichain(args) -> _Answer:
+    members = sorted(cover.max_antichain(_read_poset(args.file)))
+    return 0, {"antichain": members}, [_words(members)]
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> _Answer:
     p = _read_poset(args.file)
     parts = [list(core.iter_bits(c)) for c in incgraph.inc_components(p)]
-    if args.json:
-        _emit({"parts": parts}, True, "")
-    else:
-        for part in parts:
-            print(" ".join(str(x) for x in part))
-    return 0
+    return 0, {"parts": parts}, [_words(part) for part in parts]
 
 
-def _cmd_dist(args) -> int:
-    p = _read_poset(args.file)
-    _check_index(p, args.x)
-    _check_index(p, args.y)
+def _cmd_dist(args) -> _Answer:
+    p = _read_poset(args.file, args.x, args.y)
     hop = incgraph.inc_distance_path(p, args.x, args.y)
     if hop is None:
-        _emit({"reachable": False}, args.json, "unreachable")
-        return 1
+        return 1, {"reachable": False}, ["unreachable"]
     d, path = hop
-    _emit({"reachable": True, "distance": d, "path": path}, args.json,
-          f"{d} " + " ".join(str(x) for x in path))
-    return 0
+    return 0, {"reachable": True, "distance": d, "path": path}, [
+        f"{d} {_words(path)}"]
 
 
-def _cmd_check_metric(args) -> int:
-    p = _read_poset(args.file)
-    _check_index(p, args.x)
-    _check_index(p, args.y)
+def _cmd_check_metric(args) -> _Answer:
+    p = _read_poset(args.file, args.x, args.y)
     report = incgraph.check_metric_lemma(p, args.x, args.y)
-    _emit({"item1_ok": report.item1_ok, "item2_ok": report.item2_ok,
-           "distance": report.d, "path": list(report.path),
-           "violations": list(report.violations)}, args.json,
-          f"d={report.d} path=" + "-".join(str(x) for x in report.path)
-          + f" item1={'ok' if report.item1_ok else 'FAIL'}"
-          + f" item2={'ok' if report.item2_ok else 'FAIL'}")
-    return 0 if report.ok else 1
+    line = (f"d={report.d} path=" + "-".join(map(str, report.path))
+            + f" item1={'ok' if report.item1_ok else 'FAIL'}"
+            + f" item2={'ok' if report.item2_ok else 'FAIL'}")
+    return 0 if report.ok else 1, {
+        "item1_ok": report.item1_ok, "item2_ok": report.item2_ok,
+        "distance": report.d, "path": list(report.path),
+        "violations": list(report.violations)}, [line]
 
 
-def _cmd_find_grid(args) -> int:
+def _cmd_find_grid(args) -> _Answer:
     p = _read_poset(args.file)
     if args.k < 2:
         raise _InputError("grid size must be at least 2")
     found = patterns.embeds_grid(p, args.k, want_dual=args.dual,
                                  budget=args.budget)
     if found is None:
-        _emit({"result": "not found"}, args.json, "not found")
-        return 1
-    pairs = [f"{found.source.label(i)} -> {img}"
-             for i, img in enumerate(found.mapping)]
-    _emit({"result": "found", "mapping": list(found.mapping)}, args.json,
-          "\n".join(pairs))
-    return 0
+        return 1, {"result": "not found"}, ["not found"]
+    return 0, {"result": "found", "mapping": list(found.mapping)}, [
+        f"{found.source.label(i)} -> {img}" for i, img in enumerate(found.mapping)]
 
 
-def _cmd_reduce(args) -> int:
-    p = _read_poset(args.file)
-    out = reduction.reduce(p, args.threshold)
+def _cmd_reduce(args) -> _Answer:
+    out = reduction.reduce(_read_poset(args.file), args.threshold)
     payload = {
         "case": out.case,
         "threshold": out.threshold,
@@ -169,18 +156,13 @@ def _cmd_reduce(args) -> int:
         "x0": out.x0,
         "selected": list(core.iter_bits(out.selected)),
     }
-    if args.json:
-        _emit(payload, True, "")
-    else:
-        print(f"case {out.case}")
-        print("antichain " + " ".join(str(x) for x in sorted(out.antichain)))
-        print("q " + " ".join(map(str, payload["q"])))
-        print(f"x0 {out.x0}")
-        print("selected " + " ".join(map(str, payload["selected"])))
-    return 0
+    return 0, payload, [f"case {out.case}",
+                        "antichain " + _words(payload["antichain"]),
+                        "q " + _words(payload["q"]), f"x0 {out.x0}",
+                        "selected " + _words(payload["selected"])]
 
 
-def _cmd_ideal_embed(args) -> int:
+def _cmd_ideal_embed(args) -> _Answer:
     p = _read_poset(args.file)
     ideals = []
     for lineno, raw in enumerate(_read_text(args.ideals).splitlines(), start=1):
@@ -197,72 +179,55 @@ def _cmd_ideal_embed(args) -> int:
     chain = ideal_embed.IdealChain(p, tuple(ideals))
     result = ideal_embed.embed_from_ideal_chain(chain)
     if isinstance(result, ideal_embed.EmbedFailure):
-        _emit({"result": "failure", "position": list(result.position)},
-              args.json, f"failure at {result.position[0]} {result.position[1]}")
-        return 1
-    rows = [f"{a} {b} -> {x}" for (a, b), x
-            in zip(generators.grid_labels(len(ideals)), result.mapping)]
-    _emit({"result": "found", "mapping": list(result.mapping)}, args.json,
-          "\n".join(rows))
-    return 0
+        a, b = result.position
+        return 1, {"result": "failure", "position": [a, b]}, [
+            f"failure at {a} {b}"]
+    return 0, {"result": "found", "mapping": list(result.mapping)}, [
+        f"{a} {b} -> {x}" for (a, b), x
+        in zip(generators.grid_labels(len(ideals)), result.mapping)]
 
 
-def _cmd_sym_cov(args) -> int:
-    value = symbolic.cov_symbolic(symbolic.parse_term(args.term))
-    _emit({"cov": value.to_text()}, args.json, value.to_text())
-    return 0
+def _cmd_sym_cov(args) -> _Answer:
+    text = symbolic.cov_symbolic(symbolic.parse_term(args.term)).to_text()
+    return 0, {"cov": text}, [text]
 
 
-def _cmd_obstructions(args) -> int:
+def _cmd_obstructions(args) -> _Answer:
     terms = symbolic.obstruction_list(symbolic.parse_cardinal(args.cardinal))
     rendered = [symbolic.term_to_text(t) for t in terms]
-    _emit({"obstructions": rendered}, args.json, "\n".join(rendered))
-    return 0
+    return 0, {"obstructions": rendered}, rendered
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> _Answer:
     parts = [_read_poset(f) for f in args.parts] if args.what == "lexsum" else []
-    if args.what == "lexsum":
-        count = sum(part.n for part in parts)
-    elif args.what == "grid":
-        count = args.n * (args.n - 1) // 2 if args.n >= 2 else 0
-    else:
-        count = args.n
+    count, build = {
+        "grid": (args.n * (args.n - 1) // 2 if args.n >= 2 else 0,
+                 lambda: generators.grid_upper(args.n)),
+        "chain": (args.n, lambda: generators.chain(args.n)),
+        "antichain": (args.n, lambda: generators.antichain(args.n)),
+        "random": (args.n,
+                   lambda: generators.random_poset(args.n, args.p, args.seed)),
+        "lexsum": (sum(part.n for part in parts),
+                   lambda: generators.lex_sum(parts)),
+    }[args.what]
     if count > core.MAX_TEXT_ELEMENTS:
         raise _InputError(f"gen {args.what}: {count} elements, more than "
                           f"{core.MAX_TEXT_ELEMENTS}")
-    if args.what == "grid":
-        p = generators.grid_upper(args.n)
-    elif args.what == "chain":
-        p = generators.chain(args.n)
-    elif args.what == "antichain":
-        p = generators.antichain(args.n)
-    elif args.what == "random":
-        p = generators.random_poset(args.n, args.p, args.seed)
-    else:  # lexsum
-        if not parts:
-            raise _InputError("lexsum needs at least one part file")
-        p = generators.lex_sum(parts)
-    sys.stdout.write(p.to_text())
-    return 0
+    if args.what == "lexsum" and not parts:
+        raise _InputError("lexsum needs at least one part file")
+    return 0, None, build().to_text().splitlines()
 
 
-def _cmd_dot(args) -> int:
-    p = _read_poset(args.file)
-    sys.stdout.write(incgraph.to_dot(p, include_inc=args.inc))
-    return 0
+def _cmd_dot(args) -> _Answer:
+    text = incgraph.to_dot(_read_poset(args.file), include_inc=args.inc)
+    return 0, None, text.splitlines()
 
 
-def _check_index(p: core.Poset, x: int) -> None:
-    if not 0 <= x < p.n:
-        raise _InputError(f"element {x} out of range for {p.n} elements")
-
-
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> _Answer:
     from . import selftest
     passed, failed = selftest.run(args.seed, args.rounds)
-    print(f"selftest: {passed} passed, {failed} failed")
-    return 0 if failed == 0 else 1
+    return 0 if failed == 0 else 1, None, [
+        f"selftest: {passed} passed, {failed} failed"]
 
 
 @functools.cache
@@ -347,15 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code, payload, lines = args.fn(args)
     except SystemExit:  # -h, once its help is printed
         return 0
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except patterns.BudgetExhausted:
-        _emit({"result": "unknown"}, args.json, "unknown")
-        return 3
+        code, payload, lines = 3, {"result": "unknown"}, ["unknown"]
+    if getattr(args, "json", False):
+        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

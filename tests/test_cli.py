@@ -320,7 +320,7 @@ class TestReduceVerb:
         assert run(["reduce", grid6_file, "-t", "3", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == 1
-        assert doc["case"] in ("case1", "case1_dual", "case2", "unreduced")
+        assert doc["case"] in ("case1", "case1_dual", "unreduced")
         assert doc["threshold"] == 3
         assert isinstance(doc["profiles"], dict)
 
@@ -561,6 +561,101 @@ def test_json_only_on_verbs_with_a_json_form(grid6_file, capsys, argv):
     out, err = capsys.readouterr()
     assert out == "" and one_error_line(err)
     assert err == "error: chaincover: unrecognized arguments: --json\n"
+
+
+# Exact (exit code, stdout, stderr) of every verb, plain and --json.  An
+# empty list keeps its line: `antichain: ` and `antichain ` keep their
+# trailing space, and decompose of `n 0` prints nothing at all.
+PINNED_FILES = {"n0": "n 0\n", "n1": "n 1\n", "n3": "n 3\n0 1\n",
+                "grid8": grid_upper(8).to_text(),
+                "IDEALS": "0 1 2 3 4 5 6\n0 1 2 3 4 5 6 7 8 9 10 11 12\n"}
+PINNED = [
+    ("cov n0 --witness", 0, "0\nantichain: \n", ""),
+    ("cov n0 --witness --json", 0,
+     '{"certificate": [], "chains": [], "schema": 1, "width": 0}\n', ""),
+    ("antichain n0", 0, "\n", ""),
+    ("antichain n0 --json", 0, '{"antichain": [], "schema": 1}\n', ""),
+    ("decompose n0", 0, "", ""),
+    ("decompose n0 --json", 0, '{"parts": [], "schema": 1}\n', ""),
+    ("reduce n0 -t 1", 2, "", "error: Cov(P) < 1\n"),
+    ("dot n0", 0, "digraph poset {\n  rankdir=BT;\n}\n", ""),
+    ("cov n1 --witness", 0, "1\n0\nantichain: 0\n", ""),
+    ("reduce n1 -t 1", 0, "case case1\nantichain \nq 0\nx0 0\nselected 0\n", ""),
+    ("reduce n1 -t 1 --json", 0,
+     '{"antichain": [], "case": "case1", "component_covs": [1], "profiles":'
+     ' {"0": [0, 0, 0]}, "q": [0], "schema": 1, "selected": [0],'
+     ' "threshold": 1, "x0": 0}\n', ""),
+    ("dist n1 0 0", 0, "0 0\n", ""),
+    ("dist n1 0 0 --json", 0,
+     '{"distance": 0, "path": [0], "reachable": true, "schema": 1}\n', ""),
+    ("dist n1 1 2", 2, "", "error: element 1 out of range for 1 elements\n"),
+    ("find-grid n1 -k 2 --json", 0,
+     '{"mapping": [0], "result": "found", "schema": 1}\n', ""),
+    ("cov n3 --witness", 0, "2\n0 1\n2\nantichain: 1 2\n", ""),
+    ("antichain n3", 0, "1 2\n", ""),
+    ("decompose n3", 0, "0 1 2\n", ""),
+    ("reduce n3 -t 2", 0,
+     "case unreduced\nantichain \nq 0 1 2\nx0 0\nselected 0 1\n", ""),
+    ("reduce n3 -t 2 --json", 0,
+     '{"antichain": [], "case": "unreduced", "component_covs": [2],'
+     ' "profiles": {"0": [1, 1, 2], "1": [1, 2, 1], "2": [1, 1, 1]}, "q":'
+     ' [0, 1, 2], "schema": 1, "selected": [0, 1], "threshold": 2, "x0": 0}\n',
+     ""),
+    ("dist n3 0 2", 0, "1 0 2\n", ""),
+    ("dist n3 1 2 --json", 0,
+     '{"distance": 1, "path": [1, 2], "reachable": true, "schema": 1}\n', ""),
+    ("dist n3 3 4", 2, "", "error: element 3 out of range for 3 elements\n"),
+    ("check-metric n3 0 1", 0, "d=2 path=0-2-1 item1=ok item2=ok\n", ""),
+    ("check-metric n3 0 1 --json", 0,
+     '{"distance": 2, "item1_ok": true, "item2_ok": true, "path": [0, 2, 1],'
+     ' "schema": 1, "violations": []}\n', ""),
+    ("dot n3 --inc", 0,
+     'digraph poset {\n  rankdir=BT;\n  v0 [label="0"];\n  v1 [label="1"];\n'
+     '  v2 [label="2"];\n  v0 -> v1;\n  v0 -> v2 [style=dashed, dir=none];\n'
+     "  v1 -> v2 [style=dashed, dir=none];\n}\n", ""),
+    ("find-grid grid8 -k 6 --budget 0", 3, "unknown\n", ""),
+    ("find-grid grid8 -k 6 --budget 0 --json", 3,
+     '{"result": "unknown", "schema": 1}\n', ""),
+    ("find-grid grid8 -k 3", 0, "(0,1) -> 0\n(0,2) -> 1\n(1,2) -> 2\n", ""),
+    ("find-grid grid8 -k 3 --json", 0,
+     '{"mapping": [0, 1, 2], "result": "found", "schema": 1}\n', ""),
+    ("find-grid grid8 -k 9 --json", 1,
+     '{"result": "not found", "schema": 1}\n', ""),
+    ("cov grid8 --witness", 0,
+     "4\n0 1 2 3 4 5 6 12 17 21 26\n7 8 9 10 11 16 20 24\n13 14 15 19 23 27\n"
+     "18 22 25\nantichain: 6 11 15 18\n", ""),
+    ("dist grid8 2 25", 0, "3 2 7 6 25\n", ""),
+    ("check-metric grid8 2 25 --json", 0,
+     '{"distance": 3, "item1_ok": true, "item2_ok": true, "path": [2, 7, 6,'
+     ' 25], "schema": 1, "violations": []}\n', ""),
+    ("ideal-embed grid8 --ideals IDEALS", 0, "0 1 -> 0\n", ""),
+    ("ideal-embed grid8 --ideals IDEALS --json", 0,
+     '{"mapping": [0], "result": "found", "schema": 1}\n', ""),
+    ("sym-cov grid(aleph(1))", 0, "aleph(1)\n", ""),
+    ("sym-cov grid(aleph(1)) --json", 0,
+     '{"cov": "aleph(1)", "schema": 1}\n', ""),
+    ("obstructions aleph(w)", 0,
+     "lexsumfam(inc,w,aleph(succ_n))\nlexsumfam(dec,w,aleph(succ_n))\n"
+     "dual(lexsumfam(inc,w,aleph(succ_n)))\n"
+     "dual(lexsumfam(dec,w,aleph(succ_n)))\n", ""),
+    ("obstructions aleph(w) --json", 0,
+     '{"obstructions": ["lexsumfam(inc,w,aleph(succ_n))",'
+     ' "lexsumfam(dec,w,aleph(succ_n))", "dual(lexsumfam(inc,w,aleph(succ_n)))",'
+     ' "dual(lexsumfam(dec,w,aleph(succ_n)))"], "schema": 1}\n', ""),
+    ("gen chain -n 3", 0, "n 3\n0 1\n1 2\n", ""),
+    ("gen grid -n 3", 0, "n 3\n0 1\n1 2\n", ""),
+    ("selftest --rounds 1", 0, "selftest: 9 passed, 0 failed\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PINNED,
+                         ids=[row[0] for row in PINNED])
+def test_pinned_bytes(tmp_path, capsys, argv, code, out, err):
+    for name, text in PINNED_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in PINNED_FILES else a for a in argv.split()]
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, err)
 
 
 # -- one parser per process ----------------------------------------------------
