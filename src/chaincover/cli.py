@@ -15,7 +15,9 @@ sizes out of range; a negative ``--budget``; and ``--rounds`` below 1.
 
 Each ``_cmd_*`` verb maps its parsed arguments to ``(exit code, JSON
 payload or None, plain lines)`` and prints nothing; :func:`run` alone
-prints, the payload under ``--json`` and otherwise each line and a newline.
+prints, the payload under ``--json`` and otherwise each line and a newline,
+a thousand lines at a time as they come: a verb may return any iterable
+of them, and ``dot`` streams its own.
 
 The argparse tree is built once per process, by the first :func:`run`, and
 only read after that; each call parses into a fresh Namespace.  It binds
@@ -26,8 +28,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from collections.abc import Iterable
 
 from . import core, cover, generators, ideal_embed, incgraph, patterns, reduction
 from . import symbolic
@@ -80,7 +84,7 @@ def _read_poset(path: str, *elements: int) -> core.Poset:
 
 
 # A verb's answer: exit code, JSON payload (None without a JSON form), lines.
-_Answer = tuple[int, dict | None, list[str]]
+_Answer = tuple[int, dict | None, Iterable[str]]
 
 
 def _words(xs) -> str:
@@ -219,15 +223,14 @@ def _cmd_gen(args) -> _Answer:
 
 
 def _cmd_dot(args) -> _Answer:
-    text = incgraph.to_dot(_read_poset(args.file), include_inc=args.inc)
-    return 0, None, text.splitlines()
+    return 0, None, incgraph.to_dot(_read_poset(args.file), include_inc=args.inc)
 
 
 def _cmd_selftest(args) -> _Answer:
     from . import selftest
-    passed, failed = selftest.run(args.seed, args.rounds)
-    return 0 if failed == 0 else 1, None, [
-        f"selftest: {passed} passed, {failed} failed"]
+    passed, failures = selftest.run(args.seed, args.rounds)
+    return 1 if failures else 0, None, [
+        *failures, f"selftest: {passed} passed, {len(failures)} failed"]
 
 
 @functools.cache
@@ -323,7 +326,10 @@ def run(argv: list[str]) -> int:
     if getattr(args, "json", False):
         print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
     else:
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        # joined in chunks: on unbuffered output each write is a system call
+        rest = iter(lines)
+        while chunk := list(itertools.islice(rest, 1024)):
+            sys.stdout.write("\n".join(chunk) + "\n")
     return code
 
 

@@ -10,6 +10,13 @@ Everything reads the parent's up-rows and cuts what it uses to a bitmask,
 so the subposet on any subset is covered in its parent's indices with no
 copy, and a cover holds its chains and its antichain as bitmasks of those
 indices.
+
+A cover is made cold (from the empty matching), from a hint (a cover of a
+superset on the same poset), or by :func:`reversed_cover`: a verified cover
+with its links reversed is a maximum matching of the dual order, so one
+Hopcroft-Karp layering on ``dual(p)`` yields that order's cover and A_max,
+which is A_min here.  Each way ends in the same chain-link, partition and
+antichain checks.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from functools import reduce
 from operator import or_
 
 from .core import (InternalInconsistency, Poset, PreconditionError, closed_or,
-                   iter_bits)
+                   dual, iter_bits)
 
 
 @dataclass(frozen=True)
@@ -219,6 +226,27 @@ def min_chain_cover(p: Poset, mask: int | None = None,
                 raise InternalInconsistency("hint does not cover the subposet")
             return ChainCover(cut, cert, p, mask, hint.matching)
         match_l, match_r, lefts, rights = _restricted(hint.matching, mask)
+    return _matched(p, mask, match_l, match_r, lefts, rights)
+
+
+def reversed_cover(cover: ChainCover) -> ChainCover:
+    """The minimum chain cover of ``cover``'s mask in ``dual(cover.poset)``,
+    seeded with ``cover``'s links inside its mask, reversed.
+
+    Reversed, the links of a maximum matching are one of the dual's split
+    graph, so on a verified cover Hopcroft-Karp augments nothing: one
+    layering gives the dual's A_max (A_min of ``cover.poset``), and the
+    result takes the same checks as ``min_chain_cover``'s.
+    """
+    match_l, match_r, lefts, rights = _restricted(cover.matching, cover.mask)
+    return _matched(dual(cover.poset), cover.mask, match_r, match_l, rights,
+                    lefts)
+
+
+def _matched(p: Poset, mask: int, match_l: list[int], match_r: list[int],
+             lefts: int, rights: int) -> ChainCover:
+    """The verified cover of ``mask`` grown from the seed matching given by
+    ``match_l``, ``match_r`` and its matched masks."""
     up = p.up
     cert, free_l, free_r = _max_matching(up, mask, match_l, match_r,
                                          mask & ~lefts, mask & ~rights)

@@ -10,6 +10,7 @@ no edge list is materialized.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import (InternalInconsistency, Poset, PreconditionError, iter_bits,
@@ -182,14 +183,18 @@ def check_metric_lemma(p: Poset, x: int, y: int) -> MetricReport:
     return MetricReport(x, y, d, tuple(path), item1_ok, item2_ok, tuple(violations))
 
 
-def to_dot(p: Poset, include_inc: bool = False) -> str:
-    """DOT rendering of the Hasse diagram; incomparability edges dashed."""
-    lines = ["digraph poset {", "  rankdir=BT;"]
-    lines += [f'  v{x} [label="{p.label(x)}"];' for x in range(p.n)]
-    lines += [f"  v{u} -> v{v};" for u, v in p.cover_pairs()]
+def to_dot(p: Poset, include_inc: bool = False) -> Iterator[str]:
+    """DOT rendering of the Hasse diagram, one line at a time with no
+    newline; incomparability edges dashed.  Lines are made as they are
+    read, so the Inc edges of a wide poset are never all held at once."""
+    yield "digraph poset {"
+    yield "  rankdir=BT;"
+    for x in range(p.n):
+        yield f'  v{x} [label="{p.label(x)}"];'
+    for u, v in p.cover_pairs():
+        yield f"  v{u} -> v{v};"
     if include_inc:
         for x in range(p.n):
             for y in iter_bits(p.inc_mask(x) >> x + 1 << x + 1):
-                lines.append(f"  v{x} -> v{y} [style=dashed, dir=none];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                yield f"  v{x} -> v{y} [style=dashed, dir=none];"
+    yield "}"

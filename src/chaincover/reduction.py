@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import (InternalInconsistency, Poset, PreconditionError, dual,
+from .core import (InternalInconsistency, Poset, PreconditionError,
                    iter_bits, mask_of)
 from .core import induced  # unused here: the reduction.induced tracer site
-from .cover import ChainCover, min_chain_cover
+from .cover import ChainCover, min_chain_cover, reversed_cover
 from .incgraph import inc_components, inc_path_below, interval_cover
 from .incgraph import inc_distance_path  # unused here: a tracer site
 
@@ -31,29 +31,39 @@ class Claim1Result(NamedTuple):
     antichain: frozenset[int]
     inc_covs: dict[int, int]
     cover: ChainCover
+    minus_up: dict[int, int]
+    minus_down: dict[int, int]
 
 
 def claim1_reduce(p: Poset, t: int) -> Claim1Result:
     """Restrict to the incomparability set of a maximal antichain.
 
-    One greedy loop: Q starts as all of p with P's cover, and each pass
-    covers Q ∩ Inc_x for each x of Q in index order, hinted with Q's cover.
-    The first x with Cov(Q ∩ Inc_x) >= t joins the antichain L, and Q and
-    its cover become that cut and its cover; a pass that accepts nothing
-    ends the loop, with its widths as ``inc_covs``.  So Q is Inc_L for a
-    greedy inclusion-maximal L, or all of p with L empty.  Both
-    postconditions, Cov(Q) >= t and Cov(Inc_x(Q)) < t for every x in Q,
-    are exact finite theorems (maximality of L forbids extending it by any
-    x in Q) and are asserted; ``inc_covs`` certifies the second, and
-    ``cover`` is Q's verified cover.
+    One greedy loop: Q starts as all of p with P's cover, and while
+    Cov(Q) > t a pass covers Q ∩ Inc_x for each x of Q in index order,
+    hinted with Q's cover; the first x with Cov(Q ∩ Inc_x) >= t joins the
+    antichain L, and Q and its cover become that cut and its cover.  So Q is
+    Inc_L for a greedy inclusion-maximal L, or all of p with L empty.
+
+    An antichain of Q ∩ Inc_x extends by x, so Cov(Q ∩ Inc_x) <= Cov(Q) - 1,
+    with equality for x in a maximum antichain of Q: a pass accepts an
+    element iff Cov(Q) > t, one that does not raises InternalInconsistency,
+    and the final Q has Cov(Q) = t and needs no search pass.  Its profile is
+    measured instead by two walks along the chains of Q's cover and of
+    ``reversed_cover`` of it, in ``dual(p)``: Cov(Q minus ↓[x]) into
+    ``minus_down``, Cov(Q minus ↑[x]) into ``minus_up``, and
+    Cov(Q ∩ Inc_x) into ``inc_covs``, hinted with x's walk cover on the
+    side that loses fewer elements (Q minus ↓[x] when |↑x ∩ Q| <= |↓x ∩ Q|).
+    Both postconditions, Cov(Q) >= t (by Q's certificate) and
+    Cov(Q ∩ Inc_x) < t for every x in Q, are exact finite theorems
+    (maximality of L forbids extending it by any x in Q) and are asserted;
+    ``inc_covs`` certifies the second, and ``cover`` is Q's verified cover.
     """
     if t < 1:
         raise PreconditionError("threshold must be at least 1")
     q, cover, chosen = p.full_mask, min_chain_cover(p), []
     if cover.width < t:
         raise PreconditionError(f"Cov(P) < {t}")
-    while True:
-        inc_covs = {}
+    while cover.width > t:
         for x in iter_bits(q):
             cut = q & p.inc_mask(x)
             cut_cover = min_chain_cover(p, cut, hint=cover)
@@ -61,15 +71,42 @@ def claim1_reduce(p: Poset, t: int) -> Claim1Result:
                 chosen.append(x)
                 q, cover = cut, cut_cover
                 break
-            inc_covs[x] = cut_cover.width
         else:
-            break
-    if cover.width < t:
+            raise InternalInconsistency(
+                f"a pass over Cov(Q) = {cover.width} > {t} accepted nothing")
+    if cover.certificate_mask.bit_count() < t:
         raise InternalInconsistency("antichain restriction lost the threshold")
+    down_side = mask_of(x for x in iter_bits(q) if (p.up[x] & q).bit_count()
+                        <= (p.down[x] & q).bit_count())
+    inc_covs = {}
+    minus_down = _walk(cover, p.down, down_side, inc_covs)
+    minus_up = _walk(reversed_cover(cover), p.up, q & ~down_side, inc_covs)
     if max(inc_covs.values()) >= t:
         raise InternalInconsistency(
             "restriction left an element violating the antichain maximality")
-    return Claim1Result(q, frozenset(chosen), inc_covs, cover)
+    return Claim1Result(q, frozenset(chosen), inc_covs, cover, minus_up,
+                        minus_down)
+
+
+def _walk(cover: ChainCover, below, inc_side: int,
+          inc_covs: dict[int, int]) -> dict[int, int]:
+    """Cov of ``cover``'s mask minus x and ``below[x]``, the elements below
+    x on ``cover.poset``, for each x it covers: an up-set, shrinking as x
+    climbs a chain.  So each chain is walked lowest first, and each mask is
+    hinted with the cover of the one before it, the first with ``cover``.
+    For x in ``inc_side``, Cov of x's mask minus the elements above x, its
+    Inc_x, goes into ``inc_covs``, hinted with x's walk cover."""
+    p, q = cover.poset, cover.mask
+    widths = {}
+    for chain in cover.chains:
+        hint = cover
+        for x in chain:
+            hint = min_chain_cover(p, q & ~(below[x] | 1 << x), hint=hint)
+            widths[x] = hint.width
+            if inc_side >> x & 1:
+                inc_covs[x] = min_chain_cover(p, hint.mask & ~p.up[x],
+                                              hint=hint).width
+    return widths
 
 
 @dataclass(frozen=True)
@@ -142,21 +179,6 @@ class ReductionOutcome:
     selected: int
 
 
-def _minus_below(cover: ChainCover, below) -> dict[int, int]:
-    """Cov of ``cover``'s mask minus x and ``below[x]``, the elements below
-    x on ``cover.poset``, for each x it covers: an up-set, shrinking as x
-    climbs a chain.  So each chain is walked lowest first, and each mask is
-    hinted with the cover of the one before it, the first with ``cover``."""
-    p, q = cover.poset, cover.mask
-    widths = {}
-    for chain in cover.chains:
-        hint = cover
-        for x in chain:
-            hint = min_chain_cover(p, q & ~(below[x] | 1 << x), hint=hint)
-            widths[x] = hint.width
-    return widths
-
-
 def reduce(p: Poset, t: int) -> ReductionOutcome:
     """Antichain restriction, component split, then profiled up/down selection.
 
@@ -172,11 +194,9 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     Ties go to the up side, then to the lowest index.  When the selected
     subposet itself drops below t the case is ``unreduced``.  Every subset
     is a mask over p's indices, cut to q where it comes from p's rows.
-    Claim 1's cover of q hints the component sub-covers and, along its
-    chains, q minus each down-set.  q minus each up-set is an up-set of the
-    dual order, covered there along the chains of one cold cover of q.
-    Cov(Inc_x) is read off the restriction loop's last pass, its
-    certificate.
+    The profiles, Cov(Inc_x) included, come from ``claim1_reduce``'s walks,
+    and its cover of q hints the component sub-covers, so the one cover
+    made without a hint is P's.
 
     The pivot is picked bound-first: the chains of C's verified cover that
     meet a side bound its width (an up-set of C meets a chain iff it holds
@@ -188,15 +208,13 @@ def reduce(p: Poset, t: int) -> ReductionOutcome:
     from there on can win.  The outcome carries q and its profiles, the
     component covers, x0 and the selected subposet.
     """
-    q, antichain, inc_covs, whole = claim1_reduce(p, t)
+    q, antichain, inc_covs, whole, minus_up, minus_down = claim1_reduce(p, t)
     comps = inc_components(p, q)
     covers = [min_chain_cover(p, comp, hint=whole) for comp in comps]
     comp_covs = tuple(c.width for c in covers)
-    # q minus x's up-set is an up-set of q in the dual order
-    minus_up = _minus_below(min_chain_cover(dual(p), q), p.up)
-    minus_down = _minus_below(whole, p.down)
     profiles = {x: ElementProfile(inc_covs[x], minus_up[x], minus_down[x])
                 for x in iter_bits(q)}
+    del minus_up, minus_down  # kept only in the profiles, off the peak below
     hit = next(((m, c) for m, c in zip(comps, covers) if c.width >= t), None)
     if hit is None:
         raise InternalInconsistency("Cov(q) >= t puts a component at t")

@@ -2,8 +2,8 @@
 
 ``LAWS`` states each cross-module law once, as a predicate on a nonempty
 poset, and the acceptance suite runs the same table.  Each round of
-:func:`run` checks every law on one random poset; a failed law prints
-``FAIL <law>: seed=.. n=.. p=..``, which ``random_poset(n, p, seed)``
+:func:`run` checks every law on one random poset; a failed law gives the
+line ``FAIL <law>: seed=.. n=.. p=..``, which ``random_poset(n, p, seed)``
 rebuilds.
 """
 
@@ -40,7 +40,7 @@ def _splits_at(p: core.Poset, x: int) -> bool:
 def _claim1_postconditions(p: core.Poset) -> bool:
     # at t = Cov(P), Q and each Cov(Inc_x(Q)) are measured on induced copies
     t = _cov(p)
-    mask, _, inc_covs, _ = reduction.claim1_reduce(p, t)
+    mask, _, inc_covs, *_ = reduction.claim1_reduce(p, t)
     q, q_map = core.induced(p, iter_bits(mask))
     inc_widths = {q_map[x]: _cov(core.induced(q, iter_bits(q.inc_mask(x)))[0])
                   for x in range(q.n)}
@@ -75,10 +75,12 @@ LAWS = {
 }
 
 
-def run(seed: int, rounds: int) -> tuple[int, int]:
+def run(seed: int, rounds: int) -> tuple[int, list[str]]:
+    """The number of laws that held over ``rounds`` rounds, and a ``FAIL``
+    line for each one that failed, in the order they were checked."""
     if rounds < 1:
         raise core.PreconditionError(f"rounds must be at least 1, got {rounds}")
-    passed = failed = 0
+    passed, failures = 0, []
     for i in range(rounds):
         n = 6 + (i * 7 + seed) % 19
         prob = (0.05, 0.1, 0.3)[i % 3]
@@ -87,6 +89,5 @@ def run(seed: int, rounds: int) -> tuple[int, int]:
             if law(p):
                 passed += 1
             else:
-                failed += 1
-                print(f"FAIL {name}: seed={seed + i} n={n} p={prob}")
-    return passed, failed
+                failures.append(f"FAIL {name}: seed={seed + i} n={n} p={prob}")
+    return passed, failures

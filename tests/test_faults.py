@@ -1,0 +1,172 @@
+"""Every certificate check of the cover kernel and of the threshold reduction
+fires on the fault it exists for.
+
+Each test runs real input through a kernel patched to make one fault and
+asserts the message of the check that catches it.  The cover kernel's
+faults come from a Hopcroft-Karp that returns a broken matching or
+antichain; both ways to build a matched cover, ``min_chain_cover`` and
+``reversed_cover``, reach the same checks.  The reduction's come from a
+``min_chain_cover`` whose width is off by one.
+"""
+
+import dataclasses
+import functools
+import re
+
+import pytest
+
+from chaincover import cover, reduction
+from chaincover.core import InternalInconsistency, from_relations, iter_bits
+from chaincover.cover import min_chain_cover, reversed_cover
+from chaincover.generators import antichain, chain
+
+
+def link_two_heads(mask, match_l, match_r, cert, free_l, free_r):
+    """The first chain's bottom gets the second's as its successor, a link
+    that is no relation on an antichain."""
+    first, second = list(iter_bits(free_r))[:2]
+    match_l[first] = second
+    return cert, free_l, free_r
+
+
+def share_a_successor(mask, match_l, match_r, cert, free_l, free_r):
+    """The second chain's bottom takes the first bottom's successor too."""
+    first, second = list(iter_bits(free_r))[:2]
+    match_l[second] = match_l[first]
+    return cert, free_l, free_r
+
+
+def whole_mask_as_certificate(mask, match_l, match_r, cert, free_l, free_r):
+    return mask, free_l, free_r
+
+
+def certificate_beyond_mask(mask, match_l, match_r, cert, free_l, free_r):
+    return cert | (~mask & (mask + 1)), free_l, free_r
+
+
+def one_augmentation_short(mask, match_l, match_r, cert, free_l, free_r):
+    """The lowest link undone: the matching of the augmentation before."""
+    u = next(u for u in iter_bits(mask) if match_l[u] >= 0)
+    v = match_l[u]
+    match_l[u] = match_r[v] = -1
+    return cert, free_l | 1 << u, free_r | 1 << v
+
+
+# 0 and 1 below both 2 and 3, so each orientation has two chains whose
+# bottoms lie below both tops
+BUTTERFLY = from_relations(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+KERNEL_FAULTS = {
+    "link not in up": (antichain(2), None, link_two_heads,
+                       r"chain breaks at 0,1"),
+    "overlapping chains": (BUTTERFLY, None, share_a_successor,
+                           r"chains do not partition the subposet"),
+    "comparable pair in the certificate": (
+        chain(2), None, whole_mask_as_certificate,
+        r"certificate not an antichain at \d"),
+    "certificate outside the mask": (antichain(3), 0b011, certificate_beyond_mask,
+                                     r"certificate leaves the subposet"),
+    "one augmentation short": (chain(3), None, one_augmentation_short,
+                               r"width 2 != antichain size 1"),
+}
+
+# Each way to build a matched cover, as a call made ready with the real
+# kernel: ``reversed_cover``'s source is covered before the fault is in
+BUILDS = {
+    "min_chain_cover": lambda p, mask: functools.partial(min_chain_cover, p, mask),
+    "reversed_cover": lambda p, mask: functools.partial(
+        reversed_cover, min_chain_cover(p, mask)),
+}
+
+
+@pytest.mark.parametrize("build", list(BUILDS))
+@pytest.mark.parametrize("fault", list(KERNEL_FAULTS))
+def test_cover_kernel_check_fires(fault, build, monkeypatch):
+    p, mask, breaking, message = KERNEL_FAULTS[fault]
+    ready = BUILDS[build](p, mask)
+    real = cover._max_matching
+
+    def faulty(up, mask, match_l, match_r, free_l, free_r):
+        found = real(up, mask, match_l, match_r, free_l, free_r)
+        return breaking(mask, match_l, match_r, *found)
+
+    monkeypatch.setattr(cover, "_max_matching", faulty)
+    with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+        ready()
+
+
+def off_by_one(monkeypatch, step: int, when=lambda hint: True) -> None:
+    """Patch ``reduction.min_chain_cover`` so that each hinted cover that
+    ``when`` picks has one chain more (``step`` 1, an empty one) or one
+    fewer (``step`` -1, its first dropped) than its certificate's size."""
+    real = reduction.min_chain_cover
+
+    def faulty(p, mask=None, hint=None):
+        got = real(p, mask, hint=hint)
+        if hint is None or not when(hint):
+            return got
+        chains = got.chain_masks + (0,) if step > 0 else got.chain_masks[1:]
+        return dataclasses.replace(got, chain_masks=chains)
+
+    monkeypatch.setattr(reduction, "min_chain_cover", faulty)
+
+
+def after_claim1(monkeypatch) -> list:
+    """Patch ``reduction.claim1_reduce`` to record each result it returns."""
+    results = []
+    real = reduction.claim1_reduce
+
+    def recording(p, t):
+        results.append(real(p, t))
+        return results[-1]
+
+    monkeypatch.setattr(reduction, "claim1_reduce", recording)
+    return results
+
+
+def test_a_pass_over_a_wider_q_accepts(monkeypatch):
+    # each cut of antichain(3) reads 1 where it has 2: none reaches t = 2
+    off_by_one(monkeypatch, -1)
+    with pytest.raises(InternalInconsistency, match=re.escape(
+            "a pass over Cov(Q) = 3 > 2 accepted nothing")):
+        reduction.claim1_reduce(antichain(3), 2)
+
+
+def test_claim1_keeps_the_threshold(monkeypatch):
+    # 0 < 1, 0 < 2 and 3 apart: Cov = 3, and Inc_0 = {3} has one chain but
+    # reads 2 = t, so claim 1 accepts 0 and stops at a Q whose antichain
+    # certificate has one element
+    off_by_one(monkeypatch, 1)
+    p = from_relations(4, [(0, 1), (0, 2)])
+    with pytest.raises(InternalInconsistency,
+                       match="^antichain restriction lost the threshold$"):
+        reduction.claim1_reduce(p, 2)
+
+
+def test_claim1_leaves_l_maximal(monkeypatch):
+    # at t = Cov(antichain(3)) no pass runs, and each Inc cut, of width 2,
+    # reads 3
+    off_by_one(monkeypatch, 1)
+    with pytest.raises(InternalInconsistency, match="^restriction left an "
+                       "element violating the antichain maximality$"):
+        reduction.claim1_reduce(antichain(3), 3)
+
+
+def test_reduce_finds_a_component_at_the_threshold(monkeypatch):
+    # claim 1 runs true; then antichain(3)'s one component reads 2 < t = 3
+    done = after_claim1(monkeypatch)
+    off_by_one(monkeypatch, -1, lambda hint: bool(done))
+    with pytest.raises(InternalInconsistency,
+                       match=re.escape("Cov(q) >= t puts a component at t")):
+        reduction.reduce(antichain(3), 3)
+
+
+def test_reduce_finds_a_qualifying_pivot(monkeypatch):
+    # claim 1 and the component cover run true; then each pivot's side {x},
+    # which needs width ceil((3 - 2) / 2) = 1, reads 0
+    done = after_claim1(monkeypatch)
+    off_by_one(monkeypatch, -1,
+               lambda hint: bool(done) and hint is not done[0].cover)
+    with pytest.raises(InternalInconsistency,
+                       match="^subadditivity guarantees a qualifying pivot$"):
+        reduction.reduce(antichain(3), 3)

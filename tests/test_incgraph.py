@@ -294,13 +294,13 @@ class TestMetricLemma:
 class TestDot:
     def test_contains_cover_edges_and_labels(self):
         g = grid_upper(3)
-        out = to_dot(g)
+        out = "\n".join(to_dot(g))
         assert 'label="(0,1)"' in out
         assert "v0 -> v1;" in out
         assert "dashed" not in out
 
     def test_inc_edges_dashed(self):
-        out = to_dot(grid_upper(4), include_inc=True)
+        out = "\n".join(to_dot(grid_upper(4), include_inc=True))
         assert "style=dashed" in out
 
     def test_dashed_edges_are_the_incomparable_pairs(self):
@@ -311,7 +311,7 @@ class TestDot:
             for q in (p, oracles.relabel(p, perm), grid_upper(5)):
                 dashed = [(int(x), int(y)) for x, y in re.findall(
                     r"^  v(\d+) -> v(\d+) \[style=dashed, dir=none\];$",
-                    to_dot(q, include_inc=True), re.MULTILINE)]
+                    "\n".join(to_dot(q, include_inc=True)), re.MULTILINE)]
                 expected = [(x, y) for x in range(q.n) for y in range(x + 1, q.n)
                             if q.incomparable(x, y)]
                 assert dashed == expected and expected

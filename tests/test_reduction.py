@@ -38,6 +38,21 @@ def profiles_by_copies(p, back) -> dict:
     return out
 
 
+def counting_reversed(monkeypatch) -> list:
+    """(source, cover) of every ``reversed_cover`` call ``reduction`` makes,
+    in call order."""
+    made = []
+    real = reduction.reversed_cover
+
+    def counting(source):
+        got = real(source)
+        made.append((source, got))
+        return got
+
+    monkeypatch.setattr(reduction, "reversed_cover", counting)
+    return made
+
+
 def counting_covers(monkeypatch) -> list:
     """(mask, hint, cover) of every ``min_chain_cover`` call ``reduction``
     makes, in call order."""
@@ -75,7 +90,7 @@ def three_chain_with_bridge():
 
 class TestClaim1:
     def test_antichain3_threshold2(self):
-        mask, label, inc_covs, _ = claim1_reduce(antichain(3), 2)
+        mask, label, inc_covs, *_ = claim1_reduce(antichain(3), 2)
         q, q_map = induced(antichain(3), iter_bits(mask))
         assert sorted(label) == [0]
         assert q == antichain(2) and q_map == (1, 2)
@@ -85,13 +100,13 @@ class TestClaim1:
 
     def test_grid6_threshold3_untouched(self):
         g = grid_upper(6)
-        q, label, inc_covs, _ = claim1_reduce(g, 3)
+        q, label, inc_covs, *_ = claim1_reduce(g, 3)
         assert label == frozenset() and q == g.full_mask
         # nothing qualifies, so the one pass covered every element
         assert len(inc_covs) == g.n and max(inc_covs.values()) < 3
 
     def test_chain_trivial(self):
-        q, label, inc_covs, _ = claim1_reduce(chain(4), 1)
+        q, label, inc_covs, *_ = claim1_reduce(chain(4), 1)
         assert q == chain(4).full_mask and label == frozenset()
         assert inc_covs == {0: 0, 1: 0, 2: 0, 3: 0}
 
@@ -100,7 +115,7 @@ class TestClaim1:
         for seed in range(20):
             p = random_poset(10, 0.15, seed)
             for t in range(1, cov(p) + 1):
-                q, _, _, cover = claim1_reduce(p, t)
+                q, _, _, cover, *_ = claim1_reduce(p, t)
                 assert sorted(x for c in cover.chains for x in c) == list(iter_bits(q))
                 assert cover.certificate <= set(iter_bits(q))
                 assert cover.width == cov_of(p, iter_bits(q)) >= t
@@ -122,17 +137,40 @@ class TestClaim1:
         assert restricted > 50
 
     def test_the_last_pass_is_the_certificate(self, monkeypatch):
-        # after the last accepted element, one pass over Q hinted with the
-        # returned cover gives inc_covs: |Q| covers, not a second pass
+        # a pass runs only over a Q with Cov(Q) > t, so the final Q, with
+        # Cov(Q) = t, gets none: its Inc cuts ride the walks, each covered
+        # right after x's walk cover and hinted with it, Q minus ↓[x] in P
+        # when |↑x ∩ Q| <= |↓x ∩ Q|, else Q minus ↑[x] in the dual
         calls = counting_covers(monkeypatch)
+        reversing = counting_reversed(monkeypatch)
         restricted = 0
         for seed in range(20):
             p = random_poset(10, 0.15, seed)
             for t in range(1, cov(p) + 1):
                 calls.clear()
+                reversing.clear()
                 got = claim1_reduce(p, t)
-                hinted = [mask for mask, hint, _ in calls if hint is got.cover]
-                assert hinted == [got.q & p.inc_mask(x) for x in iter_bits(got.q)]
+                q = got.q
+                assert got.cover.width == t
+                start = next(i for i, (_, hint, _) in enumerate(calls)
+                             if hint is got.cover)
+                assert all(hint.width > t for _, hint, _ in calls[1:start])
+                [(_, rev)] = reversing
+                expected = []
+                for cover, below in ((got.cover, p.down), (rev, p.up)):
+                    for chain in cover.chains:
+                        hint_mask = q
+                        for x in chain:
+                            walk = q & ~(below[x] | 1 << x)
+                            expected.append((cover.poset, hint_mask, walk))
+                            in_p = ((p.up[x] & q).bit_count()
+                                    <= (p.down[x] & q).bit_count())
+                            if in_p == (cover is got.cover):
+                                expected.append((cover.poset, walk,
+                                                 q & p.inc_mask(x)))
+                            hint_mask = walk
+                assert [(hint.poset, hint.mask, mask)
+                        for mask, hint, _ in calls[start:]] == expected
                 restricted += bool(got.antichain)
         assert restricted > 10
 
@@ -152,7 +190,7 @@ class TestClaim1:
         for seed in range(20):
             p = random_poset(10, 0.15, seed)
             for t in range(1, cov(p) + 1):
-                mask, label, inc_covs, _ = claim1_reduce(p, t)
+                mask, label, inc_covs, *_ = claim1_reduce(p, t)
                 q = induced(p, iter_bits(mask))[0]
                 assert cov(q) >= t
                 for x in range(q.n):
@@ -283,9 +321,9 @@ class TestReduce:
                 assert profiles_by_copies(q, back) == out.profiles
 
     def test_one_cold_cover_per_orientation(self, monkeypatch):
-        # claim 1's cover of q and one cover of q in the dual hint everything
-        # after them: the only covers without a hint are P's own (on the
-        # early return and the greedy path alike) and q's in the dual
+        # claim 1's cover of q and its reversed links in the dual hint
+        # everything after them: the only cover without a hint is P's own
+        # (with L empty and nonempty alike)
         calls = counting_covers(monkeypatch)
         for p, t, restricted in ((grid_upper(6), 3, False), (antichain(4), 3, True),
                                  (random_poset(20, 0.1, 1), 1, True)):
@@ -293,7 +331,7 @@ class TestReduce:
             out = reduce(p, t)
             assert bool(out.antichain) == restricted
             cold = [(mask, got.poset) for mask, hint, got in calls if hint is None]
-            assert cold == [(None, p), (out.q, dual(p))]
+            assert cold == [(None, p)]
 
     def test_pivot_matches_exhaustive_reference(self):
         checked = 0
@@ -328,8 +366,8 @@ class TestReduce:
     def test_wide_antichain_settles_every_hinted_subcover(self, t, expected,
                                                           monkeypatch):
         # every sub-cover of an antichain keeps the bounds of its hint, so
-        # the two matchings are the cold covers of P and of q in the dual;
-        # the outcome is pinned
+        # the two matchings are P's cold cover and the reversed cover's one
+        # layering, both from no links; the outcome is pinned
         seeds = counting_matching(monkeypatch)
         out = reduce(antichain(600), t)
         assert seeds == [[-1] * 600] * 2
@@ -373,12 +411,25 @@ class TestSeedFromHint:
     def test_every_seed_and_carried_matching(self, monkeypatch):
         # every cover reduce makes (cold, claim 1, component, profile and
         # pivot) carries a sound matching, and every hinted one is seeded as
-        # the per-bit restriction would; every hint is one of those covers
+        # the per-bit restriction would; every hint is one of those covers.
+        # The reversed cover is claim 1's cover's links inside q, reversed,
+        # with no augmentation, and it seeds the dual walk
         calls = counting_covers(monkeypatch)
+        reversing = counting_reversed(monkeypatch)
         for p in pivot_instances():
             for t in range(1, cov(p) + 1):
                 reduce(p, t)
         made = {id(got) for _, _, got in calls}
+        hints = {id(hint) for _, hint, _ in calls}
+        for source, got in reversing:
+            assert id(source) in made and id(got) in hints
+            assert got.poset == dual(source.poset) and got.mask == source.mask
+            assert_carried_matching(got)
+            succ, pred, lefts, rights = oracles.reference_restricted(
+                source.matching[0], source.mask, source.poset.n)
+            assert got.matching[:2] == (pred, succ)
+            assert got.matching[3:] == (rights, lefts)
+        made |= {id(got) for _, got in reversing}
         for mask, hint, got in calls:
             assert_carried_matching(got, hint)
             if hint is not None:
@@ -387,7 +438,7 @@ class TestSeedFromHint:
         assert sum(hint is not None for _, hint, _ in calls) > 1000
 
     def test_chains_read_per_reduce(self, monkeypatch):
-        # the only chains read are those of q's covers in the dual and in P,
+        # the only chains read are those of q's covers in P and in the dual,
         # which the profiles walk once each, and the target component's
         # cover's, whose ends bound the pivots
         read = []
@@ -405,7 +456,7 @@ class TestSeedFromHint:
             out = reduce(p, t)
             comp = next(c for c in inc_components(p, out.q)
                         if cov_of(p, iter_bits(c)) >= t)
-            assert [c.poset is p for c in read] == [False, True, True]
+            assert [c.poset is p for c in read] == [True, False, True]
             assert [c.mask for c in read] == [out.q, out.q, comp]
 
 
@@ -477,8 +528,8 @@ def ladder(rungs: int):
 ], ids=["chain400", "ladder200", "antichain300"])
 def test_hinted_subcovers_match_cold_on_long_thin_and_wide_input(
         q, t, matchings, monkeypatch):
-    # each input runs two cold covers, P's and q's in the dual.  A cut to
-    # one chain is settled, so the chain runs no other matching.  The
+    # each input runs P's cold cover and the reversed cover's layering.  A
+    # cut to one chain is settled, so the chain runs no other matching.  The
     # ladder's rungs are its Inc components: one matching per rung but the
     # top (settled by A_max); its one-element Inc_x profiles settle.  Every
     # hinted cover of the antichain keeps its bounds
@@ -491,14 +542,15 @@ def test_hinted_subcovers_match_cold_on_long_thin_and_wide_input(
 
 def test_matchings_per_reduce_at_threshold_cov(monkeypatch):
     # settled cuts run no matching: a change that loses some makes more.
-    # Down-sets are covered as up-sets of the dual, where A_min is A_max
+    # Down-sets are covered as up-sets of the dual, where A_min is A_max,
+    # and each Inc cut is hinted with a walk cover on one side
     instances = [random_poset(n, (0.05, 0.1)[n % 20 // 10], n)
                  for n in range(60, 101, 10)]
     thresholds = [cov(p) for p in instances]
     seeds = counting_matching(monkeypatch)
     for p, t in zip(instances, thresholds):
         reduce(p, t)
-    assert len(seeds) == 480
+    assert len(seeds) == 365
 
 class TestSetIdentity:
     def test_holds_everywhere(self):
