@@ -144,7 +144,8 @@ def _cmd_find_grid(args) -> _Answer:
     if found is None:
         return 1, {"result": "not found"}, ["not found"]
     return 0, {"result": "found", "mapping": list(found.mapping)}, [
-        f"{found.source.label(i)} -> {img}" for i, img in enumerate(found.mapping)]
+        f"({a},{b}) -> {x}" for (a, b), x
+        in zip(generators.grid_labels(args.k), found.mapping)]
 
 
 def _cmd_reduce(args) -> _Answer:

@@ -10,16 +10,16 @@ bulk; any other text line by line, which reports every error.  A subset (an
 up-set, a down-set, an interval, an incomparability set) is a bitmask over
 the same indices; ``induced`` copies one out only where a caller needs it
 as a poset of its own.  ``down``, the transpose of ``up``, is built a block
-of rows at a time on first use.  Posets compare and hash by ``(n, up)``
-only, never by labels.  Values are immutable after construction; every
-operation here is a pure function, so concurrent use needs no coordination.
+of rows at a time on first use.  A poset is ``n`` and ``up``, nothing
+else.  Values are immutable after construction; every operation here is a
+pure function, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Iterator
@@ -75,21 +75,14 @@ def closed_or(rows, mask: int) -> int:
 
 @dataclass(frozen=True)
 class Poset:
-    """Strict partial order on elements 0..n-1, relation reachability-closed.
-
-    Posets compare and hash by ``(n, up)`` only: ``labels`` is presentation
-    metadata (e.g. grid coordinates) and never takes part.
-    """
+    """Strict partial order on elements 0..n-1, relation reachability-closed."""
 
     n: int
     up: tuple[int, ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.up) != self.n:
             raise ValueError("relation row count does not match element count")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label count does not match element count")
 
     # -- relation queries ---------------------------------------------------
 
@@ -119,9 +112,6 @@ class Poset:
     def inc_mask(self, x: int) -> int:
         """Elements incomparable to x, as a bitmask."""
         return self.full_mask & ~(self.up[x] | self.down[x] | (1 << x))
-
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels is not None else str(x)
 
     # -- derived structure --------------------------------------------------
 
@@ -414,7 +404,7 @@ def from_text(text: str) -> Poset:
 
 def dual(p: Poset) -> Poset:
     """The opposite order on the same elements."""
-    return Poset(p.n, p.down, p.labels)
+    return Poset(p.n, p.down)
 
 
 def induced(p: Poset, subset: Iterable[int]) -> tuple[Poset, tuple[int, ...]]:
@@ -430,8 +420,7 @@ def induced(p: Poset, subset: Iterable[int]) -> tuple[Poset, tuple[int, ...]]:
     back = {orig: new for new, orig in enumerate(chosen)}
     mask = mask_of(chosen)
     rows = tuple(mask_of(back[y] for y in iter_bits(p.up[x] & mask)) for x in chosen)
-    labels = tuple(p.labels[i] for i in chosen) if p.labels is not None else None
-    return Poset(len(chosen), rows, labels), tuple(chosen)
+    return Poset(len(chosen), rows), tuple(chosen)
 
 
 def is_pure(p: Poset) -> bool:

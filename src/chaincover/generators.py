@@ -49,7 +49,7 @@ def grid_index(n: int, alpha: int, beta: int) -> int:
 def grid_upper(n: int) -> Poset:
     """The upper half of the n-by-n grid: pairs (a, b), a < b, componentwise.
 
-    Labels carry the coordinates, e.g. "(0,3)".  Row (a, b) is built from
+    Element i is the pair ``grid_labels(n)[i]``.  Row (a, b) is built from
     the rows of its upper neighbours (a, b + 1) and (a + 1, b), which come
     later in index order.
     """
@@ -62,7 +62,7 @@ def grid_upper(n: int) -> Poset:
         if a + 1 < b:
             j = grid_index(n, a + 1, b)
             rows[i] |= 1 << j | rows[j]
-    return Poset(len(labels), tuple(rows), tuple(f"({a},{b})" for a, b in labels))
+    return Poset(len(labels), tuple(rows))
 
 
 def chain(n: int) -> Poset:

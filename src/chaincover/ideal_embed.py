@@ -26,8 +26,9 @@ recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .core import InternalInconsistency, Poset, iter_bits, mask_of
+from .core import InternalInconsistency, Poset, closed_or, iter_bits, mask_of
 from .generators import grid_upper
 from .patterns import BudgetExhausted, Embedding, linear_extension, validate_embedding
 
@@ -96,14 +97,19 @@ def validate_ideal_chain(c: IdealChain) -> IdealChainReport:
             # a greatest element bounds every pair inside the ideal
             continue
         # a finite up-directed set has a greatest element, so some pair
-        # has no upper bound in the ideal unless it is empty
-        members = sorted(ideal)
-        unbounded = next(((x, y) for i, x in enumerate(members)
-                          for y in members[i + 1:]
-                          if not (p.up[x] | 1 << x) & (p.up[y] | 1 << y) & mask),
-                         None)
-        if unbounded is not None:
-            violations.append(ChainViolation("not up-directed", a, unbounded))
+        # has no upper bound in the ideal unless it is empty.  Every upper
+        # bound in the ideal lies below one of its maximal elements, so x
+        # and y have one iff y lies below one of x's own (those above x).
+        # The first unbounded pair takes the first x with a later member
+        # outside that down-set, built once per set of own maximal elements
+        tops = mask_of(g for g in ideal if not p.up[g] & mask)
+        below = cache(lambda own: closed_or(p.down, own) | own)
+        for x in sorted(ideal):
+            apart = mask & ~(below((p.up[x] | 1 << x) & tops) | (2 << x) - 1)
+            if apart:
+                violations.append(ChainViolation("not up-directed", a, (
+                    x, (apart & -apart).bit_length() - 1)))
+                break
         violations.append(ChainViolation(
             "no cofinal chain (no greatest element)", a, ()))
     for a in range(len(c.ideals) - 1):

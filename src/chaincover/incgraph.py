@@ -184,17 +184,20 @@ def check_metric_lemma(p: Poset, x: int, y: int) -> MetricReport:
 
 
 def to_dot(p: Poset, include_inc: bool = False) -> Iterator[str]:
-    """DOT rendering of the Hasse diagram, one line at a time with no
-    newline; incomparability edges dashed.  Lines are made as they are
+    """DOT rendering of the Hasse diagram, nodes named by index, one line
+    at a time with no newline; incomparability edges dashed, each Inc row
+    read in one pass over its binary digits.  Lines are made as they are
     read, so the Inc edges of a wide poset are never all held at once."""
     yield "digraph poset {"
     yield "  rankdir=BT;"
     for x in range(p.n):
-        yield f'  v{x} [label="{p.label(x)}"];'
+        yield f'  v{x} [label="{x}"];'
     for u, v in p.cover_pairs():
         yield f"  v{u} -> v{v};"
     if include_inc:
         for x in range(p.n):
-            for y in iter_bits(p.inc_mask(x) >> x + 1 << x + 1):
+            y = x
+            for gap in bin(p.inc_mask(x) >> x + 1)[:1:-1].split("1")[:-1]:
+                y += len(gap) + 1
                 yield f"  v{x} -> v{y} [style=dashed, dir=none];"
     yield "}"

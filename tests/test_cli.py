@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -547,6 +548,48 @@ def test_dot_inc_streams_its_lines(tmp_path):
     assert traced_peak(["dot", str(path), "--inc"], limit=20_000) < plain + (1 << 20)
 
 
+@pytest.fixture(scope="module")
+def cap_dir(tmp_path_factory):
+    """Files of MAX_TEXT_ELEMENTS elements: an antichain, a chain, a chain
+    below two tops, and all of the latter as one ideal."""
+    d = tmp_path_factory.mktemp("cap")
+    n = MAX_TEXT_ELEMENTS
+    (d / "n20000").write_text(f"n {n}\n")
+    (d / "chain20000").write_text(chain(n).to_text())
+    (d / "tops20000").write_text(lex_sum([chain(n - 2), antichain(2)]).to_text())
+    (d / "whole").write_text(" ".join(map(str, range(n))) + "\n")
+    return d
+
+
+# (argv, exit code, seconds): every verb at the header cap, each within a
+# bound of five or more times its time on a 2-vCPU machine.  Left out: `reduce`
+# on `n20000`, whose claim 1 ran past 120 s at -t 1, and `dot --inc` at the
+# cap, about 2 * 10^8 lines, whose memory test_dot_inc_streams_its_lines
+# bounds.
+CAP_RUNS = [
+    ("cov n20000", 0, 2), ("antichain n20000", 0, 2),
+    ("decompose n20000", 0, 2), ("dist n20000 0 1", 0, 2),
+    ("find-grid n20000 -k 6 --budget 20000", 1, 2), ("dot n20000", 0, 2),
+    ("cov chain20000", 0, 2), ("antichain chain20000", 0, 2),
+    ("decompose chain20000", 0, 5), ("dist chain20000 0 1", 1, 3),
+    ("find-grid chain20000 -k 6 --budget 20000", 1, 2),
+    ("dot chain20000", 0, 2), ("reduce chain20000 -t 1", 0, 10),
+    ("ideal-embed tops20000 --ideals whole", 2, 5),
+]
+
+
+@pytest.mark.parametrize("argv, code, seconds", CAP_RUNS,
+                         ids=[row[0] for row in CAP_RUNS])
+def test_every_verb_at_the_cap(cap_dir, capsys, argv, code, seconds):
+    argv = [str(cap_dir / a) if (cap_dir / a).exists() else a
+            for a in argv.split()]
+    start = time.perf_counter()
+    assert run(argv) == code
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert elapsed < seconds
+
+
 class TestRoundTripIdentity:
     def test_gen_cov_matches_sym_cov(self, capsys, monkeypatch):
         import io
@@ -615,7 +658,8 @@ def test_json_only_on_verbs_with_a_json_form(grid6_file, capsys, argv):
 # trailing space, and decompose of `n 0` prints nothing at all.
 PINNED_FILES = {"n0": "n 0\n", "n1": "n 1\n", "n3": "n 3\n0 1\n",
                 "grid8": grid_upper(8).to_text(),
-                "IDEALS": "0 1 2 3 4 5 6\n0 1 2 3 4 5 6 7 8 9 10 11 12\n"}
+                "IDEALS": "0 1 2 3 4 5 6\n0 1 2 3 4 5 6 7 8 9 10 11 12\n",
+                "chain3": "n 3\n0 1\n1 2\n", "CHAIN_IDEALS": "0\n0 1\n0 1 2\n"}
 PINNED = [
     ("cov n0 --witness", 0, "0\nantichain: \n", ""),
     ("cov n0 --witness --json", 0,
@@ -666,6 +710,7 @@ PINNED = [
     ("find-grid grid8 -k 3", 0, "(0,1) -> 0\n(0,2) -> 1\n(1,2) -> 2\n", ""),
     ("find-grid grid8 -k 3 --json", 0,
      '{"mapping": [0, 1, 2], "result": "found", "schema": 1}\n', ""),
+    ("find-grid n1 -k 1", 2, "", "error: grid size must be at least 2\n"),
     ("find-grid grid8 -k 9 --json", 1,
      '{"result": "not found", "schema": 1}\n', ""),
     ("cov grid8 --witness", 0,
@@ -678,6 +723,9 @@ PINNED = [
     ("ideal-embed grid8 --ideals IDEALS", 0, "0 1 -> 0\n", ""),
     ("ideal-embed grid8 --ideals IDEALS --json", 0,
      '{"mapping": [0], "result": "found", "schema": 1}\n', ""),
+    ("ideal-embed chain3 --ideals CHAIN_IDEALS", 1, "failure at 0 2\n", ""),
+    ("ideal-embed chain3 --ideals CHAIN_IDEALS --json", 1,
+     '{"position": [0, 2], "result": "failure", "schema": 1}\n', ""),
     ("sym-cov grid(aleph(1))", 0, "aleph(1)\n", ""),
     ("sym-cov grid(aleph(1)) --json", 0,
      '{"cov": "aleph(1)", "schema": 1}\n', ""),
@@ -691,6 +739,7 @@ PINNED = [
      ' "dual(lexsumfam(dec,w,aleph(succ_n)))"], "schema": 1}\n', ""),
     ("gen chain -n 3", 0, "n 3\n0 1\n1 2\n", ""),
     ("gen grid -n 3", 0, "n 3\n0 1\n1 2\n", ""),
+    ("gen lexsum", 2, "", "error: lexsum needs at least one part file\n"),
     ("selftest --rounds 1", 0, "selftest: 9 passed, 0 failed\n", ""),
 ]
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from chaincover import core
 from chaincover.core import (CycleError, EmptyPoset, dual, from_relations,
                              from_text, induced, is_pure, iter_bits)
-from chaincover.generators import antichain, chain, grid_index, grid_upper, random_poset
+from chaincover.generators import (antichain, chain, grid_index, grid_labels, grid_upper,
+                                   random_poset)
 from chaincover.incgraph import interval_cover
 from chaincover.selftest import LAWS
 
@@ -120,12 +121,11 @@ class TestDual:
 
 
 class TestEquality:
-    """Posets compare and hash by (n, up); labels never take part."""
+    """Posets compare and hash by (n, up)."""
 
-    def test_labels_ignored(self):
+    def test_text_copy_hashes_equal(self):
         g = grid_upper(5)
         plain = from_text(g.to_text())
-        assert g.labels is not None and plain.labels is None
         assert g == plain and hash(g) == hash(plain)
         assert len({g, plain}) == 1
 
@@ -162,8 +162,8 @@ class TestInduced:
     def test_labels_restrict(self):
         g = grid_upper(4)
         sub, back = induced(g, {0, 5})
-        assert sub.labels == ("(0,1)", "(2,3)")
-        assert back == (0, 5)
+        assert [grid_labels(4)[x] for x in back] == [(0, 1), (2, 3)]
+        assert back == (0, 5) and sub == chain(2)
 
 
 class TestRegion:
@@ -177,8 +177,8 @@ class TestRegion:
     def test_interval_on_grid(self):
         g = grid_upper(4)
         interval, _ = interval_cover(g, (grid_index(4, 0, 1), grid_index(4, 1, 3)))
-        labels = {g.label(x) for x in iter_bits(interval)}
-        assert labels == {"(0,1)", "(0,2)", "(0,3)", "(1,2)", "(1,3)"}
+        labels = {grid_labels(4)[x] for x in iter_bits(interval)}
+        assert labels == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
 
     def test_up_includes_argument(self):
         p = antichain(3)

@@ -1,12 +1,17 @@
-"""Every certificate check of the cover kernel and of the threshold reduction
-fires on the fault it exists for.
+"""Every certificate check of the cover kernel, of the threshold reduction
+and of the two embedding searches fires on the fault it exists for.
 
 Each test runs real input through a kernel patched to make one fault and
 asserts the message of the check that catches it.  The cover kernel's
 faults come from a Hopcroft-Karp that returns a broken matching or
 antichain; both ways to build a matched cover, ``min_chain_cover`` and
 ``reversed_cover``, reach the same checks.  The reduction's come from a
-``min_chain_cover`` whose width is off by one.
+``min_chain_cover`` whose width is off by one.  The searches' come from a
+``validate_embedding`` that rejects every embedding, and from a
+``validate_ideal_chain`` that passes a chain whose first ideal is not
+downward closed.  The last check of ``embed_from_ideal_chain``, "image
+escaped its layer", reads the same layer masks its candidates are drawn
+from, so no patched dependency reaches it.
 """
 
 import dataclasses
@@ -15,10 +20,10 @@ import re
 
 import pytest
 
-from chaincover import cover, reduction
+from chaincover import cover, ideal_embed, patterns, reduction
 from chaincover.core import InternalInconsistency, from_relations, iter_bits
 from chaincover.cover import min_chain_cover, reversed_cover
-from chaincover.generators import antichain, chain
+from chaincover.generators import antichain, canonical_ideal_chain, chain
 
 
 def link_two_heads(mask, match_l, match_r, cert, free_l, free_r):
@@ -170,3 +175,31 @@ def test_reduce_finds_a_qualifying_pivot(monkeypatch):
     with pytest.raises(InternalInconsistency,
                        match="^subadditivity guarantees a qualifying pivot$"):
         reduction.reduce(antichain(3), 3)
+
+
+def test_embeds_rejects_a_non_embedding(monkeypatch):
+    monkeypatch.setattr(patterns, "validate_embedding", lambda e: False)
+    with pytest.raises(InternalInconsistency,
+                       match="^search returned a non-embedding$"):
+        patterns.embeds(chain(3), chain(2))
+
+
+def test_ideal_embed_rejects_a_non_embedding(monkeypatch):
+    monkeypatch.setattr(ideal_embed, "validate_embedding", lambda e: False)
+    with pytest.raises(InternalInconsistency,
+                       match="^search produced a non-embedding$"):
+        ideal_embed.embed_from_ideal_chain(
+            ideal_embed.IdealChain(*canonical_ideal_chain(5, 3)))
+
+
+def test_ideal_embed_finds_a_candidate_above_an_incomparable_image(monkeypatch):
+    # on the chain 0 < ... < 5, layer 0 is {0, 1, 3} without 2 below 3:
+    # (0, 1), (0, 2) and (1, 2) take 0, 1 and 2, and the one candidate of
+    # (0, 3) is 3, above the image of the grid-incomparable (1, 2)
+    monkeypatch.setattr(ideal_embed, "validate_ideal_chain",
+                        lambda c: ideal_embed.IdealChainReport(True, ()))
+    ideals = ({0, 1, 3}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}, set(range(6)))
+    c = ideal_embed.IdealChain(chain(6), tuple(map(frozenset, ideals)))
+    with pytest.raises(InternalInconsistency,
+                       match="^candidate above an incomparable image$"):
+        ideal_embed.embed_from_ideal_chain(c)

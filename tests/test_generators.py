@@ -13,7 +13,7 @@ from oracles import XorShift64Star, reference_random_pairs
 class TestGrid:
     def test_single_point(self):
         g = grid_upper(2)
-        assert g.n == 1 and g.labels == ("(0,1)",)
+        assert g == chain(1) and grid_labels(2) == ((0, 1),)
 
     def test_three_is_a_chain(self):
         assert grid_upper(3) == chain(3)
@@ -135,7 +135,7 @@ class TestCanonicalIdealChain:
     def test_4_2_first_ideal_is_a_chain(self):
         grid, ideals = canonical_ideal_chain(4, 2)
         members = sorted(ideals[0])
-        assert [grid.label(x) for x in members] == ["(0,1)", "(0,2)", "(0,3)"]
+        assert [grid_labels(4)[x] for x in members] == [(0, 1), (0, 2), (0, 3)]
         sub, _ = __import__("chaincover").induced(grid, ideals[0])
         assert sub == chain(3)
 

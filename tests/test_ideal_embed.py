@@ -1,14 +1,15 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 
 import pytest
 
-from chaincover import ideal_embed
+from chaincover import cli, ideal_embed
 from chaincover.core import Poset, dual, iter_bits
 from chaincover.generators import (antichain, canonical_ideal_chain, chain,
                                    grid_index, grid_labels, grid_upper,
-                                   random_poset)
+                                   lex_sum, random_poset)
 from chaincover.ideal_embed import (EmbedFailure, IdealChain, InvalidChain,
                                     embed_from_ideal_chain, validate_ideal_chain)
 from chaincover.patterns import (BudgetExhausted, Embedding, linear_extension,
@@ -263,7 +264,8 @@ class TestRankedUnion:
 
 class TestValidateFastPath:
     """Skipping the pairwise directedness scan for ideals with a greatest
-    element reports exactly what the full scan reports."""
+    element, and finding the first unbounded pair through the ideal's
+    maximal elements, report exactly what the full pairwise scan reports."""
 
     def tampered(self):
         rng = random.Random(77)
@@ -286,6 +288,18 @@ class TestValidateFastPath:
                 else:
                     out[a] = frozenset(iter_bits(p.maximal_mask))
                 yield IdealChain(p, tuple(out))
+        # down-sets of a few tops and arbitrary subsets (not downward
+        # closed) as single ideals, on random, relabelled and dual hosts
+        for seed in range(90):
+            p = random_poset(8 + seed % 30, (0.1, 0.2, 0.4)[seed % 3], 900 + seed)
+            p = (p, oracles.relabel(p, rng.sample(range(p.n), p.n)),
+                 dual(p))[seed // 3 % 3]
+            for _ in range(4):
+                tops = rng.sample(range(p.n), rng.randint(1, 4))
+                yield IdealChain(p, (frozenset(
+                    x for g in tops for x in iter_bits(p.down[g] | 1 << g)),))
+                yield IdealChain(p, (frozenset(
+                    x for x in range(p.n) if rng.random() < 0.5),))
         yield IdealChain(antichain(3), (frozenset({0, 1, 2}),))
         yield IdealChain(chain(3), (frozenset({0, 5}),))
         yield IdealChain(chain(3), (frozenset(),))
@@ -298,5 +312,22 @@ class TestValidateFastPath:
             assert got.violations == want, c
             assert got.ok == (not want)
             kinds.update(v.kind for v in want)
-        assert kinds["not up-directed"] > 10
-        assert kinds["no cofinal chain (no greatest element)"] > 10
+        assert kinds["not up-directed"] > 200
+        assert kinds["no cofinal chain (no greatest element)"] > 200
+
+    def test_two_tops_exit_2_within_a_bound(self, tmp_path, capsys):
+        # a chain of 4,000 below two tops, the whole poset one ideal: the
+        # pairwise scan tested ~8 million pairs (2.8 s); through the two
+        # tops it takes ~0.04 s
+        p = lex_sum([chain(4000), antichain(2)])
+        (tmp_path / "p").write_text(p.to_text())
+        (tmp_path / "ideals").write_text(" ".join(map(str, range(p.n))) + "\n")
+        start = time.perf_counter()
+        code = cli.run(["ideal-embed", str(tmp_path / "p"),
+                        "--ideals", str(tmp_path / "ideals")])
+        elapsed = time.perf_counter() - start
+        assert (code, capsys.readouterr().err) == (2, (
+            "error: ideal 0: not up-directed (witness (4000, 4001)); ideal 0: "
+            "no cofinal chain (no greatest element) (witness ())\n"))
+        assert elapsed < 0.3
+

@@ -295,7 +295,7 @@ class TestDot:
     def test_contains_cover_edges_and_labels(self):
         g = grid_upper(3)
         out = "\n".join(to_dot(g))
-        assert 'label="(0,1)"' in out
+        assert 'v0 [label="0"];' in out and 'v2 [label="2"];' in out
         assert "v0 -> v1;" in out
         assert "dashed" not in out
 
