@@ -246,44 +246,37 @@ def build_parser() -> argparse.ArgumentParser:
         if name not in ("gen", "dot", "selftest"):  # verbs with a JSON form
             sp.add_argument("--json", action="store_true",
                             help="machine readable output")
+        if name not in ("sym-cov", "obstructions", "gen", "selftest"):
+            sp.add_argument("file")  # verbs that read a poset file
         return sp
 
     sp = add("cov", _cmd_cov, help="minimum chain cover width")
-    sp.add_argument("file")
     sp.add_argument("--witness", action="store_true",
                     help="also print chains and the antichain certificate")
 
-    sp = add("antichain", _cmd_antichain, help="a maximum antichain")
-    sp.add_argument("file")
-
-    sp = add("decompose", _cmd_decompose,
-             help="incomparability components in chain order")
-    sp.add_argument("file")
+    add("antichain", _cmd_antichain, help="a maximum antichain")
+    add("decompose", _cmd_decompose,
+        help="incomparability components in chain order")
 
     sp = add("dist", _cmd_dist, help="incomparability-graph distance")
-    sp.add_argument("file")
     sp.add_argument("x", type=int)
     sp.add_argument("y", type=int)
 
     sp = add("check-metric", _cmd_check_metric,
              help="verify the incomparability metric consequences for x < y")
-    sp.add_argument("file")
     sp.add_argument("x", type=int)
     sp.add_argument("y", type=int)
 
     sp = add("find-grid", _cmd_find_grid, help="search for a half-grid copy")
-    sp.add_argument("file")
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--dual", action="store_true")
     sp.add_argument("--budget", type=int, default=None)
 
     sp = add("reduce", _cmd_reduce, help="threshold reduction with certificates")
-    sp.add_argument("file")
     sp.add_argument("-t", "--threshold", type=int, required=True)
 
     sp = add("ideal-embed", _cmd_ideal_embed,
              help="embed a grid from a chain of ideals")
-    sp.add_argument("file")
     sp.add_argument("--ideals", required=True,
                     help="file with one ideal per line (space-separated indices)")
 
@@ -302,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("parts", nargs="*", help="part files for lexsum")
 
     sp = add("dot", _cmd_dot, help="Hasse diagram in DOT")
-    sp.add_argument("file")
     sp.add_argument("--inc", action="store_true",
                     help="also draw incomparability edges, dashed")
 

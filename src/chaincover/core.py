@@ -216,7 +216,7 @@ def _find_cycle(n: int, adj: list[int], start: int) -> list[int]:
                     parent[v] = u
                     nxt.append(v)
         frontier = nxt
-    raise AssertionError("cycle reported but not reconstructible")
+    raise InternalInconsistency("cycle reported but not reconstructible")
 
 
 def _on_cycles(adj: list[int], rest: int) -> int:

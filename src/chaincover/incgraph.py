@@ -2,10 +2,10 @@
 decomposition, and the incomparability metric.
 
 Every poset is the lexicographic sum of the posets induced on the connected
-components of its incomparability graph, indexed by a chain.  Components are
-found by breadth-first traversal over incomparability adjacency computed on
-demand from the relation bitrows; the incomparability graph can be dense, so
-no edge list is materialized.
+components of its incomparability graph, indexed by a chain.  Components and
+distances share one breadth-first walk, level by level, over incomparability
+rows computed on demand from the relation bitrows; the incomparability graph
+can be dense, so no edge list is materialized.
 """
 
 from __future__ import annotations
@@ -22,6 +22,20 @@ class MalformedDecomposition(ValueError):
     """A hand-built decomposition does not describe a lexicographic sum."""
 
 
+def _levels(p: Poset, start: int, mask: int) -> Iterator[int]:
+    """The breadth-first levels of Inc within ``mask`` from the elements of
+    ``start``, nearest first and ``start`` itself first, as bitmasks; each
+    element's Inc row is read once, when the level after its own is asked for."""
+    level = seen = start
+    while level:
+        yield level
+        reach = 0
+        for v in iter_bits(level):
+            reach |= p.inc_mask(v)
+        level = reach & mask & ~seen
+        seen |= level
+
+
 def inc_components(p: Poset, mask: int | None = None) -> list[int]:
     """The connected components of Inc of the subposet on ``mask`` (default:
     all of p) as bitmasks, ordered as a chain: everything in an earlier
@@ -34,23 +48,14 @@ def inc_components(p: Poset, mask: int | None = None) -> list[int]:
     a failure raises InternalInconsistency since it can only mean a bug in
     the relation.
     """
-    mask = p.full_mask if mask is None else mask
-    seen = ~mask  # bits outside the mask count as seen
+    rest = p.full_mask if mask is None else mask
     comps = []
-    for start in iter_bits(mask):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
-        seen |= comp
-        while frontier:
-            x = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            fresh = p.inc_mask(x) & ~seen
-            seen |= fresh
-            comp |= fresh
-            frontier |= fresh
+    while rest:
+        comp = 0
+        for level in _levels(p, rest & -rest, rest):
+            comp |= level
         comps.append(comp)
+        rest &= ~comp
     # an earlier component's elements have strictly more elements above them
     comps.sort(key=lambda c: -p.up[(c & -c).bit_length() - 1].bit_count())
     below = 0
@@ -99,19 +104,13 @@ def inc_distance_path(p: Poset, x: int, y: int) -> tuple[int, list[int]] | None:
     for v in (x, y):
         if not 0 <= v < p.n:
             raise IndexError(f"element {v} out of range")
-    # breadth-first from y, one level at a time until the level holding x,
-    # so the path can be grown greedily from x down the levels kept
-    level = seen = 1 << y
     levels = []
-    while not level >> x & 1:
+    for level in _levels(p, 1 << y, p.full_mask):
+        if level >> x & 1:
+            break
         levels.append(level)
-        reach = 0
-        for v in iter_bits(level):
-            reach |= p.inc_mask(v)
-        level = reach & ~seen
-        if not level:
-            return None
-        seen |= level
+    else:
+        return None
     path = [x]
     for level in reversed(levels):
         step = p.inc_mask(path[-1]) & level

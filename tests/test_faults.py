@@ -11,7 +11,9 @@ antichain; both ways to build a matched cover, ``min_chain_cover`` and
 ``validate_ideal_chain`` that passes a chain whose first ideal is not
 downward closed.  The last check of ``embed_from_ideal_chain``, "image
 escaped its layer", reads the same layer masks its candidates are drawn
-from, so no patched dependency reaches it.
+from, so no patched dependency reaches it.  The metric lemma's interval
+check sees an ``interval_cover`` that leaves one element uncovered, and
+the cycle report's reconstruction a start that lies on no cycle.
 """
 
 import dataclasses
@@ -20,10 +22,12 @@ import re
 
 import pytest
 
-from chaincover import cover, ideal_embed, patterns, reduction
-from chaincover.core import InternalInconsistency, from_relations, iter_bits
+from chaincover import cli, cover, ideal_embed, incgraph, patterns, reduction
+from chaincover.core import (InternalInconsistency, _find_cycle, from_relations,
+                             iter_bits)
 from chaincover.cover import min_chain_cover, reversed_cover
-from chaincover.generators import antichain, canonical_ideal_chain, chain
+from chaincover.generators import (antichain, canonical_ideal_chain, chain,
+                                   grid_upper)
 
 
 def link_two_heads(mask, match_l, match_r, cert, free_l, free_r):
@@ -203,3 +207,34 @@ def test_ideal_embed_finds_a_candidate_above_an_incomparable_image(monkeypatch):
     with pytest.raises(InternalInconsistency,
                        match="^candidate above an incomparable image$"):
         ideal_embed.embed_from_ideal_chain(c)
+
+
+def test_metric_lemma_reports_an_uncovered_interval_element(monkeypatch, tmp_path,
+                                                            capsys):
+    # the interval [2, 25] of grid_upper(8) with its least element, 2,
+    # left out of the interior's incomparability sets
+    real = incgraph.interval_cover
+
+    def one_short(p, path):
+        interval, uncovered = real(p, path)
+        return interval, uncovered | interval & -interval
+
+    monkeypatch.setattr(incgraph, "interval_cover", one_short)
+    g = grid_upper(8)
+    report = incgraph.check_metric_lemma(g, 2, 25)
+    assert (report.item1_ok, report.item2_ok) == (True, False)
+    assert report.violations == (
+        "interval element 2 not incomparable to any interior vertex",)
+    f = tmp_path / "g.poset"
+    f.write_text(g.to_text())
+    assert cli.run(["check-metric", str(f), "2", "25"]) == 1
+    assert capsys.readouterr().out == "d=3 path=2-7-6-25 item1=ok item2=FAIL\n"
+
+
+def test_cycle_report_needs_a_cycle_through_its_start():
+    # 0 -> 1 -> 2 -> 1: the cycle is 1 -> 2 -> 1, and 0 lies on none
+    adj = [0b010, 0b100, 0b010]
+    assert _find_cycle(3, adj, 1) == [1, 2]
+    with pytest.raises(InternalInconsistency,
+                       match="^cycle reported but not reconstructible$"):
+        _find_cycle(3, adj, 0)

@@ -83,6 +83,32 @@ class TestIncComponents:
         assert inc_components(recorded) == [1 << x for x in range(300)]
         assert len(rows.reads) <= 2 * p.n
 
+    def test_walk_reads_each_inc_row_once(self, monkeypatch):
+        # one inc_mask per element of the mask, whatever the labelling: a
+        # flood fill that re-read rows would grow quadratically unseen
+        calls = []
+        real = Poset.inc_mask
+
+        def counting(p, x):
+            calls.append(x)
+            return real(p, x)
+
+        monkeypatch.setattr(Poset, "inc_mask", counting)
+        rng = random.Random(5)
+        for seed in range(30):
+            p = random_poset(1 + seed * 3, (0.05, 0.15, 0.4)[seed % 3], seed)
+            perm = list(range(p.n))
+            rng.shuffle(perm)
+            for q in (p, oracles.relabel(p, perm)):
+                for mask in (None, q.full_mask, rng.getrandbits(q.n)):
+                    calls.clear()
+                    inc_components(q, mask)
+                    if mask is None:
+                        assert len(calls) == q.n
+                    else:
+                        assert len(calls) == mask.bit_count()
+                        assert sorted(calls) == list(iter_bits(mask))
+
     def test_cross_part_comparability(self):
         for seed in range(20):
             p = random_poset(12, 0.35, seed)
