@@ -5,7 +5,8 @@ The package is organized around one immutable carrier type
 bitmask rows) and pure functions over it:
 
 * :mod:`~chaincover.core`: construction, duality, induced subposets,
-  purity; subsets are bitmasks over a poset's own indices;
+  purity; subsets are bitmasks over a poset's own indices, in arguments
+  and results alike;
 * :mod:`~chaincover.cover`: exact minimum chain covers, of a poset or of the
   subposet on a bitmask, with antichain certificates;
 * :mod:`~chaincover.incgraph`: incomparability components, the lexicographic
@@ -23,7 +24,7 @@ bitmask rows) and pure functions over it:
 from .core import (CycleError, EmptyPoset, InternalInconsistency, Poset,
                    PreconditionError, dual, from_relations, from_text,
                    induced, is_pure)
-from .cover import ChainCover, max_antichain, min_chain_cover
+from .cover import ChainCover, min_chain_cover
 from .generators import (GridLabel, SizeError, antichain, canonical_ideal_chain,
                          chain, grid_index, grid_labels, grid_upper, lex_sum,
                          random_poset)
@@ -33,9 +34,8 @@ from .patterns import (BudgetExhausted, Embedding, embeds, embeds_grid,
                        validate_embedding)
 from .reduction import (Claim1Result, Claim2Report, ReductionOutcome,
                         claim1_reduce, cover_bound_report, reduce)
-from .ideal_embed import (EmbedFailure, IdealChain, IdealChainReport,
-                          InvalidChain, embed_from_ideal_chain,
-                          validate_ideal_chain)
+from .ideal_embed import (EmbedFailure, IdealChain, InvalidChain,
+                          embed_from_ideal_chain, validate_ideal_chain)
 from .symbolic import (CapMissing, Cardinal, DomainError, FiniteCardinal,
                        OrdinalCNF, ParseError, PosetTerm, cofinality,
                        cov_symbolic, obstruction_list, parse_term, realize,

@@ -50,11 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(f"{self.prog}: {message}")
 
 
-# What input alone can raise.  Bare ValueError, IndexError and RuntimeError
-# stay out, so InternalInconsistency and real bugs keep their tracebacks.
-_INPUT_ERRORS = (_InputError, core.PreconditionError, generators.SizeError,
-                 ideal_embed.InvalidChain, symbolic.ParseError,
-                 symbolic.DomainError)
+# What input alone can raise: every library input error is a
+# PreconditionError.  Bare ValueError, IndexError and RuntimeError stay out,
+# so InternalInconsistency and real bugs keep their tracebacks.
+_INPUT_ERRORS = (_InputError, core.PreconditionError)
 
 
 def _read_text(path: str, stream=None) -> str:
@@ -93,7 +92,7 @@ def _words(xs) -> str:
 
 def _cmd_cov(args) -> _Answer:
     cc = cover.min_chain_cover(_read_poset(args.file))
-    certificate = sorted(cc.certificate)
+    certificate = list(core.iter_bits(cc.certificate_mask))
     lines = [str(cc.width)]
     if args.witness:
         lines += [_words(chain) for chain in cc.chains]
@@ -103,7 +102,8 @@ def _cmd_cov(args) -> _Answer:
 
 
 def _cmd_antichain(args) -> _Answer:
-    members = sorted(cover.max_antichain(_read_poset(args.file)))
+    cc = cover.min_chain_cover(_read_poset(args.file))
+    members = list(core.iter_bits(cc.certificate_mask))
     return 0, {"antichain": members}, [_words(members)]
 
 
@@ -153,7 +153,7 @@ def _cmd_reduce(args) -> _Answer:
     payload = {
         "case": out.case,
         "threshold": out.threshold,
-        "antichain": sorted(out.antichain),
+        "antichain": list(core.iter_bits(out.antichain)),
         "q": list(core.iter_bits(out.q)),
         "profiles": {str(x): [pr.cov_inc, pr.cov_minus_up, pr.cov_minus_down]
                      for x, pr in sorted(out.profiles.items())},

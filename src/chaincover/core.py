@@ -407,20 +407,17 @@ def dual(p: Poset) -> Poset:
     return Poset(p.n, p.down)
 
 
-def induced(p: Poset, subset: Iterable[int]) -> tuple[Poset, tuple[int, ...]]:
-    """Restrict the order to ``subset``.
-
-    Returns the induced poset together with the map from new indices back to
-    the original ones (ascending original order).
+def induced(p: Poset, mask: int) -> tuple[Poset, tuple[int, ...]]:
+    """The subposet on the bitmask ``mask`` as a poset of its own, with the
+    map from its indices back to p's (ascending).  A bit at or beyond
+    ``p.n`` raises IndexError.
     """
-    chosen = sorted(set(subset))
-    for x in chosen:
-        if not 0 <= x < p.n:
-            raise IndexError(f"element {x} out of range")
+    if mask & ~p.full_mask:
+        raise IndexError(f"mask has elements outside 0..{p.n - 1}")
+    chosen = tuple(iter_bits(mask))
     back = {orig: new for new, orig in enumerate(chosen)}
-    mask = mask_of(chosen)
     rows = tuple(mask_of(back[y] for y in iter_bits(p.up[x] & mask)) for x in chosen)
-    return Poset(len(chosen), rows), tuple(chosen)
+    return Poset(len(chosen), rows), chosen
 
 
 def is_pure(p: Poset) -> bool:

@@ -34,7 +34,8 @@ class ChainCover:
     """Chains and a maximum-antichain certificate as bitmasks of the
     ``poset`` and ``mask`` ``min_chain_cover`` verified them on, with the
     ``matching`` read off: (succ, pred, base mask, matched lefts, matched
-    rights), shared by settled cuts.  Only ``min_chain_cover`` builds one.
+    rights), shared by settled cuts; ``chains`` walks them as tuples, lowest
+    element first.  Only ``min_chain_cover`` builds one.
     """
 
     chain_masks: tuple[int, ...]
@@ -65,10 +66,6 @@ class ChainCover:
             if chain:
                 chains.append(tuple(chain))
         return tuple(chains)
-
-    @property
-    def certificate(self) -> frozenset[int]:
-        return frozenset(iter_bits(self.certificate_mask))
 
 
 def _restricted(matching, mask: int) -> tuple[list[int], list[int], int, int]:
@@ -255,11 +252,6 @@ def _matched(p: Poset, mask: int, match_l: list[int], match_r: list[int],
     _check_antichain(up, mask, cert, len(chains))
     return ChainCover(chains, cert, p, mask,
                       (match_l, match_r, mask, mask & ~free_l, mask & ~free_r))
-
-
-def max_antichain(p: Poset) -> frozenset[int]:
-    """A maximum antichain; its size equals the chain covering number."""
-    return min_chain_cover(p).certificate
 
 
 def _check_partition(chains: tuple[int, ...], mask: int) -> None:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Poset, from_relations
+from .core import Poset, PreconditionError, from_relations
 
 
-class SizeError(ValueError):
+class SizeError(PreconditionError):
     """Generator parameter out of its legal range."""
 
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .core import InternalInconsistency, Poset, closed_or, iter_bits, mask_of
+from .core import (InternalInconsistency, Poset, PreconditionError, closed_or,
+                   iter_bits, mask_of)
 from .generators import grid_upper
 from .patterns import BudgetExhausted, Embedding, linear_extension, validate_embedding
 
@@ -36,8 +37,8 @@ from .patterns import BudgetExhausted, Embedding, linear_extension, validate_emb
 BUDGET = 10 ** 6
 
 
-class InvalidChain(ValueError):
-    """The ideal chain violates its invariants; see the validation report."""
+class InvalidChain(PreconditionError):
+    """The ideal chain violates its invariants; see ``validate_ideal_chain``."""
 
 
 @dataclass(frozen=True)
@@ -66,27 +67,24 @@ class ChainViolation:
         return f"ideal {self.index}: {self.kind} (witness {self.witness})"
 
 
-@dataclass(frozen=True)
-class IdealChainReport:
-    ok: bool
-    violations: tuple[ChainViolation, ...]
-
-
-def validate_ideal_chain(c: IdealChain) -> IdealChainReport:
+def validate_ideal_chain(c: IdealChain) -> tuple[ChainViolation, ...]:
     """Check closure, directedness, strict nesting, nonempty layers, and the
     presence of a cofinal chain (in a finite ideal: a greatest element).
 
-    Report style: every violation is listed with a witness, nothing raises.
+    Report style: every violation is returned with a witness, none for a
+    valid chain, and nothing raises.  Each ideal's members are walked in
+    ascending order, so the witnesses do not depend on how it was built.
     """
     p = c.poset
     violations = []
     for a, ideal in enumerate(c.ideals):
-        for x in ideal:
+        members = sorted(ideal)
+        for x in members:
             if not 0 <= x < p.n:
                 violations.append(ChainViolation("element out of range", a, (x,)))
-                return IdealChainReport(False, tuple(violations))
+                return tuple(violations)
         mask = mask_of(ideal)
-        for x in ideal:
+        for x in members:
             stray = p.down[x] & ~mask
             if stray:
                 y = (stray & -stray).bit_length() - 1
@@ -104,7 +102,7 @@ def validate_ideal_chain(c: IdealChain) -> IdealChainReport:
         # outside that down-set, built once per set of own maximal elements
         tops = mask_of(g for g in ideal if not p.up[g] & mask)
         below = cache(lambda own: closed_or(p.down, own) | own)
-        for x in sorted(ideal):
+        for x in members:
             apart = mask & ~(below((p.up[x] | 1 << x) & tops) | (2 << x) - 1)
             if apart:
                 violations.append(ChainViolation("not up-directed", a, (
@@ -119,7 +117,7 @@ def validate_ideal_chain(c: IdealChain) -> IdealChainReport:
     for a, layer in enumerate(c.layers):
         if not layer:
             violations.append(ChainViolation("empty layer", a, ()))
-    return IdealChainReport(not violations, tuple(violations))
+    return tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -136,9 +134,9 @@ def embed_from_ideal_chain(c: IdealChain) -> Embedding | EmbedFailure:
     Candidates are tried minimal-first in a fixed linear extension of the
     poset; dead ends backtrack chronologically under ``BUDGET`` nodes.
     """
-    report = validate_ideal_chain(c)
-    if not report.ok:
-        raise InvalidChain("; ".join(str(v) for v in report.violations))
+    violations = validate_ideal_chain(c)
+    if violations:
+        raise InvalidChain("; ".join(map(str, violations)))
     m = len(c.ideals)
     if m < 2:
         raise InvalidChain("need at least two ideals to form a grid")

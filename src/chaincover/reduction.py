@@ -27,8 +27,11 @@ from .incgraph import inc_distance_path  # unused here: a tracer site
 
 
 class Claim1Result(NamedTuple):
+    """Q = Inc_L and the antichain L as masks of p, Cov(Q ∩ Inc_x) for each
+    x of Q, Q's verified cover, and Q's profile (see ``claim1_reduce``)."""
+
     q: int
-    antichain: frozenset[int]
+    antichain: int
     inc_covs: dict[int, int]
     cover: ChainCover
     minus_up: dict[int, int]
@@ -60,7 +63,7 @@ def claim1_reduce(p: Poset, t: int) -> Claim1Result:
     """
     if t < 1:
         raise PreconditionError("threshold must be at least 1")
-    q, cover, chosen = p.full_mask, min_chain_cover(p), []
+    q, cover, chosen = p.full_mask, min_chain_cover(p), 0
     if cover.width < t:
         raise PreconditionError(f"Cov(P) < {t}")
     while cover.width > t:
@@ -68,7 +71,7 @@ def claim1_reduce(p: Poset, t: int) -> Claim1Result:
             cut = q & p.inc_mask(x)
             cut_cover = min_chain_cover(p, cut, hint=cover)
             if cut_cover.width >= t:
-                chosen.append(x)
+                chosen |= 1 << x
                 q, cover = cut, cut_cover
                 break
         else:
@@ -84,8 +87,7 @@ def claim1_reduce(p: Poset, t: int) -> Claim1Result:
     if max(inc_covs.values()) >= t:
         raise InternalInconsistency(
             "restriction left an element violating the antichain maximality")
-    return Claim1Result(q, frozenset(chosen), inc_covs, cover, minus_up,
-                        minus_down)
+    return Claim1Result(q, chosen, inc_covs, cover, minus_up, minus_down)
 
 
 def _walk(cover: ChainCover, below, inc_side: int,
@@ -111,12 +113,13 @@ def _walk(cover: ChainCover, below, inc_side: int,
 
 @dataclass(frozen=True)
 class Claim2Report:
-    """Verified interval inclusions and cover bound along an Inc path."""
+    """Verified interval inclusions and cover bound along an Inc path; the
+    ``interval`` [x0, y] is a mask of the poset."""
 
     x0: int
     y: int
     path: tuple[int, ...]
-    interval: frozenset[int]
+    interval: int
     inclusion1_ok: bool
     inclusion2_ok: bool
     cov_rest: int
@@ -145,9 +148,8 @@ def cover_bound_report(p: Poset, x0: int, y: int) -> Claim2Report:
     cov_rest = min_chain_cover(p, rest).width
     # the interior vertices of the path, then y itself
     bound = sum(min_chain_cover(p, p.inc_mask(v)).width for v in path[1:])
-    return Claim2Report(x0, y, tuple(path),
-                        frozenset(iter_bits(interval_mask)),
-                        inclusion1_ok, inclusion2_ok, cov_rest, bound)
+    return Claim2Report(x0, y, tuple(path), interval_mask, inclusion1_ok,
+                        inclusion2_ok, cov_rest, bound)
 
 
 @dataclass(frozen=True)
@@ -161,17 +163,17 @@ class ElementProfile:
 class ReductionOutcome:
     """Result of the full reduction pass at threshold t.
 
-    ``q`` is the antichain-restricted subposet as a mask of the original
-    poset, and ``antichain`` the antichain it restricts to.  ``profiles``
-    measures every element of q inside q, and ``component_covs`` is Cov of
-    each Inc component of q in chain order.  ``x0`` is the pivot and
-    ``selected`` the chosen subposet as a mask.  Every index is the original
-    poset's.
+    ``q`` is the antichain-restricted subposet and ``antichain`` the
+    antichain it restricts to, both as masks of the original poset.
+    ``profiles`` measures every element of q inside q, and
+    ``component_covs`` is Cov of each Inc component of q in chain order.
+    ``x0`` is the pivot and ``selected`` the chosen subposet as a mask.
+    Every index is the original poset's.
     """
 
     case: str
     threshold: int
-    antichain: frozenset[int]
+    antichain: int
     q: int
     profiles: dict[int, ElementProfile]
     component_covs: tuple[int, ...]

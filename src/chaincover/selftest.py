@@ -41,15 +41,15 @@ def _claim1_postconditions(p: core.Poset) -> bool:
     # at t = Cov(P), Q and each Cov(Inc_x(Q)) are measured on induced copies
     t = _cov(p)
     mask, _, inc_covs, *_ = reduction.claim1_reduce(p, t)
-    q, q_map = core.induced(p, iter_bits(mask))
-    inc_widths = {q_map[x]: _cov(core.induced(q, iter_bits(q.inc_mask(x)))[0])
+    q, q_map = core.induced(p, mask)
+    inc_widths = {q_map[x]: _cov(core.induced(q, q.inc_mask(x))[0])
                   for x in range(q.n)}
     return _cov(q) >= t and max(inc_widths.values()) < t and inc_covs == inc_widths
 
 
 def _round_trip(p: core.Poset) -> bool:
     comps = incgraph.inc_components(p)
-    parts = [core.induced(p, iter_bits(c))[0] for c in comps]
+    parts = [core.induced(p, c)[0] for c in comps]
     return incgraph.recompose(p.n, comps, parts) == p
 
 
@@ -62,7 +62,8 @@ def _metric(p: core.Poset) -> bool:
 
 LAWS = {
     "order axioms": _axioms_hold,
-    "dilworth equality": lambda p: _cov(p) == len(cover.max_antichain(p)),
+    "dilworth equality":
+        lambda p: _cov(p) == cover.min_chain_cover(p).certificate_mask.bit_count(),
     "cov duality": lambda p: _cov(core.dual(p)) == _cov(p),
     "decomposition round trip": _round_trip,
     "cov equals part maximum": lambda p: _cov(p) == max(

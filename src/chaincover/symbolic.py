@@ -37,7 +37,7 @@ from . import core
 from . import generators
 
 
-class ParseError(ValueError):
+class ParseError(core.PreconditionError):
     def __init__(self, message: str, pos: int):
         self.pos = pos
         super().__init__(f"{message} (at position {pos})")
@@ -47,7 +47,7 @@ class FiniteCardinal(ValueError):
     """Cofinality is only defined for infinite cardinals."""
 
 
-class DomainError(ValueError):
+class DomainError(core.PreconditionError):
     """Cardinal outside the operation's domain (must be uncountable)."""
 
 

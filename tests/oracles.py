@@ -469,19 +469,19 @@ def reference_validate_ideal_chain(c: IdealChain) -> tuple[ChainViolation, ...]:
     p = c.poset
     violations = []
     for a, ideal in enumerate(c.ideals):
-        for x in ideal:
+        members = sorted(ideal)
+        for x in members:
             if not 0 <= x < p.n:
                 violations.append(ChainViolation("element out of range", a, (x,)))
                 return tuple(violations)
         mask = mask_of(ideal)
-        for x in ideal:
+        for x in members:
             stray = p.down[x] & ~mask
             if stray:
                 y = (stray & -stray).bit_length() - 1
                 violations.append(ChainViolation(
                     "not downward closed", a, (y, x)))
                 break
-        members = sorted(ideal)
         directed = True
         for i, x in enumerate(members):
             for y in members[i + 1:]:
@@ -602,7 +602,7 @@ def reference_pivot(p: Poset, t: int) -> tuple[str, int | None, int | None]:
     return case if width >= t else "unreduced", x0, side
 
 
-def reference_claim1(p: Poset, t: int) -> tuple[int, frozenset[int], dict[int, int]]:
+def reference_claim1(p: Poset, t: int) -> tuple[int, int, dict[int, int]]:
     """Claim 1's (q, antichain, inc_covs) by its greedy rule, every width a
     cold cover of an induced copy: while some x of Q, lowest first, has
     Cov(Q ∩ Inc_x) >= t, x joins the antichain and Q becomes Q ∩ Inc_x;
@@ -610,11 +610,11 @@ def reference_claim1(p: Poset, t: int) -> tuple[int, frozenset[int], dict[int, i
     q, chosen = list(range(p.n)), []
     while True:
         cuts = {x: [y for y in q if p.incomparable(x, y)] for x in q}
-        widths = {x: min_chain_cover(induced(p, cut)[0]).width
+        widths = {x: min_chain_cover(induced(p, mask_of(cut))[0]).width
                   for x, cut in cuts.items()}
         x = next((x for x in q if widths[x] >= t), None)
         if x is None:
-            return mask_of(q), frozenset(chosen), widths
+            return mask_of(q), mask_of(chosen), widths
         chosen.append(x)
         q = cuts[x]
 

@@ -659,7 +659,14 @@ def test_json_only_on_verbs_with_a_json_form(grid6_file, capsys, argv):
 PINNED_FILES = {"n0": "n 0\n", "n1": "n 1\n", "n3": "n 3\n0 1\n",
                 "grid8": grid_upper(8).to_text(),
                 "IDEALS": "0 1 2 3 4 5 6\n0 1 2 3 4 5 6 7 8 9 10 11 12\n",
-                "chain3": "n 3\n0 1\n1 2\n", "CHAIN_IDEALS": "0\n0 1\n0 1 2\n"}
+                "chain3": "n 3\n0 1\n1 2\n", "CHAIN_IDEALS": "0\n0 1\n0 1 2\n",
+                "n20": "n 20\n0 5\n1 13\n", "IDEALS_5_13": "5 13\n",
+                "IDEALS_13_5": "13 5\n"}
+# The witnesses of an invalid ideal walk its members in ascending order,
+# whatever the order of its tokens.
+_N20_WITNESSES = ("error: ideal 0: not downward closed (witness (0, 5)); ideal 0:"
+                  " not up-directed (witness (5, 13)); ideal 0: no cofinal chain"
+                  " (no greatest element) (witness ())\n")
 PINNED = [
     ("cov n0 --witness", 0, "0\nantichain: \n", ""),
     ("cov n0 --witness --json", 0,
@@ -713,6 +720,15 @@ PINNED = [
     ("find-grid n1 -k 1", 2, "", "error: grid size must be at least 2\n"),
     ("find-grid grid8 -k 9 --json", 1,
      '{"result": "not found", "schema": 1}\n', ""),
+    ("antichain grid8 --json", 0, '{"antichain": [6, 11, 15, 18], "schema": 1}\n',
+     ""),
+    ("reduce grid8 -t 2", 0,
+     "case unreduced\nantichain 4\nq 7 8 9 13 14 18\nx0 9\nselected 9\n", ""),
+    ("reduce grid8 -t 2 --json", 0,
+     '{"antichain": [4], "case": "unreduced", "component_covs": [1, 1, 2, 1, 1],'
+     ' "profiles": {"13": [1, 1, 1], "14": [0, 2, 1], "18": [0, 2, 0], "7":'
+     ' [0, 0, 2], "8": [0, 1, 2], "9": [1, 1, 1]}, "q": [7, 8, 9, 13, 14, 18],'
+     ' "schema": 1, "selected": [9], "threshold": 2, "x0": 9}\n', ""),
     ("cov grid8 --witness", 0,
      "4\n0 1 2 3 4 5 6 12 17 21 26\n7 8 9 10 11 16 20 24\n13 14 15 19 23 27\n"
      "18 22 25\nantichain: 6 11 15 18\n", ""),
@@ -726,9 +742,18 @@ PINNED = [
     ("ideal-embed chain3 --ideals CHAIN_IDEALS", 1, "failure at 0 2\n", ""),
     ("ideal-embed chain3 --ideals CHAIN_IDEALS --json", 1,
      '{"position": [0, 2], "result": "failure", "schema": 1}\n', ""),
+    ("ideal-embed n20 --ideals IDEALS_5_13", 2, "", _N20_WITNESSES),
+    ("ideal-embed n20 --ideals IDEALS_13_5", 2, "", _N20_WITNESSES),
     ("sym-cov grid(aleph(1))", 0, "aleph(1)\n", ""),
     ("sym-cov grid(aleph(1)) --json", 0,
      '{"cov": "aleph(1)", "schema": 1}\n', ""),
+    ("sym-cov grid(aleph(w*0))", 2, "",
+     "error: coefficient must be positive (at position 14)\n"),
+    ("sym-cov grid(aleph(w^0*3))", 0, "aleph(3)\n", ""),
+    ("sym-cov lexsumfam(up,w,aleph(succ_n))", 2, "",
+     "error: expected 'inc' or 'dec' (at position 10)\n"),
+    ("sym-cov lexsumfam(inc,w,aleph(3))", 2, "",
+     "error: expected a family spec (at position 16)\n"),
     ("obstructions aleph(w)", 0,
      "lexsumfam(inc,w,aleph(succ_n))\nlexsumfam(dec,w,aleph(succ_n))\n"
      "dual(lexsumfam(inc,w,aleph(succ_n)))\n"

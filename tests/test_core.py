@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaincover import core
 from chaincover.core import (CycleError, EmptyPoset, dual, from_relations,
-                             from_text, induced, is_pure, iter_bits)
+                             from_text, induced, is_pure, iter_bits, mask_of)
 from chaincover.generators import (antichain, chain, grid_index, grid_labels, grid_upper,
                                    random_poset)
 from chaincover.incgraph import interval_cover
@@ -108,13 +108,13 @@ class TestDual:
             assert dual(dual(p)) == p
 
     def test_dual_grid_width_two(self):
-        from chaincover.cover import max_antichain
-        assert len(max_antichain(dual(grid_upper(4)))) == 2
+        from chaincover.cover import min_chain_cover
+        assert min_chain_cover(dual(grid_upper(4))).certificate_mask.bit_count() == 2
 
     def test_commutes_with_induced(self):
         for seed in range(10):
             p = random_poset(10, 0.3, seed)
-            subset = [0, 2, 3, 7, 9]
+            subset = mask_of([0, 2, 3, 7, 9])
             a, _ = induced(dual(p), subset)
             b, _ = induced(p, subset)
             assert a == dual(b)
@@ -143,25 +143,27 @@ class TestEquality:
 class TestInduced:
     def test_identity(self):
         g = grid_upper(4)
-        sub, back = induced(g, range(g.n))
+        sub, back = induced(g, g.full_mask)
         assert sub == g and back == tuple(range(g.n))
 
     def test_chain_subset(self):
-        sub, _ = induced(chain(5), {0, 2, 4})
+        sub, _ = induced(chain(5), mask_of({0, 2, 4}))
         assert sub == chain(3)
 
     def test_grid_antichain_pair(self):
         g = grid_upper(4)
-        sub, _ = induced(g, {grid_index(4, 0, 3), grid_index(4, 1, 2)})
+        sub, _ = induced(g, mask_of({grid_index(4, 0, 3), grid_index(4, 1, 2)}))
         assert sub == antichain(2)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            induced(chain(3), {5})
+            induced(chain(3), 1 << 5)
+        with pytest.raises(IndexError):
+            induced(chain(3), -1)
 
     def test_labels_restrict(self):
         g = grid_upper(4)
-        sub, back = induced(g, {0, 5})
+        sub, back = induced(g, mask_of({0, 5}))
         assert [grid_labels(4)[x] for x in back] == [(0, 1), (2, 3)]
         assert back == (0, 5) and sub == chain(2)
 
@@ -238,7 +240,7 @@ def relabelled_posets(draw):
 @given(relabelled_posets(), st.data())
 def test_induced_keeps_exactly_the_pairs_inside(p, data):
     subset = data.draw(st.sets(st.integers(0, p.n - 1))) if p.n else set()
-    sub, back = induced(p, subset)
+    sub, back = induced(p, mask_of(subset))
     assert back == tuple(sorted(subset))
     assert all(sub.lt(i, j) == p.lt(x, y)
                for i, x in enumerate(back) for j, y in enumerate(back))

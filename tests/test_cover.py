@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chaincover import cover
 from chaincover.core import (InternalInconsistency, Poset, PreconditionError,
                              dual, from_relations, induced, iter_bits, mask_of)
-from chaincover.cover import (ChainCover, _max_matching, max_antichain,
-                              min_chain_cover)
+from chaincover.cover import ChainCover, _max_matching, min_chain_cover
 from chaincover.generators import (antichain, chain, grid_upper, lex_sum,
                                    random_poset)
 from chaincover.incgraph import inc_components
@@ -34,7 +33,7 @@ class TestMinChainCover:
 
     def test_empty(self):
         cc = min_chain_cover(antichain(0))
-        assert cc.width == 0 and cc.chains == () and cc.certificate == frozenset()
+        assert cc.width == 0 and cc.chains == () and cc.certificate_mask == 0
 
     def test_chains_partition_and_are_chains(self):
         for seed in range(25):
@@ -61,23 +60,24 @@ class TestMinChainCover:
 
 class TestMaxAntichain:
     def test_chain_gives_singleton(self):
-        assert len(max_antichain(chain(7))) == 1
+        assert min_chain_cover(chain(7)).certificate_mask.bit_count() == 1
 
     def test_grid6(self):
-        got = max_antichain(grid_upper(6))
-        assert len(got) == 3
-        assert oracles.is_antichain(grid_upper(6), got)
-        assert got == oracles.brute_max_antichain(grid_upper(6))
+        got = min_chain_cover(grid_upper(6)).certificate_mask
+        assert got.bit_count() == 3
+        assert oracles.is_antichain(grid_upper(6), iter_bits(got))
+        assert got == mask_of(oracles.brute_max_antichain(grid_upper(6)))
 
     def test_lexsum_antichain_sits_in_widest_part(self):
         p = lex_sum([antichain(2), antichain(3)])
-        got = max_antichain(p)
-        assert got == {2, 3, 4}
+        got = min_chain_cover(p).certificate_mask
+        assert got == mask_of({2, 3, 4})
 
     def test_certificate_matches_enumeration(self):
         for seed in range(25):
             p = random_poset(12, 0.25, seed)
-            assert len(max_antichain(p)) == oracles.brute_max_antichain_size(p)
+            got = min_chain_cover(p).certificate_mask
+            assert got.bit_count() == oracles.brute_max_antichain_size(p)
 
 
 class TestDilworth:
@@ -90,13 +90,13 @@ class TestDilworth:
 
     def test_chain(self):
         cc = min_chain_cover(chain(4))
-        assert cc.width == 1 == len(cc.certificate)
+        assert cc.width == 1 == cc.certificate_mask.bit_count()
 
     def test_random_equality(self):
         for seed in range(60):
             p = random_poset(14, (0.1, 0.3, 0.6)[seed % 3], seed)
             cc = min_chain_cover(p)
-            assert cc.width == len(cc.certificate)
+            assert cc.width == cc.certificate_mask.bit_count()
             assert cc.width == oracles.brute_max_antichain_size(p)
             assert cc.width == len(oracles.brute_max_antichain(p))
 
@@ -129,9 +129,10 @@ def assert_dilworth_pair(p, mask: int, cc) -> None:
             if i:
                 assert p.lt(c[i - 1], x)
     assert seen == mask
-    assert len(cc.certificate) == cc.width
-    assert all(mask >> x & 1 for x in cc.certificate)
-    assert oracles.is_antichain(p, cc.certificate)
+    cert = cc.certificate_mask
+    assert cert.bit_count() == cc.width
+    assert not cert & ~mask
+    assert oracles.is_antichain(p, iter_bits(cert))
 
 
 def cut_links(hint, mask: int, n: int) -> tuple[list[int], list[int]]:
@@ -157,7 +158,7 @@ class TestMaskKernel:
             p = random_poset(n, (0.05, 0.1, 0.3)[seed % 3], seed)
             for mask in random_masks(n, rng, 4):
                 cc = min_chain_cover(p, mask)
-                sub, _ = induced(p, iter_bits(mask))
+                sub, _ = induced(p, mask)
                 assert cc.width == min_chain_cover(sub).width
                 assert_dilworth_pair(p, mask, cc)
 
@@ -194,7 +195,7 @@ class TestMaskKernel:
         with pytest.raises(IndexError):
             min_chain_cover(p, 1 << 4)
         with pytest.raises(IndexError):
-            induced(p, [4])
+            induced(p, 1 << 4)
 
 
 # 0 < 1 < 2 and 3 < 4 < 5, with 1 < 5: width 2.  Its cover, the hint below,
@@ -482,7 +483,6 @@ class TestKonigFromLastLayering:
         for p in (random_poset(80, 0.1, 5), grid_upper(12), antichain(6),
                   lex_sum([grid_upper(6), chain(4)])):
             min_chain_cover(p).chains
-            max_antichain(p)
             assert "down" not in vars(p)
 
 
@@ -496,7 +496,7 @@ class TestCovLaws:
         for seed in range(15):
             p = random_poset(12, 0.3, seed)
             w = min_chain_cover(p).width
-            sub, _ = induced(p, range(0, p.n, 2))
+            sub, _ = induced(p, mask_of(range(0, p.n, 2)))
             assert min_chain_cover(sub).width <= w
 
     def test_subadditive_over_element_split(self):
@@ -507,7 +507,7 @@ class TestCovLaws:
                 parts = [p.up[x] | (1 << x), p.down[x], p.inc_mask(x)]
                 total = 0
                 for mask in parts:
-                    sub, _ = induced(p, (i for i in range(p.n) if mask >> i & 1))
+                    sub, _ = induced(p, mask)
                     total += min_chain_cover(sub).width
                 assert w <= total
 
@@ -527,10 +527,11 @@ def test_relabelling_and_duality_laws_at_scale(p):
     sizes = [c.bit_count() for c in inc_components(p)]
     cc = min_chain_cover(shuffled)
     assert_dilworth_pair(shuffled, shuffled.full_mask, cc)
-    assert cc.width == width == len(max_antichain(shuffled))
+    assert cc.width == width == cc.certificate_mask.bit_count()
     assert [c.bit_count() for c in inc_components(shuffled)] == sizes
     flipped = dual(p)
-    assert min_chain_cover(flipped).width == width == len(max_antichain(flipped))
+    cc = min_chain_cover(flipped)
+    assert cc.width == width == cc.certificate_mask.bit_count()
     assert len(inc_components(flipped)) == len(sizes)
 
 

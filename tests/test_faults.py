@@ -200,8 +200,7 @@ def test_ideal_embed_finds_a_candidate_above_an_incomparable_image(monkeypatch):
     # on the chain 0 < ... < 5, layer 0 is {0, 1, 3} without 2 below 3:
     # (0, 1), (0, 2) and (1, 2) take 0, 1 and 2, and the one candidate of
     # (0, 3) is 3, above the image of the grid-incomparable (1, 2)
-    monkeypatch.setattr(ideal_embed, "validate_ideal_chain",
-                        lambda c: ideal_embed.IdealChainReport(True, ()))
+    monkeypatch.setattr(ideal_embed, "validate_ideal_chain", lambda c: ())
     ideals = ({0, 1, 3}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}, set(range(6)))
     c = ideal_embed.IdealChain(chain(6), tuple(map(frozenset, ideals)))
     with pytest.raises(InternalInconsistency,

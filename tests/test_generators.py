@@ -1,6 +1,6 @@
 import pytest
 
-from chaincover.core import from_relations
+from chaincover.core import from_relations, induced, mask_of
 from chaincover.cover import min_chain_cover
 from chaincover.generators import (GridLabel, SizeError, antichain,
                                    canonical_ideal_chain, chain, grid_index,
@@ -70,13 +70,13 @@ class TestLexSum:
             lex_sum([])
 
     def test_inc_components_recover_connected_parts(self):
-        from chaincover.core import induced, iter_bits
+        from chaincover.core import iter_bits
         from chaincover.incgraph import inc_components
         parts = [antichain(2), antichain(3), antichain(2)]
         p = lex_sum(parts)
         comps = inc_components(p)
         assert [tuple(iter_bits(c)) for c in comps] == [(0, 1), (2, 3, 4), (5, 6)]
-        assert [induced(p, iter_bits(c))[0] for c in comps] == parts
+        assert [induced(p, c)[0] for c in comps] == parts
 
     def test_empty_part_tolerated(self):
         assert lex_sum([antichain(0), chain(3)]) == chain(3)
@@ -136,7 +136,7 @@ class TestCanonicalIdealChain:
         grid, ideals = canonical_ideal_chain(4, 2)
         members = sorted(ideals[0])
         assert [grid_labels(4)[x] for x in members] == [(0, 1), (0, 2), (0, 3)]
-        sub, _ = __import__("chaincover").induced(grid, ideals[0])
+        sub, _ = induced(grid, mask_of(ideals[0]))
         assert sub == chain(3)
 
     def test_single_ideal(self):
