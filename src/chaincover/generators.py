@@ -9,13 +9,29 @@ zero seed is replaced by 0x9E3779B97F4A7C15.  Pairs are drawn in
 lexicographic order, one draw per pair, included iff draw < floor(p * 2^64).
 Identical (n, p, seed) therefore reproduce the identical relation on every
 platform.
+
+The stream is evaluated in lanes, not one draw at a time (one code path for
+every n).  The state update is linear over F2, so a jump of m steps is one
+64 x 64 bit matrix (Haramoto et al., 2008); its byte tables, built once per
+process, give the start states of lanes of m = 128 draws each.  Up to 1024
+lanes sit in the 128-bit slots of one integer and step together: the
+xorshift masked to each slot's low 64 bits, then the output multiply, which
+cannot carry out of a slot.  A draw's keep bit is bit 64 of
+2^64 - 1 + threshold - (the product's low 64 bits).  Draw t of lane l is put
+at bit 128 l + 64 + t, so a block of lanes reads in stream order as one
+binary string; row i's n - 1 - i draws are its adjacency mask, and the rows
+close in reverse index order.
 """
 
 from __future__ import annotations
 
+from array import array
+from functools import cache, reduce
+from operator import getitem, xor
 from typing import NamedTuple
 
-from .core import Poset, PreconditionError, from_relations
+from .core import Poset, PreconditionError, closed_or
+from .core import from_relations  # noqa: F401  perfbench/tracer.py wraps this name
 
 
 class SizeError(PreconditionError):
@@ -92,23 +108,90 @@ def lex_sum(parts: list[Poset]) -> Poset:
     return Poset(total, tuple(rows))
 
 
+_STAR = 0x2545F4914F6CDD1D  # xorshift64*'s output multiplier
+# Draws per lane (one bit each in its 128-bit slot) and lanes per block: a
+# block's integers are 16 KB each and its string 128 KB.
+_LANE = 128
+_LANES = 1024
+
+
+def _in_slots(value: int, lanes: int) -> int:
+    """``value`` (< 2^128) in each of ``lanes`` 128-bit slots."""
+    return int.from_bytes(value.to_bytes(16, "little") * lanes, "little")
+
+
+def _step(s: int, low: int) -> int:
+    """One xorshift state update in every slot; ``low`` masks each slot's
+    low 64 bits, the only ones a slot's state holds."""
+    s ^= s >> 12 & low
+    s ^= s << 25 & low
+    return s ^ (s >> 27 & low)
+
+
+@cache
+def _jump_tables() -> tuple[array, ...]:
+    """M^_LANE as eight byte tables: table k maps byte k of a state to the
+    XOR of the matrix columns its bits select.  Slot b starts as the unit
+    vector e_b, so after _LANE steps it holds column b.  Unsigned 64-bit
+    arrays hold the 2,048 entries in 16 KB, a list of ints in 90 KB."""
+    s = sum(1 << 129 * b for b in range(64))
+    low = _in_slots(_MASK64, 64)
+    for _ in range(_LANE):
+        s = _step(s, low)
+    raw = s.to_bytes(16 * 64, "little")
+    cols = [int.from_bytes(raw[i:i + 8], "little") for i in range(0, 16 * 64, 16)]
+    tables = []
+    for k in range(0, 64, 8):
+        table = [0]
+        for col in cols[k:k + 8]:
+            table += [x ^ col for x in table]
+        tables.append(array("Q", table))
+    return tuple(tables)
+
+
+def _keep_bits(total: int, threshold: int, s: int):
+    """Yield the keep bits of the ``total`` draws after state ``s`` a block
+    at a time, as binary strings: a block's first draw is its string's last
+    character.  The last block may end in draws past ``total``."""
+    tables = _jump_tables()
+    while total > 0:
+        lanes = min(_LANES, -(-total // _LANE))
+        starts = bytearray()
+        for _ in range(lanes):
+            starts += s.to_bytes(16, "little")
+            s = reduce(xor, map(getitem, tables, s.to_bytes(8, "little")))
+        lane = int.from_bytes(starts, "little")
+        low = _in_slots(_MASK64, lanes)
+        keep = _in_slots(_MASK64 + threshold, lanes)
+        bit64 = _in_slots(1 << 64, lanes)
+        bits = 0
+        for t in range(min(_LANE, total)):
+            lane = _step(lane, low)
+            bits |= (keep - (lane * _STAR & low) & bit64) << t
+        yield f"{bits >> 64:0{lanes * _LANE}b}"
+        total -= lanes * _LANE
+
+
 def random_poset(n: int, p: float, seed: int) -> Poset:
     """Seeded random poset: include pair (i, j), i < j, with probability p."""
     if not 0.0 <= p <= 1.0:
         raise SizeError("probability must lie in [0, 1]")
     if n < 0:
         raise SizeError("element count must be nonnegative")
-    s = (seed & _MASK64) or 0x9E3779B97F4A7C15
-    threshold = int(p * (1 << 64))
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            s ^= s >> 12
-            s ^= (s << 25) & _MASK64
-            s ^= s >> 27
-            if (s * 0x2545F4914F6CDD1D) & _MASK64 < threshold:
-                pairs.append((i, j))
-    return from_relations(n, pairs)
+    blocks = _keep_bits(n * (n - 1) // 2, int(p * (1 << 64)),
+                        (seed & _MASK64) or 0x9E3779B97F4A7C15)
+    rows = [0] * n
+    draws, end = "", 0  # keep bits not yet read: draws[:end], the next one last
+    for i in range(n - 1):
+        width = n - 1 - i
+        while end < width:
+            draws = next(blocks) + draws[:end]
+            end = len(draws)
+        rows[i] = int(draws[end - width:end], 2) << i + 1
+        end -= width
+    for i in range(n - 2, -1, -1):
+        rows[i] |= closed_or(rows, rows[i])
+    return Poset(n, tuple(rows))
 
 
 def canonical_ideal_chain(n: int, m: int) -> tuple[Poset, tuple[frozenset[int], ...]]:

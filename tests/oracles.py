@@ -222,7 +222,9 @@ _MASK64 = (1 << 64) - 1
 
 class XorShift64Star:
     """The xorshift64* stream of ``random_poset`` as a generator object: one
-    state update per draw, the form the portability fixture pins."""
+    state update per draw, the form the portability fixture pins.  It is the
+    reference that ``random_poset``'s lanes (jumped sub-streams stepped
+    together in one integer) must match draw for draw."""
 
     def __init__(self, seed: int):
         self.state = (seed & _MASK64) or 0x9E3779B97F4A7C15

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -565,7 +566,8 @@ def cap_dir(tmp_path_factory):
 # bound of five or more times its time on a 2-vCPU machine.  Left out: `reduce`
 # on `n20000`, whose claim 1 ran past 120 s at -t 1, and `dot --inc` at the
 # cap, about 2 * 10^8 lines, whose memory test_dot_inc_streams_its_lines
-# bounds.
+# bounds.  `gen random` at the cap makes 2 * 10^8 draws, 12 s for
+# random_poset alone; test_gen_random_at_4000 runs it at 8 * 10^6.
 CAP_RUNS = [
     ("cov n20000", 0, 2), ("antichain n20000", 0, 2),
     ("decompose n20000", 0, 2), ("dist n20000 0 1", 0, 2),
@@ -588,6 +590,18 @@ def test_every_verb_at_the_cap(cap_dir, capsys, argv, code, seconds):
     elapsed = time.perf_counter() - start
     capsys.readouterr()
     assert elapsed < seconds
+
+
+def test_gen_random_at_4000(capsys):
+    # 7,998,000 draws, bounded at five times their 0.5-0.6 s on a 2-vCPU
+    # machine, and the bytes that the one-draw-at-a-time stream printed
+    start = time.perf_counter()
+    assert run(["gen", "random", "-n", "4000", "-p", "0.3", "--seed", "5"]) == 0
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 77_678
+    assert hashlib.md5(out).hexdigest() == "e54a518e0b69a04de77e58462068f88c"
+    assert elapsed < 3
 
 
 class TestRoundTripIdentity:
@@ -765,6 +779,7 @@ PINNED = [
     ("gen chain -n 3", 0, "n 3\n0 1\n1 2\n", ""),
     ("gen grid -n 3", 0, "n 3\n0 1\n1 2\n", ""),
     ("gen lexsum", 2, "", "error: lexsum needs at least one part file\n"),
+    ("gen random -n 3 -p nan", 2, "", "error: probability must lie in [0, 1]\n"),
     ("selftest --rounds 1", 0, "selftest: 9 passed, 0 failed\n", ""),
 ]
 

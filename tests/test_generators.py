@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from chaincover.core import from_relations, induced, mask_of
 from chaincover.cover import min_chain_cover
-from chaincover.generators import (GridLabel, SizeError, antichain,
+from chaincover.generators import (_LANE, _LANES, GridLabel, SizeError, antichain,
                                    canonical_ideal_chain, chain, grid_index,
                                    grid_labels, grid_upper, lex_sum,
                                    random_poset)
@@ -27,6 +29,11 @@ class TestGrid:
     def test_size_error(self):
         with pytest.raises(SizeError):
             grid_upper(1)
+
+    @pytest.mark.parametrize("alpha, beta", [(2, 2), (0, 5), (3, 1), (-1, 2)])
+    def test_index_outside_the_grid(self, alpha, beta):
+        with pytest.raises(IndexError, match=rf"\({alpha}, {beta}\) is not a grid point"):
+            grid_index(5, alpha, beta)
 
     def test_labels_and_index_agree(self):
         labels = grid_labels(5)
@@ -100,10 +107,36 @@ class TestRandomPoset:
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 + 5])
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
     def test_equals_reference_stream(self, p, seed):
-        # the inlined state update draws exactly the reference stream
+        # the lanes draw exactly the reference stream
         for n in range(41):
             assert random_poset(n, p, seed) == from_relations(
                 n, reference_random_pairs(n, p, seed))
+
+    # (n, p): the pairs fill the last lane exactly; they leave it partial;
+    # they span two blocks; n >= 800 at p = 0.05.
+    LANE_SIZES = [(256, 0.3), (100, 0.3), (520, 0.05), (800, 0.05)]
+
+    def test_lane_sizes_reach_the_layout(self):
+        pairs = [n * (n - 1) // 2 for n, _ in self.LANE_SIZES]
+        assert pairs[0] % _LANE == 0 and pairs[0] > _LANE
+        assert pairs[1] % _LANE and pairs[1] > _LANE
+        assert pairs[2] > _LANE * _LANES
+
+    @pytest.mark.parametrize("seed", [0, -1, 1, 2 ** 64 + 5])
+    @pytest.mark.parametrize("n, p", LANE_SIZES)
+    def test_equals_reference_stream_past_one_lane(self, n, p, seed):
+        assert random_poset(n, p, seed) == from_relations(
+            n, reference_random_pairs(n, p, seed))
+
+    def test_memory_stays_near_the_result(self):
+        # the rows it keeps take 1.24 MB; a list of the kept pairs took 163 MB
+        tracemalloc.start()
+        try:
+            random_poset(3000, 0.3, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
 
     def test_frozen_relation_fixture(self):
         assert random_poset(8, 0.3, 42).relation_pairs() == [
@@ -113,10 +146,13 @@ class TestRandomPoset:
         assert random_poset(0, 0.5, 1).n == 0
         assert random_poset(5, 0.0, 1) == antichain(5)
         assert random_poset(5, 1.0, 1) == chain(5)
+        assert random_poset(300, 0.0, 5) == antichain(300)  # 351 lanes
+        assert random_poset(300, 1.0, 5) == chain(300)
 
     def test_probability_validated(self):
-        with pytest.raises(SizeError):
-            random_poset(3, 1.5, 0)
+        for p in (1.5, -0.1, float("nan")):
+            with pytest.raises(SizeError, match=r"probability must lie in \[0, 1\]"):
+                random_poset(3, p, 0)
 
     def test_negative_count_rejected(self):
         for make in (chain, antichain, lambda n: random_poset(n, 0.5, 1)):
@@ -158,10 +194,12 @@ class TestCanonicalIdealChain:
                     for a in range(m))
 
     def test_size_errors(self):
-        with pytest.raises(SizeError):
+        with pytest.raises(SizeError, match="1 <= m < n"):
             canonical_ideal_chain(4, 4)
-        with pytest.raises(SizeError):
+        with pytest.raises(SizeError, match="1 <= m < n"):
             canonical_ideal_chain(4, 0)
+        with pytest.raises(SizeError, match="grid needs n >= 2"):
+            canonical_ideal_chain(1, 1)
 
 
 def test_generated_posets_satisfy_axioms():
