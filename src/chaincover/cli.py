@@ -57,11 +57,12 @@ _INPUT_ERRORS = (_InputError, core.PreconditionError)
 
 
 def _read_text(path: str, stream=None) -> str:
-    """All of ``stream``, or of the file ``path`` when no stream is given."""
+    """All of ``stream``, or of the file ``path`` read as UTF-8 when no stream
+    is given."""
     try:
         if stream is not None:
             return stream.read()
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
     except OSError as exc:
         raise _InputError(str(exc)) from exc

@@ -5,7 +5,7 @@ element: bit ``y`` of ``up[x]`` is set iff ``x < y``.  Construction lists
 each element's direct successors in one pass over the pairs, takes the
 transitive closure over those lists (in reverse topological order: reverse
 index order when every pair rises, else Kahn's) and rejects anything that
-is not a strict order.  A text of plain pair lines is read in
+is not a strict order.  A text in ``Poset.to_text``'s own form is read in
 bulk; any other text line by line, which reports every error.  A subset (an
 up-set, a down-set, an interval, an incomparability set) is a bitmask over
 the same indices; ``induced`` copies one out only where a caller needs it
@@ -17,6 +17,7 @@ pure function, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from dataclasses import dataclass
@@ -329,31 +330,35 @@ def int_field(field: str) -> int:
         raise ValueError(f"integer literal longer than {limit} digits") from None
 
 
-# A plain line is two fields of ASCII digits among spaces and tabs, ended by
-# "\n".  A body is plain iff removing its plain lines leaves nothing: unlike
-# one match of the repeated line, that keeps no backtracking state per line,
-# and ``^`` scans a long run of digits once, not once per digit.
+# ``Poset.to_text``'s own form: the header, then lines ``<digits> <digits>\n``.
+# Without its digits such a body is " \n" once per line, and it is empty or
+# ends in "\n" (else "1 2\n34" would read as the one pair (1, 2)).  With
+# space and newline turned into commas, the fields are a JSON array of ints
+# but for the last comma; JSON rejects an empty field and a leading zero.
 _HEADER = re.compile(r"n ([0-9]+)\n")
-_PLAIN_LINE = re.compile(r"^[ \t]*[0-9]+[ \t]+[0-9]+[ \t]*\n", re.MULTILINE)
+_DIGITS = str.maketrans("", "", "0123456789")
+_COMMAS = str.maketrans(" \n", ",,")
 
 
-def _read_plain(text: str) -> tuple[int, list[tuple[int, int]]] | None:
-    """The count and pairs of a plain text read in bulk, or None when the
-    text is not plain or holds an error, which ``_read_lines`` then reports."""
+def _read_plain(text: str) -> tuple[int, Iterable[tuple[int, int]]] | None:
+    """The count and pairs of a text in ``to_text``'s form, read in bulk, or
+    None for any other text, which ``_read_lines`` then reads or reports."""
     header = _HEADER.match(text)
     if header is None:
         return None
     body = text[header.end():]
-    if _PLAIN_LINE.sub("", body):
+    seps = body.translate(_DIGITS)
+    if seps != " \n" * (len(seps) // 2) or body[-1:] not in "\n":
         return None
-    try:
+    try:  # past int()'s digit limit, both raise ValueError
         n = int(header[1])
-        fields = list(map(int, body.split()))
-    except ValueError:  # int()'s digit limit
+        fields = json.loads(f"[{body.translate(_COMMAS)[:-1]}]")
+    except ValueError:
         return None
     if n > MAX_TEXT_ELEMENTS or (fields and max(fields) >= n):
         return None
-    return n, list(zip(fields[::2], fields[1::2]))
+    it = iter(fields)
+    return n, zip(it, it)
 
 
 def _read_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
@@ -394,10 +399,11 @@ def from_text(text: str) -> Poset:
     Line 1 is ``n <count>``, count <= MAX_TEXT_ELEMENTS; each later
     non-comment line is ``<u> <v>`` asserting u < v, both below count.  Every
     integer is ASCII decimal digits.  ``#`` starts a comment.
-    A text of plain pair lines (what ``Poset.to_text`` writes) is checked
-    by one regex pass and read with one split; any other text, and every
-    error, line by line.  The closure is applied on load; a cycle raises CycleError with
-    the cycle in the message.
+    A text in the form ``Poset.to_text`` writes (one space between the
+    fields, no padding or leading zeros, every line ended by a newline) is read
+    in bulk by two ``str.translate`` scans and one JSON parse; any other
+    text, and every error, line by line.  The closure is applied on load; a
+    cycle raises CycleError with the cycle in the message.
     """
     return from_relations(*(_read_plain(text) or _read_lines(text)))
 

@@ -806,13 +806,14 @@ VERBS = ["cov", "antichain", "decompose", "dist", "check-metric", "find-grid",
          "selftest"]
 
 
-def fresh_process(argv, code=None):
+def fresh_process(argv, code=None, **env):
     """(stdout, stderr, exit code) of ``python -m chaincover.cli <argv>``, or
-    of the script ``code`` with ``argv``, in a new interpreter."""
+    of the script ``code`` with ``argv``, in a new interpreter, with ``env``
+    added to its environment."""
     cmd = ["-c", code] if code is not None else ["-m", "chaincover.cli"]
     done = subprocess.run([sys.executable, *cmd, *argv], capture_output=True,
                           text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"})
+                          env={**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80", **env})
     return done.stdout, done.stderr, done.returncode
 
 
@@ -872,6 +873,18 @@ class TestEntryPoint:
     def test_unreadable_file(self, tmp_path):
         out, err, code = fresh_process(["cov", str(tmp_path / "absent.poset")])
         assert (code, out) == (2, "") and one_error_line(err)
+
+    def test_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # the poset and ideals files are read as UTF-8 whatever the locale,
+        # so a comment may hold any text
+        g, ideals = tmp_path / "g.poset", tmp_path / "g.ideals"
+        g.write_text("# \u00e9\n" + grid_upper(8).to_text(), encoding="utf-8")
+        ideals.write_text("0 1 2 3 4 5 6  # \u00e9\n" + " ".join(map(str, range(13))),
+                          encoding="utf-8")
+        ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        assert fresh_process(["cov", str(g)], **ascii_locale) == ("4\n", "", 0)
+        assert fresh_process(["ideal-embed", str(g), "--ideals", str(ideals)],
+                             **ascii_locale) == ("0 1 -> 0\n", "", 0)
 
 
 # -- the failure boundary ------------------------------------------------------

@@ -5,7 +5,7 @@ from unittest import mock
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaincover import core
 from chaincover.core import (CycleError, EmptyPoset, dual, from_relations,
@@ -271,13 +271,17 @@ _POSET_TEXT = st.builds(
 
 @st.composite
 def plain_texts(draw):
-    """Texts of the header and pair lines only, the form read in bulk: pairs
-    rising, falling, repeated, reflexive or closing cycles, fields with
-    leading zeros, and the rare line that leaves the bulk form or holds an
-    error: a field out of range or past int()'s digit limit, a CRLF end, a
-    last line without its newline."""
+    """Texts of the header and pair lines only: pairs rising, falling,
+    repeated, reflexive or closing cycles, and the rare field out of range or
+    past int()'s digit limit.  Half are in ``to_text``'s own form, the form
+    read in bulk, bar the rare break of it that the bulk check must pass to
+    the line route: a leading zero, an empty line, a last line of one field
+    without its newline.  The other half pad with spaces and tabs, add
+    leading zeros and end lines with CRLF, and a quarter of them drop the
+    last newline."""
     n = draw(st.integers(0, 12))
     rising = draw(st.booleans())
+    exact = draw(st.booleans())
 
     def field() -> int | str:
         if n and draw(st.integers(0, 40)):
@@ -285,20 +289,28 @@ def plain_texts(draw):
         return draw(st.sampled_from([str(n), f"00{n + 3}", "20001", _DIGITS,
                                      "0" * 5000 + "1"]))
 
-    text = draw(st.sampled_from(["n {}\n", "n 00{}\n"])).format(n)
+    def rare(text: str) -> str:
+        return text if draw(st.integers(0, 40)) == 0 else ""
+
+    text = ("n {}\n" if exact else draw(st.sampled_from(["n {}\n", "n 00{}\n"]))).format(n)
     for _ in range(draw(st.integers(0, 10))):
         u, v = field(), field()
         if rising and isinstance(u, int) and isinstance(v, int):
             if u == v:
                 continue
             u, v = min(u, v), max(u, v)
+        if exact:
+            text += rare("\n") + f"{rare('0')}{u} {rare('0')}{v}\n"
+            continue
         u, v = (draw(st.sampled_from(["", "0", "00"])) + str(x)
                 if isinstance(x, int) else x for x in (u, v))
         text += "".join([draw(st.sampled_from(["", " ", "\t"])), u,
                          draw(st.sampled_from([" ", "\t", " \t  "])), v,
                          draw(st.sampled_from(["", " ", "\t"])),
                          draw(st.sampled_from(["\n"] * 19 + ["\r\n"]))])
-    if draw(st.integers(0, 3)) == 0:
+    if exact:
+        text += rare(str(field()))
+    elif draw(st.integers(0, 3)) == 0:
         text = text.removesuffix("\n")
     return text
 
@@ -352,19 +364,42 @@ class TestTextFormat:
         assert _parsed(from_text, text) == _parsed(oracles.reference_from_text, text)
 
     def test_plain_text_read_in_bulk(self):
-        assert core._read_plain("n 0\n") == (0, [])
-        assert core._read_plain("n 005\n3 1\n\t0  02 \n0 2\n4\t4\n") == (
+        def bulk(text):
+            n, pairs = core._read_plain(text)
+            return n, list(pairs)
+
+        assert bulk("n 0\n") == (0, [])
+        assert bulk("n 005\n3 1\n0 2\n0 2\n4 4\n") == (
             5, [(3, 1), (0, 2), (0, 2), (4, 4)])
         # anything else goes line by line, which names the line of an error
-        for text in ("n 3\n0 1\r\n", "n 3\n0 1", "n 3\n0 1 # c\n", "n 3\n0 3\n",
+        padded = "n 5\n3 1\n\t0  02 \n0 2\n4\t4\n"
+        for text in (padded, "n 3\n0 1\r\n", "n 3\n0 1", "n 40\n1 2\n34",
+                     "n 3\n0 1 # c\n", "n 3\n0 3\n", "n 3\n01 2\n", "n 3\n0 01\n",
+                     "n 3\n 0 1\n", "n 3\n0  1\n", "n 3\n0 1 \n", "n 3\n0 1\n 1 2\n",
                      f"n 3\n0 {_DIGITS}\n", f"n {_DIGITS}\n", "n 20001\n",
-                     "\nn 3\n", "n 3\n\n0 1\n", " n 3\n", "n\t3\n", "n 3\n0 1 2\n",
-                     "n 3\n+1 2\n", "n 3\n\u0661 2\n", "n 3\n0\u00a01\n"):
+                     "\nn 3\n", "n 3\n\n0 1\n", "n 3\n0 1\n\n", " n 3\n", "n\t3\n",
+                     "n 3\n0 1 2\n", "n 3\n+1 2\n", "n 3\n\u0661 2\n", "n 3\n0\u00a01\n"):
             assert core._read_plain(text) is None, text
+        assert core._read_lines(padded) == (5, [(3, 1), (0, 2), (0, 2), (4, 4)])
+        with pytest.raises(CycleError, match="^relation closes into a cycle: 4 < 4$"):
+            from_text(padded)
+        with pytest.raises(ValueError, match="^line 3: expected '<u> <v>'$"):
+            from_text("n 40\n1 2\n34")
+
+    @given(relabelled_posets())
+    @example(grid_upper(6))
+    @example(oracles.relabel(grid_upper(6), list(range(15))[::-1]))
+    @example(random_poset(30, 0.2, 1))
+    @example(chain(0))
+    def test_written_text_is_read_in_bulk(self, p):
+        # a lost bulk route would show only as slowness
+        with mock.patch.object(core, "_read_lines") as line_route:
+            assert from_text(p.to_text()) == p
+        line_route.assert_not_called()
 
     def test_plain_read_keeps_no_state_per_line(self):
-        # one match of the repeated line held ~600 bytes of backtracking
-        # state per line at its peak, 3.4 times what the line loop holds
+        # the bulk route's copies of the body and its array of fields stay
+        # below what the line loop's list of pair tuples holds
         text = grid_upper(120).to_text()
         peaks = []
         for read in (core._read_lines, core._read_plain):

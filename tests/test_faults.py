@@ -11,11 +11,13 @@ antichain; both ways to build a matched cover, ``min_chain_cover`` and
 ``validate_ideal_chain`` that passes a chain whose first ideal is not
 downward closed.  The last check of ``embed_from_ideal_chain``, "image
 escaped its layer", reads the same layer masks its candidates are drawn
-from, so no patched dependency reaches it.  The metric lemma's interval
+from, so it sees images shifted by one position through the module's
+``zip``, which pairs positions with images.  The metric lemma's interval
 check sees an ``interval_cover`` that leaves one element uncovered, and
 the cycle report's reconstruction a start that lies on no cycle.
 """
 
+import builtins
 import dataclasses
 import functools
 import re
@@ -192,6 +194,17 @@ def test_ideal_embed_rejects_a_non_embedding(monkeypatch):
     monkeypatch.setattr(ideal_embed, "validate_embedding", lambda e: False)
     with pytest.raises(InternalInconsistency,
                        match="^search produced a non-embedding$"):
+        ideal_embed.embed_from_ideal_chain(
+            ideal_embed.IdealChain(*canonical_ideal_chain(5, 3)))
+
+
+def test_ideal_embed_finds_an_image_outside_its_layer(monkeypatch):
+    # each position gets the image of the next one in search order, so
+    # (0, 2), in layer 0, gets the image of (1, 2), from layer 1
+    monkeypatch.setattr(ideal_embed, "validate_embedding", lambda e: True)
+    monkeypatch.setattr(ideal_embed, "zip", lambda positions, img: builtins.zip(
+        positions, img[1:] + img[:1]), raising=False)
+    with pytest.raises(InternalInconsistency, match="^image escaped its layer$"):
         ideal_embed.embed_from_ideal_chain(
             ideal_embed.IdealChain(*canonical_ideal_chain(5, 3)))
 
