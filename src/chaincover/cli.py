@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import itertools
 import json
 import sys
@@ -57,13 +58,17 @@ _INPUT_ERRORS = (_InputError, core.PreconditionError)
 
 
 def _read_text(path: str, stream=None) -> str:
-    """All of ``stream``, or of the file ``path`` read as UTF-8 when no stream
-    is given."""
+    """All of the file ``path``, or of ``stream`` when one is given, read as
+    strict UTF-8 with universal newlines whatever the locale: a stream's
+    bytes are decoded here, and only a text stream with no bytes under it
+    (no ``buffer``) is read as it is."""
     try:
-        if stream is not None:
+        if stream is None:
+            with open(path, encoding="utf-8") as f:
+                return f.read()
+        if (raw := getattr(stream, "buffer", None)) is None:
             return stream.read()
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        return io.TextIOWrapper(io.BytesIO(raw.read()), encoding="utf-8").read()
     except OSError as exc:
         raise _InputError(str(exc)) from exc
     except UnicodeDecodeError as exc:
@@ -92,7 +97,8 @@ def _words(xs) -> str:
 
 
 def _cmd_cov(args) -> _Answer:
-    cc = cover.min_chain_cover(_read_poset(args.file))
+    # the empty start keeps the printed chains those of the textbook search
+    cc = cover.min_chain_cover(_read_poset(args.file), greedy=False)
     certificate = list(core.iter_bits(cc.certificate_mask))
     lines = [str(cc.width)]
     if args.witness:

@@ -11,12 +11,14 @@ so the subposet on any subset is covered in its parent's indices with no
 copy, and a cover holds its chains and its antichain as bitmasks of those
 indices.
 
-A cover is made cold (from the empty matching), from a hint (a cover of a
-superset on the same poset), or by :func:`reversed_cover`: a verified cover
-with its links reversed is a maximum matching of the dual order, so one
-Hopcroft-Karp layering on ``dual(p)`` yields that order's cover and A_max,
-which is A_min here.  Each way ends in the same chain-link, partition and
-antichain checks.
+A cover is made cold, from a hint (a cover of a superset on the same
+poset), or by :func:`reversed_cover`: a verified cover with its links
+reversed is a maximum matching of the dual order, so one Hopcroft-Karp
+layering on ``dual(p)`` yields that order's cover and A_max, which is A_min
+here.  A cold cover starts from a top-down greedy matching, or from the
+empty one for ``cov``, whose printed chains are pinned; A_max is unique, so
+both certify one antichain.  Each way ends in the same chain-link,
+partition and antichain checks.
 """
 
 from __future__ import annotations
@@ -88,6 +90,25 @@ def _restricted(matching, mask: int) -> tuple[list[int], list[int], int, int]:
             match_r[r] = match_l[u] = -1
             lefts &= ~(1 << u)
     return match_l, match_r, lefts & mask, rights & mask
+
+
+def _top_down(up, mask: int, match_l: list[int], match_r: list[int]
+              ) -> tuple[int, int]:
+    """Links each element of ``mask``, highest first, to the lowest element
+    above it in the mask that none links to yet, in the empty ``match_l``
+    and ``match_r``; returns the linked lefts and rights."""
+    lefts, free, rest = 0, mask, mask
+    while rest:
+        u = rest.bit_length() - 1
+        rest ^= 1 << u
+        if cand := up[u] & free:
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            match_l[u] = v
+            match_r[v] = u
+            lefts |= 1 << u
+            free ^= bit
+    return lefts, mask & ~free
 
 
 def _max_matching(up, mask: int, match_l: list[int], match_r: list[int],
@@ -180,15 +201,19 @@ def _chains_from_matching(up, heads: int, match_l: list[int]
 
 
 def min_chain_cover(p: Poset, mask: int | None = None,
-                    hint: ChainCover | None = None) -> ChainCover:
+                    hint: ChainCover | None = None, *,
+                    greedy: bool = True) -> ChainCover:
     """Minimum chain cover of the subposet on ``mask``, with a Dilworth witness.
 
     ``mask`` is a bitmask of p's elements (default: all of them); chains and
     certificate use p's own indices, so no induced copy is made, and only
     the mask's rows of ``p.up`` are read, uncopied.  A bit at or beyond
     ``p.n`` raises IndexError.  The result is deterministic: vertices and
-    adjacency are explored lowest index first, from the empty matching or
-    from the hint's.
+    adjacency are explored lowest index first, from the hint's matching or,
+    cold, from a greedy one, which leaves few and short augmenting paths.
+    ``greedy=False`` starts a cold cover from the empty matching instead,
+    for the chains of the textbook lowest-index-first Hopcroft-Karp that
+    ``cov`` prints; the certificate A_max is unique, so it is the same.
 
     ``hint`` is a cover this function returned for p itself (the same
     object; any other raises PreconditionError), on a superset of ``mask``.
@@ -210,6 +235,8 @@ def min_chain_cover(p: Poset, mask: int | None = None,
         raise IndexError(f"mask has elements outside 0..{p.n - 1}")
     if hint is None:
         match_l, match_r, lefts, rights = [-1] * p.n, [-1] * p.n, 0, 0
+        if greedy:
+            lefts, rights = _top_down(p.up, mask, match_l, match_r)
     else:
         if hint.poset is not p:
             raise PreconditionError("hint was not verified on this poset")

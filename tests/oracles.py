@@ -639,6 +639,22 @@ def reference_restricted(succ: list[int], mask: int, n: int
     return match_l, match_r, lefts, rights
 
 
+def reference_top_down(up, mask: int, n: int) -> list[int]:
+    """The greedy matching a cold cover starts from, as a successor list:
+    the mask's elements, highest first, each linked to the lowest element
+    of the mask above it that no earlier element took."""
+    members = [x for x in range(n) if mask >> x & 1]
+    succ = [-1] * n
+    taken = set()
+    for u in reversed(members):
+        for v in members:
+            if v not in taken and up[u] >> v & 1:
+                succ[u] = v
+                taken.add(v)
+                break
+    return succ
+
+
 def reference_ordered(up, chain: int) -> list[int]:
     """A chain mask's elements, lowest first, placed without the matching:
     x sits popcount(up[x] & chain) places from the end, one for each element

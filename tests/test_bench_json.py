@@ -23,8 +23,20 @@ def test_rows_equal_the_run_output(tmp_path):
     assert (row["label"], row["round"], row["workload"]) == ("change", 0, "search")
     assert row["header"]["workload"] == "search" and row["header"]["size"] == "tiny"
     assert row["header"]["seconds"] == 0.1 and row["header"]["nproc"] >= 1
+    assert row["header"]["seed"] == 1
     assert f"machine speed {row['machine_speed']:.3f}: " in done.stdout
     assert f"load_after={row['load_after']:.2f}" in lines
+
+
+def test_seed_reaches_every_run(tmp_path):
+    out = tmp_path / "BENCH.json"
+    done = subprocess.run([sys.executable, str(TOOL), str(out), "--workload", "reduce-sweep",
+                           "--tiny", "--seconds", "0.1", "--seed", "3", "--rounds", "2"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(out.read_text())["rows"]
+    assert [(row["round"], row["header"]["seed"], row["correct"]) for row in rows] == [
+        (0, 3, True), (1, 3, True)]
 
 
 def test_parse_reads_a_traced_loaded_run():

@@ -83,7 +83,7 @@ class TestCov:
         assert err.startswith("error: -: ") and one_error_line(err)
 
     def test_internal_inconsistency_propagates(self, grid6_file, monkeypatch):
-        def broken(p, mask=None):
+        def broken(p, mask=None, *, greedy=True):
             raise InternalInconsistency("chains do not cover every element")
         monkeypatch.setattr(cover, "min_chain_cover", broken)
         with pytest.raises(InternalInconsistency):
@@ -806,15 +806,15 @@ VERBS = ["cov", "antichain", "decompose", "dist", "check-metric", "find-grid",
          "selftest"]
 
 
-def fresh_process(argv, code=None, **env):
+def fresh_process(argv, code=None, stdin=b"", **env):
     """(stdout, stderr, exit code) of ``python -m chaincover.cli <argv>``, or
-    of the script ``code`` with ``argv``, in a new interpreter, with ``env``
-    added to its environment."""
+    of the script ``code`` with ``argv``, in a new interpreter fed the bytes
+    ``stdin``, with ``env`` added to its environment."""
     cmd = ["-c", code] if code is not None else ["-m", "chaincover.cli"]
-    done = subprocess.run([sys.executable, *cmd, *argv], capture_output=True,
-                          text=True, timeout=120,
+    done = subprocess.run([sys.executable, *cmd, *argv], input=stdin,
+                          capture_output=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80", **env})
-    return done.stdout, done.stderr, done.returncode
+    return done.stdout.decode(), done.stderr.decode(), done.returncode
 
 
 class TestSharedParser:
@@ -885,6 +885,27 @@ class TestEntryPoint:
         assert fresh_process(["cov", str(g)], **ascii_locale) == ("4\n", "", 0)
         assert fresh_process(["ideal-embed", str(g), "--ideals", str(ideals)],
                              **ascii_locale) == ("0 1 -> 0\n", "", 0)
+
+    @pytest.mark.parametrize("env", [{}, {"LC_ALL": "C", "PYTHONUTF8": "0",
+                                          "PYTHONCOERCECLOCALE": "0"}],
+                             ids=["default", "ascii-locale"])
+    def test_stdin_is_strict_utf8_like_a_file(self, tmp_path, env):
+        # standard input is decoded as a file is, whatever the locale: bytes
+        # that are not UTF-8 exit 2 on both routes, and UTF-8 text in a
+        # comment and CRLF line ends read as from a file
+        bad = b"n 2\n0 1  # \xff\n"
+        path = tmp_path / "bad.poset"
+        path.write_bytes(bad)
+        reason = "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
+        assert fresh_process(["cov", "-"], stdin=bad, **env) == (
+            "", f"error: -: {reason}\n", 2)
+        assert fresh_process(["cov", str(path)], **env) == (
+            "", f"error: {path}: {reason}\n", 2)
+        good = "n 3\r\n0 1  # \u00e9\r\n1 2\r\n".encode()
+        path.write_bytes(good)
+        witness = ("1\n0 1 2\nantichain: 2\n", "", 0)
+        assert fresh_process(["cov", "-", "--witness"], stdin=good, **env) == witness
+        assert fresh_process(["cov", str(path), "--witness"], **env) == witness
 
 
 # -- the failure boundary ------------------------------------------------------

@@ -449,6 +449,50 @@ class TestExtremeAntichains:
                             == (extreme & ~rest == 0))
 
 
+@given(n=st.integers(0, 40), prob=st.sampled_from((0.05, 0.1, 0.2, 0.3)),
+       seed=st.integers(0, 2 ** 32), relabelled=st.booleans(),
+       bits=st.integers(0, 2 ** 40 - 1))
+@settings(max_examples=120, deadline=None)
+def test_top_down_and_empty_starts_certify_one_antichain(n, prob, seed,
+                                                        relabelled, bits):
+    """A cold cover starts from the top-down greedy matching, or from the
+    empty one when asked; on rising and relabelled posets, whole or cut to
+    a mask, both give the same width and the same A_max, each as a
+    Dilworth pair."""
+    p = random_poset(n, prob, seed)
+    if relabelled:
+        p = oracles.relabel(p, random.Random(seed).sample(range(n), n))
+    for mask in (p.full_mask, bits & p.full_mask):
+        with pytest.MonkeyPatch.context() as mp:
+            seeds = counting_matching(mp)
+            greedy = min_chain_cover(p, mask)
+            empty = min_chain_cover(p, mask, greedy=False)
+        assert seeds == [oracles.reference_top_down(p.up, mask, n), [-1] * n]
+        assert greedy.width == empty.width
+        assert greedy.certificate_mask == empty.certificate_mask
+        assert_dilworth_pair(p, mask, greedy)
+        assert_dilworth_pair(p, mask, empty)
+
+
+@pytest.mark.parametrize("prob, bound", [(0.05, 200), (0.3, 60)])
+def test_cold_cover_layers_few_times(prob, bound, monkeypatch):
+    # the greedy start leaves Hopcroft-Karp few phases and short paths: a
+    # cold cover of random_poset(800, prob, 1) ORs its rows in 142 and 29
+    # layers, where the empty start takes 353 and 609
+    p = random_poset(800, prob, 1)
+    calls = 0
+    real = cover.closed_or
+
+    def counted(up, mask):
+        nonlocal calls
+        calls += 1
+        return real(up, mask)
+
+    monkeypatch.setattr(cover, "closed_or", counted)
+    min_chain_cover(p)
+    assert calls <= bound
+
+
 class TestKonigFromLastLayering:
     """The certificate of a cover that ran a matching is König's A_max, on
     P's ``up`` rows and, in the dual, A_min on its ``down`` rows, against a

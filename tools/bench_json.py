@@ -1,11 +1,11 @@
 """Benchmark rows of one or more checkouts in one JSON file.
 
     python tools/bench_json.py OUT.json [--checkout LABEL=DIR ...]
-        [--workload NAME ...] [--rounds R] [--seconds S] [--tiny]
+        [--workload NAME ...] [--rounds R] [--seconds S] [--seed N] [--tiny]
 
 Runs ``perfbench/run.py`` of each checkout DIR (default: ``change=`` this
 one) on each workload (default: every workload of ``BENCHMARK.json``), at
-the benchmark's default seed.  A round runs every workload once in every
+seed N (default: the benchmark's default seed).  A round runs every workload once in every
 checkout, the checkouts taken in turn and in reverse order every other
 round, so ``--checkout parent=... --checkout change=.`` gives interleaved
 A/B pairs.  Each run's stdout is passed through.  OUT.json gets one row per
@@ -61,6 +61,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append")
     ap.add_argument("--rounds", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=8.0)
+    ap.add_argument("--seed", type=int, help="the workloads' seed (default: run.py's)")
     ap.add_argument("--tiny", action="store_true")
     args = ap.parse_args(argv)
     checkouts = [(label, Path(path)) for label, _, path in
@@ -73,6 +74,8 @@ def main(argv=None) -> int:
             for label, path in checkouts[::-1] if rnd % 2 else checkouts:
                 cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
                        "--seconds", f"{args.seconds:g}"]
+                if args.seed is not None:
+                    cmd += ["--seed", str(args.seed)]
                 done = subprocess.run(cmd + ["--tiny"] * args.tiny, cwd=path,
                                       capture_output=True, text=True)
                 sys.stdout.write(done.stdout)
